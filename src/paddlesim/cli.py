@@ -9,6 +9,7 @@ Ships presets mirroring the bench scenarios; see ``paddlesim presets list``.
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -18,12 +19,11 @@ import numpy as np
 from .control import ControlMode, ControllerConfig, wrap_to_pi
 from .dynamics import BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
-                      rms_perpendicular_error)
-from .mission import (ConfigError, MissionKind, MissionSpec, TelemetryLog,
-                      run_mission, validate_spec)
+                      rms_perpendicular_error, settled_step_changes)
+from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
+                      TelemetryLog, run_mission, validate_spec)
 
-CSV_HEADER = ("t,theta,theta_dot,phi,phi_dot,theta_t_dot,x,y,vx,vy,"
-              "theta_r,theta_des,psi_hat,tau,waypoint_index")
+CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 
 
 # --------------------------------------------------------------------- values
@@ -37,53 +37,48 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split()
-    if len(parts) != 2:
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_list(text: str, arity: int) -> tuple:
+    """';'-separated items of `arity` numbers each; empty items are skipped."""
+    items = []
+    for item in text.split(";"):
+        parts = item.split()
+        if not parts:
+            continue
+        if len(parts) != arity:
+            raise ValueError(f"expected {arity} numbers per item, got {item.strip()!r}")
+        items.append(tuple(_parse_float(part) for part in parts))
+    return tuple(items)
+
+
+def _parse_start(text: str) -> tuple[float, float]:
+    points = _parse_list(text, 2)
+    if len(points) != 1:
         raise ValueError(f"expected 'x y', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return points[0]
 
 
-def _parse_pairs(text: str) -> tuple:
-    return tuple(_parse_pair(item) for item in text.split(";") if item.strip())
-
-
-def _parse_steps(text: str) -> tuple:
-    out = []
-    for item in text.split(";"):
-        if not item.strip():
-            continue
-        parts = item.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'time delta', got {item.strip()!r}")
-        out.append((float(parts[0]), float(parts[1])))
-    return tuple(out)
-
-
-def _parse_impulses(text: str) -> tuple:
-    out = []
-    for item in text.split(";"):
-        if not item.strip():
-            continue
-        parts = item.split()
-        if len(parts) != 3:
-            raise ValueError(f"expected 'time dvx dvy', got {item.strip()!r}")
-        out.append((float(parts[0]), (float(parts[1]), float(parts[2]))))
-    return tuple(out)
-
-
-_BOAT_FIELDS = {f.name: float for f in dataclasses.fields(BoatParams)}
+_BOAT_FIELDS = {f.name: _parse_float for f in dataclasses.fields(BoatParams)}
 _CONTROL_FIELDS = {
-    "omega": float, "K": float, "beta": float, "K_p": float,
-    "mode": ControlMode, "desat_interval": float, "desat_threshold": float,
-    "thrust_from_mean_heading": _parse_bool,
+    "omega": _parse_float, "K": _parse_float, "beta": _parse_float,
+    "K_p": _parse_float, "mode": ControlMode, "desat_interval": _parse_float,
+    "desat_threshold": _parse_float, "thrust_from_mean_heading": _parse_bool,
 }
 _MISSION_FIELDS = {
-    "kind": MissionKind, "duration": float, "heading": float,
-    "waypoints": _parse_pairs, "tolerance_radius": float,
-    "step_schedule": _parse_steps, "disturbances": _parse_impulses,
-    "controller_mode": ControlMode, "initial_theta": float,
-    "start": _parse_pair, "warm_start": _parse_bool,
+    "kind": MissionKind, "duration": _parse_float, "heading": _parse_float,
+    "waypoints": lambda text: _parse_list(text, 2),
+    "tolerance_radius": _parse_float,
+    "step_schedule": lambda text: _parse_list(text, 2),
+    "disturbances": lambda text: tuple((t, (dvx, dvy))
+                                       for t, dvx, dvy in _parse_list(text, 3)),
+    "controller_mode": ControlMode, "initial_theta": _parse_float,
+    "start": _parse_start, "warm_start": _parse_bool,
 }
 _OUTPUT_FIELDS = {"dir": str, "basename": str}
 _BATCH_FIELDS = {"repeats": int}
@@ -102,14 +97,14 @@ class ScenarioConfig:
     out_dir: str = "runs"
     basename: str = "run"
     repeats: int = 1
-    sweeps: tuple = ()   # (section, field, (values...)) entries
+    sweeps: tuple = ()   # (label, boat, control, mission) per sweep point
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     """Parse the flat key = value format; reject unknown or malformed keys."""
     raw: dict[str, dict] = {"boat": {}, "control": {}, "mission": {},
                             "output": {}, "batch": {}}
-    sweeps = []
+    axes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -126,13 +121,13 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             schema = _SECTIONS.get(section)
             if schema is None or field not in schema:
                 raise ConfigError(f"{name}:{lineno}: unknown sweep target {key!r}")
-            if schema[field] is not float:
+            if schema[field] is not _parse_float:
                 raise ConfigError(f"{name}:{lineno}: only scalar fields can be swept")
             try:
-                values = tuple(float(v) for v in value.split(","))
+                axes.append([(section, field, _parse_float(v))
+                             for v in value.split(",")])
             except ValueError as exc:
                 raise ConfigError(f"{name}:{lineno}: {exc}") from exc
-            sweeps.append((section, field, values))
             continue
         if len(parts) != 2 or parts[0] not in _SECTIONS:
             raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
@@ -147,51 +142,44 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{name}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    try:
-        boat = BoatParams(**raw["boat"])
-        control = ControllerConfig(**raw["control"])
-        mission = MissionSpec(**raw["mission"])
-    except TypeError as exc:
-        raise ConfigError(f"{name}: mission.kind and mission.duration are "
-                          f"required ({exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    validate_spec(mission)
+    def build(combo=()):
+        """One labelled point: the parsed keys with the combo's values on top."""
+        keys = {section: dict(raw[section]) for section in ("boat", "control", "mission")}
+        for section, field, value in combo:
+            keys[section][field] = value
+        label = "_".join(f"{field}={value:g}" for _, field, value in combo)
+        try:
+            boat = BoatParams(**keys["boat"])
+            control = ControllerConfig(**keys["control"])
+            mission = MissionSpec(**keys["mission"])
+            validate_spec(mission)
+        except TypeError as exc:
+            raise ConfigError(f"{name}: mission.kind and mission.duration are "
+                              f"required ({exc})") from exc
+        except (ValueError, ConfigError) as exc:
+            where = f" sweep point {label}:" if label else ""
+            raise ConfigError(f"{name}:{where} {exc}") from exc
+        return label, boat, control, mission
+
+    _, boat, control, mission = build()
+    points = tuple(build(combo) for combo in itertools.product(*axes)) if axes else ()
     return ScenarioConfig(boat=boat, control=control, mission=mission,
                           out_dir=raw["output"].get("dir", "runs"),
                           basename=raw["output"].get("basename", "run"),
                           repeats=raw["batch"].get("repeats", 1),
-                          sweeps=tuple(sweeps))
+                          sweeps=points)
 
 
-def expand_sweeps(cfg: ScenarioConfig):
-    """Yield (label, boat, control, mission) for the sweep cross product."""
-    if not cfg.sweeps:
-        yield "", cfg.boat, cfg.control, cfg.mission
-        return
-    axes = [[(section, field, v) for v in values]
-            for section, field, values in cfg.sweeps]
-    for combo in itertools.product(*axes):
-        boat, control, mission = cfg.boat, cfg.control, cfg.mission
-        tags = []
-        for section, field, value in combo:
-            if section == "boat":
-                boat = dataclasses.replace(boat, **{field: value})
-            elif section == "control":
-                control = dataclasses.replace(control, **{field: value})
-            else:
-                mission = dataclasses.replace(mission, **{field: value})
-            tags.append(f"{field}={value:g}")
-        yield "_".join(tags), boat, control, mission
+def expand_sweeps(cfg: ScenarioConfig) -> tuple:
+    """The (label, boat, control, mission) points to run; one if no sweep."""
+    return cfg.sweeps or (("", cfg.boat, cfg.control, cfg.mission),)
 
 
 # ------------------------------------------------------------------ telemetry
 
 def write_telemetry_csv(log: TelemetryLog, path) -> None:
     """Write the fixed-header CSV, 9 significant digits per value."""
-    cols = (log.t, log.theta, log.theta_dot, log.phi, log.phi_dot,
-            log.theta_t_dot, log.x, log.y, log.vx, log.vy, log.theta_r,
-            log.theta_des, log.psi_hat, log.tau)
+    cols = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
     lines = [CSV_HEADER]
     idx = log.waypoint_index
     for i in range(len(log)):
@@ -207,30 +195,15 @@ def read_telemetry_csv(path, period: float = 1.0,
         if header != CSV_HEADER:
             raise ConfigError(f"{path}: unexpected telemetry header")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 15:
-        raise ConfigError(f"{path}: expected 15 columns")
-    cols = [data[:, i] for i in range(14)]
-    return TelemetryLog(*cols, waypoint_index=data[:, 14].astype(np.int64),
+    n_cols = len(TELEMETRY_COLUMNS)
+    if data.shape[1] != n_cols:
+        raise ConfigError(f"{path}: expected {n_cols} columns")
+    cols = [data[:, i] for i in range(n_cols - 1)]
+    return TelemetryLog(*cols, data[:, -1].astype(np.int64),
                         period=period, body_length=body_length)
 
 
 # -------------------------------------------------------------------- metrics
-
-def _step_direction_errors(log: TelemetryLog, spec: MissionSpec) -> list[float]:
-    """Settled observed-minus-commanded change for each scheduled step."""
-    psi = np.unwrap(log.psi_hat)
-    bounds = [0.0] + [ts for ts, _ in spec.step_schedule] + [float(log.t[-1])]
-    errors = []
-    for j, (ts, delta) in enumerate(spec.step_schedule):
-        before = (log.t >= bounds[j] + 0.75 * (ts - bounds[j])) & (log.t < ts)
-        end = bounds[j + 2]
-        after = (log.t >= ts + 0.75 * (end - ts)) & (log.t <= end)
-        if not (np.any(before) and np.any(after)):
-            continue
-        observed = float(np.mean(psi[after]) - np.mean(psi[before]))
-        errors.append(observed - delta)
-    return errors
-
 
 def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
                      strict_settle: bool) -> dict[str, list[float]]:
@@ -262,7 +235,9 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
             vals["rise_time_s"] = rises
             vals["travel_m"] = travels
             vals["travel_bl"] = travels_bl
-        errs = _step_direction_errors(log, spec)
+        changes = settled_step_changes(log, spec.step_schedule)
+        errs = [observed - delta for observed, (_, delta)
+                in zip(changes, spec.step_schedule) if not math.isnan(observed)]
         if errs:
             vals["direction_error_rad"] = errs
 
@@ -360,13 +335,12 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
         raise ConfigError("repeats must be at least 1")
     for label, boat, control, mission in expand_sweeps(cfg):
         stem = cfg.basename if not label else f"{cfg.basename}_{label}"
-        logs = []
+        # runs are bit-deterministic: simulate once, write and pool it per repeat
+        log = run_mission(boat, control, mission)
         for r in range(n_runs):
-            log = run_mission(boat, control, mission)
-            logs.append(log)
             suffix = f"_r{r}" if n_runs > 1 else ""
             write_telemetry_csv(log, out / f"{stem}{suffix}.csv")
-        report = report_metrics(logs, mission, strict_settle)
+        report = report_metrics([log] * n_runs, mission, strict_settle)
         if not report:
             print(f"error: no metrics produced for {stem}", file=sys.stderr)
             return 1

@@ -91,6 +91,31 @@ def translational_accel(params: BoatParams, state: SimState,
     return _planar_accel(params, state.vel[0], state.vel[1], tx, ty)
 
 
+def _translational_rk4(params: BoatParams, state: SimState, thrust_heading: float,
+                      thrust_mag: float, dt: float) -> tuple[tuple, tuple]:
+    """Classical fourth-order stages of the point-mass translation.
+
+    The thrust vector is held constant across the step; returns the new
+    (pos, vel) pair.
+    """
+    tx = thrust_mag * math.cos(thrust_heading)
+    ty = thrust_mag * math.sin(thrust_heading)
+    vx, vy = state.vel
+    half = 0.5 * dt
+    ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
+    ux2, uy2 = vx + half * ax1, vy + half * ay1
+    ax2, ay2 = _planar_accel(params, ux2, uy2, tx, ty)
+    ux3, uy3 = vx + half * ax2, vy + half * ay2
+    ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
+    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
+    ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
+    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
+    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
+    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    return (x, y), (new_vx, new_vy)
+
+
 def rk4_step(params: BoatParams, state: SimState, control_torque: float,
              thrust_heading: float, dt: float, thrust_mag: float = 0.0) -> SimState:
     """Advance the state by one classical fourth-order step.
@@ -101,11 +126,7 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     a = control_torque  # motor acceleration, constant over the step
-    tx = thrust_mag * math.cos(thrust_heading)
-    ty = thrust_mag * math.sin(thrust_heading)
-
     w = state.theta_dot
-    vx, vy = state.vel
     half = 0.5 * dt
 
     # rotational stages: theta's stage derivative is the stage value of theta_dot
@@ -119,25 +140,14 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     theta = state.theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4)
     theta_dot = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # translational stages
-    ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
-    ux2, uy2 = vx + half * ax1, vy + half * ay1
-    ax2, ay2 = _planar_accel(params, ux2, uy2, tx, ty)
-    ux3, uy3 = vx + half * ax2, vy + half * ay2
-    ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
-    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
-    ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
-    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
-    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
-    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
 
     # constant motor acceleration integrates exactly
     phi = state.phi + state.phi_dot * dt + 0.5 * a * dt * dt
     phi_dot = state.phi_dot + a * dt
 
     return SimState(t=state.t + dt, theta=theta, theta_dot=theta_dot,
-                    phi=phi, phi_dot=phi_dot, pos=(x, y), vel=(new_vx, new_vy))
+                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)
 
 
 def rk4_step_controlled(params: BoatParams, state: SimState, torque_fn,
@@ -151,13 +161,9 @@ def rk4_step_controlled(params: BoatParams, state: SimState, torque_fn,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    tx = thrust_mag * math.cos(thrust_heading)
-    ty = thrust_mag * math.sin(thrust_heading)
-
     t0 = state.t
     th, w = state.theta, state.theta_dot
     ph, pd = state.phi, state.phi_dot
-    vx, vy = state.vel
     half = 0.5 * dt
 
     tau1 = torque_fn(t0, th, w)
@@ -181,17 +187,7 @@ def rk4_step_controlled(params: BoatParams, state: SimState, torque_fn,
                            + (pd + dt * tau3))
     phi_dot = pd + dt / 6.0 * (tau1 + 2.0 * tau2 + 2.0 * tau3 + tau4)
 
-    ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
-    ux2, uy2 = vx + half * ax1, vy + half * ay1
-    ax2, ay2 = _planar_accel(params, ux2, uy2, tx, ty)
-    ux3, uy3 = vx + half * ax2, vy + half * ay2
-    ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
-    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
-    ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
-    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
-    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
-    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
 
     return SimState(t=t0 + dt, theta=theta, theta_dot=theta_dot,
-                    phi=phi, phi_dot=phi_dot, pos=(x, y), vel=(new_vx, new_vy))
+                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)

@@ -6,12 +6,16 @@ straight-segment cross-track error against the infinite ideal line, and
 mean orbit radius for station-keeping runs.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mission import TelemetryLog
+if TYPE_CHECKING:  # mission imports this module
+    from .mission import TelemetryLog
 
 
 class NotSettled(Exception):
@@ -112,6 +116,28 @@ def measure_turn(log: TelemetryLog, command_time: float, delta: float,
     travel = travel_during_turn(log, command_time, command_time + rise)
     return TurnEvent(command_time=command_time, delta=delta, rise_time=rise,
                      travel_distance=travel, travel_BL=travel / log.body_length)
+
+
+def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
+    """Settled change of the travel direction across each scheduled step.
+
+    The change is the mean unwrapped estimate over the last quarter of the
+    span after the step minus that over the last quarter of the span before
+    it; spans run between neighbouring steps and the ends of the log.  NaN
+    where either window holds no samples.
+    """
+    t = log.t
+    psi = np.unwrap(log.psi_hat)
+    bounds = [0.0] + [ts for ts, _ in step_schedule] + [float(t[-1])]
+    changes = []
+    for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
+        before = (t >= start + 0.75 * (ts - start)) & (t < ts)
+        after = (t >= ts + 0.75 * (end - ts)) & (t <= end)
+        if np.any(before) and np.any(after):
+            changes.append(float(np.mean(psi[after]) - np.mean(psi[before])))
+        else:
+            changes.append(math.nan)
+    return changes
 
 
 def rms_perpendicular_error(log: TelemetryLog,

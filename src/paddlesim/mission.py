@@ -10,7 +10,7 @@ identical inputs produce bit-identical telemetry.
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -20,15 +20,12 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
 from .dynamics import INNER_DT, BoatParams, SimState, rk4_step
 from .estimation import InsufficientHistory, TravelEstimator
+from .metrics import settled_step_changes
 
 INNER_RATE = 250.0
 OUTER_RATE = 120.0
 # 12 outer ticks per 25 inner ticks; eleven gaps of 2 and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
-
-TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot",
-                     "x", "y", "vx", "vy", "theta_r", "theta_des", "psi_hat",
-                     "tau", "waypoint_index")
 
 
 class ConfigError(Exception):
@@ -88,6 +85,11 @@ class TelemetryLog:
         if name not in TELEMETRY_COLUMNS:
             raise KeyError(name)
         return getattr(self, name)
+
+
+# the per-tick columns, in field order; period and body_length are metadata
+TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
+                          if f.name not in ("period", "body_length"))
 
 
 def apply_disturbance(state: SimState, impulse: tuple[float, float]) -> SimState:
@@ -237,15 +239,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             rate_sum -= old_rate
             theta_sum -= old_theta
 
-    cols = list(zip(*rows))
-    return TelemetryLog(
-        t=np.array(cols[0]), theta=np.array(cols[1]), theta_dot=np.array(cols[2]),
-        phi=np.array(cols[3]), phi_dot=np.array(cols[4]), theta_t_dot=np.array(cols[5]),
-        x=np.array(cols[6]), y=np.array(cols[7]), vx=np.array(cols[8]),
-        vy=np.array(cols[9]), theta_r=np.array(cols[10]), theta_des=np.array(cols[11]),
-        psi_hat=np.array(cols[12]), tau=np.array(cols[13]),
-        waypoint_index=np.array(cols[14], dtype=np.int64),
-        period=period, body_length=params.body_length)
+    cols = [np.array(col) for col in zip(*rows)]
+    cols[-1] = cols[-1].astype(np.int64)  # waypoint_index
+    return TelemetryLog(*cols, period=period, body_length=params.body_length)
 
 
 def run_step_test(params: BoatParams, cfg: ControllerConfig, delta: float,
@@ -264,8 +260,4 @@ def run_step_test(params: BoatParams, cfg: ControllerConfig, delta: float,
                        heading=0.0,
                        step_schedule=((initial_leg, delta),))
     log = run_mission(params, cfg, spec)
-    psi = np.unwrap(log.psi_hat)
-    leg1 = (log.t >= 0.75 * initial_leg) & (log.t < initial_leg)
-    leg2 = log.t >= initial_leg + 0.75 * second_leg
-    observed = float(np.mean(psi[leg2]) - np.mean(psi[leg1]))
-    return delta, observed
+    return delta, settled_step_changes(log, spec.step_schedule)[0]

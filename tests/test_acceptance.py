@@ -5,6 +5,7 @@ PASS line with the measured margin (run with -s to see them inline).
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import time
@@ -25,6 +26,31 @@ from helpers import make_log
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
 STEP_DELTAS = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
+
+# sha256 of each preset's telemetry and metrics report, (csv, _metrics.dat)
+PRESET_SHA256 = {
+    "congruent-step": (
+        "ae725d98997725dfe876e2d940456f2e3f2ee3214246d2c6f652709051c03d05",
+        "0b700103264a08d4b31a1ffea566e5ed77622af23d4366ea7a469f0ab6fcfd4b"),
+    "converge": (
+        "f6913007fc94ab9c218e459cf482284b344f2111665c7d62decc9e28903eb308",
+        "cd44cfeba3d9390442bd66f9ed12956d548cc967349a41ae5285d41a4235369c"),
+    "defaults": (
+        "81d71f02dc1205a38804278cd6053e6506fdac3cc320a96d4278d741964974ed",
+        "ebc208f773b49958251efd4af0be6e9c00e2d1338602ba883cbb82a9c5a4eaea"),
+    "disturbance-rejection": (
+        "d9a1839c12c67df565b44e53f3110c80a3099f06f352b4f3a46e45cf745af4c4",
+        "8c64c3f432107b76225c33f84105238d2411084d968b80ffee33884fa1a35c18"),
+    "station-keep": (
+        "7563407907a503fa3eddea3a5bfbac720db13d3f99679ec4ee89b7917bb08440",
+        "4e454329d07ea545ef2e732d003e43b2ea16ea24cb853503aef656c7f446bd34"),
+    "step-response": (
+        "d851bed47bd535c00c9ac930dd11d714640bcff4f915eac3d55a04e4ab052e9d",
+        "bc9aec490dfe33729417c6936f2fd37c73a79ebeabf7d8daea5782cf366199c1"),
+    "waypoint-square": (
+        "bb46090881a98333ce2be6a4ebe3af1c1d4e9571287038c6580196409acd37c2",
+        "ee3b1e9a3545db4a1c0ea4957115ec2ee62c61a4e05fdd1f59af0a0f79a3512d"),
+}
 
 
 def _passline(num, detail):
@@ -297,6 +323,11 @@ def test_criterion_12_preset_determinism_and_runtime(tmp_path):
         a = (tmp_path / "a" / f"{name}.csv").read_bytes()
         b = (tmp_path / "b" / f"{name}.csv").read_bytes()
         assert a == b, f"{name} telemetry differs between runs"
+    assert sorted(PRESET_SHA256) == names
+    for name, digests in PRESET_SHA256.items():
+        for suffix, digest in zip((".csv", "_metrics.dat"), digests):
+            data = (tmp_path / "a" / f"{name}{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, f"{name}{suffix}"
     assert elapsed < 60.0
-    _passline(12, f"{len(names)} presets byte-identical across runs, "
-                  f"double suite in {elapsed:.1f}s < 60s")
+    _passline(12, f"{len(names)} presets byte-identical across runs and to the "
+                  f"pinned digests, double suite in {elapsed:.1f}s < 60s")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ def test_parse_full_config():
     ("sweep.boat = 1, 2", "sweep keys look like"),
     ("sweep.control.mode = 1, 2", "only scalar"),
     ("sweep.control.nope = 1, 2", "unknown sweep target"),
+    ("mission.waypoints = 1 0; 1 1 1", "bad value"),
+    ("mission.step_schedule = 5.0", "bad value"),
+    ("mission.disturbances = 1.0 0.1", "bad value"),
+    ("mission.start = 1 2 3", "bad value"),
+    ("mission.start = 1 2; 3 4", "bad value"),
+    ("boat.mass = nan", "finite"),
+    ("control.omega = inf", "finite"),
+    ("mission.tolerance_radius = nan", "finite"),
+    ("sweep.boat.mass = 1, nan", "finite"),
+    ("sweep.boat.mass = 1, -1", "mass must be positive"),
+    ("control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
+     "desat_interval must be at least one period"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -69,6 +83,34 @@ def test_parse_rejects_bad_lines(line, fragment):
                        if "mission.kind" not in line and "mission.duration" not in line
                        else line)
     assert fragment in str(err.value)
+
+
+def test_parse_builds_every_sweep_point():
+    cfg = parse_scenario(MINIMAL + "mission.waypoints = 1 0; 1 1\n"
+                         "mission.disturbances = 0.5 0 0.1\n"
+                         f"sweep.control.omega = {math.tau!r}, {2 * math.tau!r}\n")
+    assert cfg.mission.waypoints == ((1.0, 0.0), (1.0, 1.0))
+    assert cfg.mission.disturbances == ((0.5, (0.0, 0.1)),)
+    labels = [label for label, *_ in cfg.sweeps]
+    assert labels == ["omega=6.28319", "omega=12.5664"]
+    # the unset desat_interval is derived per point, not carried over
+    assert [control.desat_interval for _, _, control, _ in cfg.sweeps] == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("lines", [
+    "boat.mass = nan",
+    "control.omega = inf",
+    "mission.tolerance_radius = nan",
+    "sweep.boat.mass = 1, -1",
+    "control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
+])
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(MINIMAL + lines + "\n")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_parse_requires_kind_and_duration():
@@ -111,6 +153,13 @@ def test_csv_round_trip(tmp_path):
         a, b = log.column(name), back.column(name)
         assert np.allclose(a, b, rtol=1e-8, atol=1e-14), name
     assert np.array_equal(log.waypoint_index, back.waypoint_index)
+
+
+def test_csv_rejects_wrong_column_count(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(["0"] * 14) + "\n")
+    with pytest.raises(ConfigError, match="expected 15 columns"):
+        read_telemetry_csv(path)
 
 
 def test_csv_final_newline_and_9_digits(tmp_path):
