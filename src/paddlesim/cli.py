@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import shutil
 import sys
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,9 @@ from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
                       TelemetryLog, run_mission, validate_spec)
 
 CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
+# one row: every float column to 9 significant digits, then the waypoint index
+_CSV_ROW = ",".join(["%.9g"] * (len(TELEMETRY_COLUMNS) - 1) + ["%d"]) + "\n"
+_CSV_CHUNK_ROWS = 4096
 
 
 # --------------------------------------------------------------------- values
@@ -161,12 +165,15 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{name}:{where} {exc}") from exc
         return label, boat, control, mission
 
+    repeats = raw["batch"].get("repeats", 1)
+    if repeats < 1:
+        raise ConfigError(f"{name}: batch.repeats must be at least 1")
     _, boat, control, mission = build()
     points = tuple(build(combo) for combo in itertools.product(*axes)) if axes else ()
     return ScenarioConfig(boat=boat, control=control, mission=mission,
                           out_dir=raw["output"].get("dir", "runs"),
                           basename=raw["output"].get("basename", "run"),
-                          repeats=raw["batch"].get("repeats", 1),
+                          repeats=repeats,
                           sweeps=points)
 
 
@@ -179,12 +186,14 @@ def expand_sweeps(cfg: ScenarioConfig) -> tuple:
 
 def write_telemetry_csv(log: TelemetryLog, path) -> None:
     """Write the fixed-header CSV, 9 significant digits per value."""
-    cols = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
-    lines = [CSV_HEADER]
-    idx = log.waypoint_index
-    for i in range(len(log)):
-        lines.append(",".join(f"{col[i]:.9g}" for col in cols) + f",{idx[i]:d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = [log.column(name) for name in TELEMETRY_COLUMNS]
+    with open(path, "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        # bounded chunks keep the formatted text small for long runs
+        for start in range(0, len(log), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            rows = zip(*[col[start:stop].tolist() for col in cols])
+            fh.write("".join([_CSV_ROW % row for row in rows]))
 
 
 def read_telemetry_csv(path, period: float = 1.0,
@@ -328,18 +337,20 @@ def _preset_summary(text: str) -> str:
 
 def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
              strict_settle: bool) -> int:
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n_runs = repeats if repeats is not None else cfg.repeats
     if n_runs < 1:
         raise ConfigError("repeats must be at least 1")
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for label, boat, control, mission in expand_sweeps(cfg):
         stem = cfg.basename if not label else f"{cfg.basename}_{label}"
-        # runs are bit-deterministic: simulate once, write and pool it per repeat
+        # runs are bit-deterministic: simulate and write once, copy per repeat
         log = run_mission(boat, control, mission)
-        for r in range(n_runs):
-            suffix = f"_r{r}" if n_runs > 1 else ""
-            write_telemetry_csv(log, out / f"{stem}{suffix}.csv")
+        paths = [out / (f"{stem}_r{r}.csv" if n_runs > 1 else f"{stem}.csv")
+                 for r in range(n_runs)]
+        write_telemetry_csv(log, paths[0])
+        for path in paths[1:]:
+            shutil.copyfile(paths[0], path)
         report = report_metrics([log] * n_runs, mission, strict_settle)
         if not report:
             print(f"error: no metrics produced for {stem}", file=sys.stderr)

@@ -9,7 +9,6 @@ identical inputs produce bit-identical telemetry.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -26,6 +25,9 @@ INNER_RATE = 250.0
 OUTER_RATE = 120.0
 # 12 outer ticks per 25 inner ticks; eleven gaps of 2 and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
+# Longest run accepted: 40,000 s at the inner rate.  Telemetry is
+# preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB.
+MAX_TICKS = 10**7
 
 
 class ConfigError(Exception):
@@ -121,6 +123,9 @@ def validate_spec(spec: MissionSpec) -> None:
         raise ConfigError(f"unknown mission kind: {spec.kind!r}")
     if not (math.isfinite(spec.duration) and spec.duration >= 0.0):
         raise ConfigError("duration must be finite and non-negative")
+    if spec.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
+        raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
+                          f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
     if spec.tolerance_radius <= 0.0:
         raise ConfigError("tolerance_radius must be positive")
     if spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
@@ -165,19 +170,36 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     n_steps = round(spec.duration * INNER_RATE)
     period = cfg.period
     thrust = params.k_thrust * cfg.K
+    # resolved per run from this module, so wrappers installed on it apply
+    torque_law = (limit_cycle_torque if mode is ControlMode.THRUST_DIRECTION
+                  else desaturated_torque)
+    mean_heading_thrust = cfg.thrust_from_mean_heading
+    disturbances = spec.disturbances
+    n_dist = len(disturbances)
 
     theta_des = _initial_desired_heading(spec)
     theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
     state = SimState(t=0.0, theta=theta0, pos=spec.start)
     ref = ReferenceState(theta_r=theta_des, theta_des=theta_des)
+    theta_r = ref.theta_r
     est = TravelEstimator(period, theta_des_fallback=theta_des,
                           warm_start_enabled=spec.warm_start)
 
-    # trailing one-period boxcar of the reaction-mass rate and hull heading
-    window: deque[tuple[float, float, float]] = deque()
-    window.append((0.0, state.top_rate, state.theta))
-    rate_sum = state.top_rate
-    theta_sum = state.theta
+    # preallocated columns in TELEMETRY_COLUMNS order, written through
+    # memoryviews, which take and give plain Python floats
+    columns = [np.empty(n_steps + 1) for _ in TELEMETRY_COLUMNS[:-1]]
+    columns.append(np.empty(n_steps + 1, dtype=np.int64))  # waypoint_index
+    (t_col, theta_col, theta_dot_col, phi_col, phi_dot_col, rate_col, x_col,
+     y_col, vx_col, vy_col, theta_r_col, theta_des_col, psi_hat_col, tau_col,
+     idx_col) = map(memoryview, columns)
+
+    # Trailing one-period boxcar of the reaction-mass rate and hull heading.
+    # Its samples are rows lo..i of the t, theta and theta_t_dot columns,
+    # which are written as soon as the plant step produces them.
+    t_col[0] = state.t
+    theta_col[0] = theta_sum = state.theta
+    rate_col[0] = rate_sum = state.top_rate
+    lo = 0
 
     psi_hat = theta_des
     active_idx = 0
@@ -185,18 +207,17 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     next_outer = 0
     gap_i = 0
 
-    rows = []
     for i in range(n_steps + 1):
         t = state.t
-        while (next_dist < len(spec.disturbances)
-               and spec.disturbances[next_dist][0] <= t + 1e-12):
-            state = apply_disturbance(state, spec.disturbances[next_dist][1])
+        while next_dist < n_dist and disturbances[next_dist][0] <= t + 1e-12:
+            state = apply_disturbance(state, disturbances[next_dist][1])
             next_dist += 1
+        x, y = state.pos
 
         if i == next_outer:
             next_outer += _OUTER_GAPS[gap_i % len(_OUTER_GAPS)]
             gap_i += 1
-            est.add_pose(t, state.pos[0], state.pos[1])
+            est.add_pose(t, x, y)
             try:
                 psi_hat = est.travel_direction(t)
             except InsufficientHistory:
@@ -204,44 +225,52 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             theta_des, active_idx = _desired_heading(spec, state, t, active_idx)
             if mode is ControlMode.LIMIT_CYCLE_ONLY:
                 # reference driven directly; unwrapped commands pass through
-                ref = replace(ref, theta_r=theta_des, theta_des=theta_des)
+                ref = ReferenceState(theta_des, theta_des, ref.last_desat_time)
             else:
                 target = outer_loop_reference(cfg, theta_des, psi_hat)
                 pending = wrap_to_pi(target - ref.theta_r)
-                ref = replace(ref, theta_r=ref.theta_r + pending, theta_des=theta_des)
+                ref = ReferenceState(ref.theta_r + pending, theta_des,
+                                     ref.last_desat_time)
                 if mode is ControlMode.DESATURATED_THRUST_DIRECTION:
-                    mean_rate = rate_sum / len(window)
+                    mean_rate = rate_sum / (i + 1 - lo)
                     ref = desaturate_reference(ref, mean_rate, t, cfg, pending)
+            theta_r = ref.theta_r
 
-        if mode is ControlMode.THRUST_DIRECTION:
-            tau = limit_cycle_torque(cfg, t, state.theta, ref.theta_r)
-        else:
-            tau = desaturated_torque(cfg, t, state.theta, ref.theta_r)
+        tau = torque_law(cfg, t, state.theta, theta_r)
 
-        rows.append((t, state.theta, state.theta_dot, state.phi, state.phi_dot,
-                     state.top_rate, state.pos[0], state.pos[1],
-                     state.vel[0], state.vel[1], ref.theta_r, theta_des,
-                     psi_hat, tau, active_idx))
+        vx, vy = state.vel
+        theta_dot_col[i] = state.theta_dot
+        phi_col[i] = state.phi
+        phi_dot_col[i] = state.phi_dot
+        x_col[i] = x
+        y_col[i] = y
+        vx_col[i] = vx
+        vy_col[i] = vy
+        theta_r_col[i] = theta_r
+        theta_des_col[i] = theta_des
+        psi_hat_col[i] = psi_hat
+        tau_col[i] = tau
+        idx_col[i] = active_idx
 
         if i == n_steps:
             break
-        if cfg.thrust_from_mean_heading:
-            heading_cmd = theta_sum / len(window)
+        if mean_heading_thrust:
+            heading_cmd = theta_sum / (i + 1 - lo)
         else:
-            heading_cmd = ref.theta_r
+            heading_cmd = theta_r
         state = rk4_step(params, state, tau, heading_cmd, dt, thrust)
-        window.append((state.t, state.top_rate, state.theta))
-        rate_sum += state.top_rate
-        theta_sum += state.theta
+        t_col[i + 1] = state.t
+        theta_col[i + 1] = theta = state.theta
+        rate_col[i + 1] = rate = state.top_rate
+        rate_sum += rate
+        theta_sum += theta
         floor = state.t - period
-        while window[0][0] <= floor:
-            _, old_rate, old_theta = window.popleft()
-            rate_sum -= old_rate
-            theta_sum -= old_theta
+        while t_col[lo] <= floor:
+            rate_sum -= rate_col[lo]
+            theta_sum -= theta_col[lo]
+            lo += 1
 
-    cols = [np.array(col) for col in zip(*rows)]
-    cols[-1] = cols[-1].astype(np.int64)  # waypoint_index
-    return TelemetryLog(*cols, period=period, body_length=params.body_length)
+    return TelemetryLog(*columns, period=period, body_length=params.body_length)
 
 
 def run_step_test(params: BoatParams, cfg: ControllerConfig, delta: float,

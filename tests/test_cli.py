@@ -9,7 +9,8 @@ from paddlesim.cli import (CSV_HEADER, main, parse_scenario, preset_names,
                            render_report_dat, render_report_text,
                            write_telemetry_csv)
 from paddlesim.control import ControlMode
-from paddlesim.mission import (ConfigError, MissionKind, MissionSpec,
+from paddlesim.mission import (MAX_TICKS, TELEMETRY_COLUMNS, ConfigError,
+                               MissionKind, MissionSpec, TelemetryLog,
                                run_mission)
 from paddlesim.dynamics import BoatParams
 from paddlesim.control import ControllerConfig
@@ -76,6 +77,7 @@ def test_parse_full_config():
     ("sweep.boat.mass = 1, -1", "mass must be positive"),
     ("control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
      "desat_interval must be at least one period"),
+    ("batch.repeats = 0", "repeats must be at least 1"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -97,20 +99,41 @@ def test_parse_builds_every_sweep_point():
     assert [control.desat_interval for _, _, control, _ in cfg.sweeps] == [2.0, 1.0]
 
 
-@pytest.mark.parametrize("lines", [
-    "boat.mass = nan",
-    "control.omega = inf",
-    "mission.tolerance_radius = nan",
-    "sweep.boat.mass = 1, -1",
-    "control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
-])
-def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines):
+@pytest.mark.parametrize("lines,run_flags", [
+    pytest.param(lines, [], id=lines) for lines in (
+        "boat.mass = nan",
+        "control.omega = inf",
+        "mission.tolerance_radius = nan",
+        "sweep.boat.mass = 1, -1",
+        "control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
+        "batch.repeats = 0",
+    )
+] + [pytest.param("", ["--repeats", "0"], id="--repeats 0")])
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines, run_flags):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(MINIMAL + lines + "\n")
     out = tmp_path / "out"
-    assert main(["validate", str(cfg_path)]) == 2
-    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    if not run_flags:  # the config itself is bad
+        assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-dir", str(out), *run_flags]) == 2
     assert not out.exists()
+
+
+def test_duration_cap_rejected_at_parse(tmp_path, capsys):
+    # checked through the parser only: an over-cap run is never started
+    head = "mission.kind = converge\n"
+    cap = MAX_TICKS / 250.0
+    assert parse_scenario(head + f"mission.duration = {cap!r}\n").mission.duration == cap
+    for text in (f"mission.duration = {cap + 0.004!r}",
+                 "mission.duration = 1e9",
+                 "mission.duration = 1e308",
+                 "mission.duration = 1\nsweep.mission.duration = 1, 1e9"):
+        with pytest.raises(ConfigError, match="duration must be at most"):
+            parse_scenario(head + text + "\n")
+    cfg_path = tmp_path / "long.cfg"
+    cfg_path.write_text(head + "mission.duration = 1e9\n")
+    assert main(["validate", str(cfg_path)]) == 2
+    assert "duration must be at most" in capsys.readouterr().err
 
 
 def test_parse_requires_kind_and_duration():
@@ -169,6 +192,38 @@ def test_csv_final_newline_and_9_digits(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert text.splitlines()[1].startswith("0.333333333,")
+
+
+def reference_csv(log):
+    """The per-value formatter the chunked writer must reproduce byte for byte."""
+    cols = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
+    lines = [CSV_HEADER]
+    for i in range(len(log)):
+        lines.append(",".join(f"{col[i]:.9g}" for col in cols)
+                     + f",{log.waypoint_index[i]:d}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               math.nan, math.inf, -math.inf, 1.0 / 3.0, 123456789.5, 1e-300)
+
+
+@pytest.mark.parametrize("n_rows", [1, 4096, 4097, 8193])
+def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
+    # row counts straddle the writer's chunk edges
+    rng = np.random.default_rng(n_rows)
+    cols = {}
+    for k, name in enumerate(TELEMETRY_COLUMNS[:-1]):
+        col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+        col[(np.arange(len(EDGE_VALUES)) * 7 + k) % n_rows] = EDGE_VALUES
+        cols[name] = col
+    idx = rng.integers(0, 50, n_rows)
+    idx[-1] = np.iinfo(np.int64).max
+    idx[0] = 10**15
+    log = TelemetryLog(**cols, waypoint_index=idx)
+    path = tmp_path / "edge.csv"
+    write_telemetry_csv(log, path)
+    assert path.read_bytes() == reference_csv(log).encode()
 
 
 def test_run_command_end_to_end(tmp_path):

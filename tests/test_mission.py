@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ import pytest
 from conftest import SLOW_WATER
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import BoatParams, SimState
-from paddlesim.mission import (ConfigError, MissionKind, MissionSpec,
-                               _OUTER_GAPS, apply_disturbance, run_mission,
-                               run_step_test, waypoint_heading)
+from paddlesim.mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind,
+                               MissionSpec, _OUTER_GAPS, apply_disturbance,
+                               run_mission, run_step_test, waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -233,3 +236,53 @@ def test_telemetry_column_access():
     assert log.column("theta") is log.theta
     with pytest.raises(KeyError):
         log.column("nope")
+
+
+# Loop paths that no shipped preset takes; the preset CSVs pin the rest.
+# LOOP_PATH_SHA256 holds the sha256 of every column's raw bytes, recorded
+# before the loop was rewritten around preallocated columns.
+_DESAT = ControlMode.DESATURATED_THRUST_DIRECTION
+_KICKS = ((3.0, (0.05, 0.0)), (3.0, (0.0, -0.04)), (9.0, (-0.06, 0.02)))
+LOOP_PATHS = {
+    "thrust_from_mean_heading": (
+        ControllerConfig(mode=_DESAT, thrust_from_mean_heading=True),
+        MissionSpec(kind=MissionKind.STEP_TEST, duration=8.0, heading=0.3,
+                    step_schedule=((3.0, 1.2),))),
+    "cold_start_initial_theta": (
+        ControllerConfig(),
+        MissionSpec(kind=MissionKind.CONVERGE, duration=6.0, heading=0.4,
+                    initial_theta=-1.0, warm_start=False,
+                    disturbances=((1.0, (0.0, 0.08)),))),
+    "controller_mode_override": (
+        ControllerConfig(mode=_DESAT),
+        MissionSpec(kind=MissionKind.STEP_TEST, duration=6.0,
+                    step_schedule=((2.0, 0.8), (4.0, -1.5)),
+                    controller_mode=ControlMode.LIMIT_CYCLE_ONLY)),
+    "desaturated_disturbances": (
+        ControllerConfig(mode=_DESAT),
+        MissionSpec(kind=MissionKind.WAYPOINTS, duration=20.0,
+                    waypoints=((0.4, 0.0), (0.4, 0.4), (0.0, 0.4), (0.0, 0.0)),
+                    tolerance_radius=0.08, disturbances=_KICKS)),
+    "zero_duration": (
+        ControllerConfig(mode=_DESAT),
+        MissionSpec(kind=MissionKind.WAYPOINTS, duration=0.0,
+                    waypoints=((0.4, 0.0),), disturbances=((0.0, (0.01, 0.0)),))),
+}
+LOOP_PATH_SHA256 = json.loads(
+    (Path(__file__).parent / "loop_path_sha256.json").read_text())
+
+
+def column_digests(log):
+    return {name: hashlib.sha256(log.column(name).tobytes()).hexdigest()
+            for name in TELEMETRY_COLUMNS}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_PATHS))
+def test_uncovered_loop_paths_bit_identical(case):
+    cfg, spec = LOOP_PATHS[case]
+    log = run_mission(BoatParams(), cfg, spec)
+    assert len(log) == round(250 * spec.duration) + 1
+    assert log.waypoint_index.dtype == np.int64
+    assert all(log.column(name).dtype == np.float64
+               for name in TELEMETRY_COLUMNS[:-1])
+    assert column_digests(log) == LOOP_PATH_SHA256[case]
