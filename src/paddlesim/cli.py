@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
 import shutil
 import sys
 from importlib import resources
@@ -68,6 +69,13 @@ def _parse_start(text: str) -> tuple[float, float]:
     return points[0]
 
 
+def _parse_basename(text: str) -> str:
+    """A plain file-name stem: output files must land in the output directory."""
+    if text in ("", ".", "..") or "/" in text or os.sep in text:
+        raise ValueError(f"expected a file name without a directory, got {text!r}")
+    return text
+
+
 _BOAT_FIELDS = {f.name: _parse_float for f in dataclasses.fields(BoatParams)}
 _CONTROL_FIELDS = {
     "omega": _parse_float, "K": _parse_float, "beta": _parse_float,
@@ -81,10 +89,10 @@ _MISSION_FIELDS = {
     "step_schedule": lambda text: _parse_list(text, 2),
     "disturbances": lambda text: tuple((t, (dvx, dvy))
                                        for t, dvx, dvy in _parse_list(text, 3)),
-    "controller_mode": ControlMode, "initial_theta": _parse_float,
+    "initial_theta": _parse_float,
     "start": _parse_start, "warm_start": _parse_bool,
 }
-_OUTPUT_FIELDS = {"dir": str, "basename": str}
+_OUTPUT_FIELDS = {"dir": str, "basename": _parse_basename}
 _BATCH_FIELDS = {"repeats": int}
 _SECTIONS = {"boat": _BOAT_FIELDS, "control": _CONTROL_FIELDS,
              "mission": _MISSION_FIELDS, "output": _OUTPUT_FIELDS,
@@ -93,15 +101,12 @@ _SECTIONS = {"boat": _BOAT_FIELDS, "control": _CONTROL_FIELDS,
 
 @dataclasses.dataclass
 class ScenarioConfig:
-    """One parsed scenario: plant, controller, mission, output and sweeps."""
+    """One parsed scenario: its run points plus output and batch settings."""
 
-    boat: BoatParams
-    control: ControllerConfig
-    mission: MissionSpec
+    points: tuple   # (label, boat, control, mission) per run; label "" unswept
     out_dir: str = "runs"
     basename: str = "run"
     repeats: int = 1
-    sweeps: tuple = ()   # (label, boat, control, mission) per sweep point
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
@@ -146,7 +151,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{name}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    def build(combo=()):
+    def build(combo):
         """One labelled point: the parsed keys with the combo's values on top."""
         keys = {section: dict(raw[section]) for section in ("boat", "control", "mission")}
         for section, field, value in combo:
@@ -168,18 +173,12 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     repeats = raw["batch"].get("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"{name}: batch.repeats must be at least 1")
-    _, boat, control, mission = build()
-    points = tuple(build(combo) for combo in itertools.product(*axes)) if axes else ()
-    return ScenarioConfig(boat=boat, control=control, mission=mission,
+    # with no sweep axes the product is one empty combo: the unswept run
+    points = tuple(build(combo) for combo in itertools.product(*axes))
+    return ScenarioConfig(points=points,
                           out_dir=raw["output"].get("dir", "runs"),
                           basename=raw["output"].get("basename", "run"),
-                          repeats=repeats,
-                          sweeps=points)
-
-
-def expand_sweeps(cfg: ScenarioConfig) -> tuple:
-    """The (label, boat, control, mission) points to run; one if no sweep."""
-    return cfg.sweeps or (("", cfg.boat, cfg.control, cfg.mission),)
+                          repeats=repeats)
 
 
 # ------------------------------------------------------------------ telemetry
@@ -231,6 +230,8 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
     if spec.kind is MissionKind.STEP_TEST:
         rises, travels, travels_bl = [], [], []
         for ts, delta in spec.step_schedule:
+            if delta == 0.0:
+                continue  # nothing turns, so there is no rise or travel
             try:
                 ev = measure_turn(log, ts, delta)
             except NotSettled:
@@ -342,7 +343,7 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
         raise ConfigError("repeats must be at least 1")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for label, boat, control, mission in expand_sweeps(cfg):
+    for label, boat, control, mission in cfg.points:
         stem = cfg.basename if not label else f"{cfg.basename}_{label}"
         # runs are bit-deterministic: simulate and write once, copy per repeat
         log = run_mission(boat, control, mission)
@@ -385,7 +386,7 @@ def _cmd_presets(args) -> int:
         return 0
     text = load_preset(args.name)
     cfg = parse_scenario(text, name=f"preset:{args.name}")
-    if not cfg.basename or cfg.basename == "run":
+    if cfg.basename == "run":
         cfg = dataclasses.replace(cfg, basename=args.name)
     return _execute(cfg, args.out_dir, args.repeats, args.strict_settle)
 

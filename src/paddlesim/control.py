@@ -8,7 +8,7 @@ commanding full-turn-offset (congruent) references.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 _WRAP_EPS = 1e-9  # slack for the wrapped-equality test at the +/- pi boundary
@@ -60,7 +60,6 @@ class ReferenceState:
     """Unwrapped reference heading plus the unwind rate-limit bookkeeping."""
 
     theta_r: float = 0.0
-    theta_des: float = 0.0
     last_desat_time: float = -math.inf
 
 
@@ -121,7 +120,7 @@ def desaturate_reference(ref: ReferenceState, mean_top_velocity: float, t: float
     if pending_delta * mean_top_velocity > 0.0:
         return ref
     jump = math.tau if mean_top_velocity > 0.0 else -math.tau
-    return replace(ref, theta_r=ref.theta_r + jump, last_desat_time=t)
+    return ReferenceState(ref.theta_r + jump, t)
 
 
 def outer_loop_reference(cfg: ControllerConfig, theta_des: float, psi_hat: float) -> float:

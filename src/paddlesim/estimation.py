@@ -15,7 +15,6 @@ from .control import wrap_to_pi
 
 _SPEED_FLOOR = 1e-6   # m/s below which the heading sample holds its last value
 _TIME_SLACK = 1e-12   # tolerance when testing window coverage, s
-_COMPACT_AT = 4096    # dropped-prefix length that triggers list compaction
 
 
 class InsufficientHistory(Exception):
@@ -23,12 +22,12 @@ class InsufficientHistory(Exception):
 
 
 class TravelEstimator:
-    """Ring buffers of pose and period-wise heading with interpolating queries.
+    """Buffers of pose and period-wise heading with interpolating queries.
 
     Poses arrive through add_pose with strictly increasing timestamps; each
-    arrival that is at least one period past the first pose also appends a
-    period-wise heading sample.  Buffers are pruned to a little over the
-    span queries can reach (two periods for poses, one for headings).
+    arrival that is at least one period past the first buffered pose also
+    appends a period-wise heading sample.  Buffers are trimmed to a little
+    over the span queries can reach (two periods for poses, one for headings).
     """
 
     def __init__(self, period: float, theta_des_fallback: float = 0.0,
@@ -38,17 +37,14 @@ class TravelEstimator:
         self.period = period
         self.theta_des_fallback = theta_des_fallback
         self.warm_start_enabled = warm_start_enabled
-        self._first_pose_t: float | None = None
         # pose samples
         self._pt: list[float] = []
         self._px: list[float] = []
         self._py: list[float] = []
-        self._p0 = 0  # live start index
         # heading samples: time, unwrapped value, running trapezoid integral
         self._ht: list[float] = []
         self._hu: list[float] = []
         self._hc: list[float] = []
-        self._h0 = 0
 
     # ------------------------------------------------------------------ input
 
@@ -56,13 +52,13 @@ class TravelEstimator:
         """Append a pose sample and derive a heading sample once possible."""
         if self._pt and t <= self._pt[-1]:
             raise ValueError("pose timestamps must be strictly increasing")
-        if self._first_pose_t is None:
-            self._first_pose_t = t
         self._pt.append(t)
         self._px.append(x)
         self._py.append(y)
 
-        if t - self._first_pose_t >= self.period - _TIME_SLACK:
+        # a trimmed buffer starts 2.5 periods back, so testing against its
+        # first pose equals testing against the very first one
+        if t - self._pt[0] >= self.period - _TIME_SLACK:
             vx, vy = self._velocity_at(t)
             if math.hypot(vx, vy) < _SPEED_FLOOR:
                 # near-zero net displacement: hold the previous heading
@@ -87,29 +83,26 @@ class TravelEstimator:
         self._prune(t)
 
     def _prune(self, now: float) -> None:
-        pose_floor = now - 2.5 * self.period
-        while self._p0 < len(self._pt) - 1 and self._pt[self._p0 + 1] <= pose_floor:
-            self._p0 += 1
-        head_floor = now - 1.5 * self.period
-        while self._h0 < len(self._ht) - 1 and self._ht[self._h0 + 1] <= head_floor:
-            self._h0 += 1
-        if self._p0 > _COMPACT_AT:
-            del self._pt[:self._p0], self._px[:self._p0], self._py[:self._p0]
-            self._p0 = 0
-        if self._h0 > _COMPACT_AT:
-            del self._ht[:self._h0], self._hu[:self._h0], self._hc[:self._h0]
-            self._h0 = 0
+        """Drop samples older than the last one at or before each floor."""
+        pt, px, py = self._pt, self._px, self._py
+        floor = now - 2.5 * self.period
+        while len(pt) > 1 and pt[1] <= floor:
+            del pt[0], px[0], py[0]
+        ht, hu, hc = self._ht, self._hu, self._hc
+        floor = now - 1.5 * self.period
+        while len(ht) > 1 and ht[1] <= floor:
+            del ht[0], hu[0], hc[0]
 
     # ---------------------------------------------------------------- queries
 
     def _interp_pose(self, q: float) -> tuple[float, float]:
         """Linear interpolation of the position, held flat at the buffer ends."""
-        pt, lo = self._pt, self._p0
+        pt = self._pt
         if q >= pt[-1]:
             return self._px[-1], self._py[-1]
-        if q <= pt[lo]:
-            return self._px[lo], self._py[lo]
-        i = bisect_right(pt, q, lo=lo) - 1
+        if q <= pt[0]:
+            return self._px[0], self._py[0]
+        i = bisect_right(pt, q) - 1
         f = (q - pt[i]) / (pt[i + 1] - pt[i])
         return (self._px[i] + f * (self._px[i + 1] - self._px[i]),
                 self._py[i] + f * (self._py[i + 1] - self._py[i]))
@@ -125,7 +118,7 @@ class TravelEstimator:
             if self.warm_start_enabled:
                 return 0.0, 0.0
             raise InsufficientHistory("no pose samples buffered")
-        if t - self.period < self._pt[self._p0] - _TIME_SLACK:
+        if t - self.period < self._pt[0] - _TIME_SLACK:
             if not self.warm_start_enabled:
                 raise InsufficientHistory(
                     f"pose history does not reach back to t - T = {t - self.period:.6g}")
@@ -134,30 +127,36 @@ class TravelEstimator:
 
     def _heading_cumint(self, x: float) -> float:
         """Cumulative integral of the piecewise-linear unwrapped heading."""
-        ht, lo = self._ht, self._h0
-        if x <= ht[lo]:
-            return self._hc[lo]
+        ht = self._ht
+        if x <= ht[0]:
+            return self._hc[0]
         if x >= ht[-1]:
             return self._hc[-1] + self._hu[-1] * (x - ht[-1])
-        i = bisect_right(ht, x, lo=lo) - 1
+        i = bisect_right(ht, x) - 1
         f = (x - ht[i]) / (ht[i + 1] - ht[i])
         v = self._hu[i] + f * (self._hu[i + 1] - self._hu[i])
         return self._hc[i] + 0.5 * (self._hu[i] + v) * (x - ht[i])
 
-    def _mean_heading(self, t: float, pad_allowed: bool) -> float:
+    def travel_direction(self, t: float) -> float:
+        """Smoothed direction of travel: trailing-period mean of the heading.
+
+        With warm start enabled, the part of the window before the first
+        heading sample is filled with the fallback direction; without it,
+        that case raises InsufficientHistory.
+        """
         a, b = t - self.period, t
         if not self._ht:
-            if pad_allowed:
+            if self.warm_start_enabled:
                 return wrap_to_pi(self.theta_des_fallback)
             raise InsufficientHistory("no heading samples buffered yet")
-        first = self._ht[self._h0]
+        first = self._ht[0]
         if a < first - _TIME_SLACK:
-            if not pad_allowed:
+            if not self.warm_start_enabled:
                 raise InsufficientHistory(
                     f"heading history does not reach back to t - T = {a:.6g}")
             # pad the missing prefix with the fallback, on the branch nearest
             # the first real sample so the unwrapped average stays coherent
-            anchor = self._hu[self._h0]
+            anchor = self._hu[0]
             pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
             pad_end = min(b, first)
             total = pad_val * (pad_end - a)
@@ -166,13 +165,3 @@ class TravelEstimator:
         else:
             total = self._heading_cumint(b) - self._heading_cumint(a)
         return wrap_to_pi(total / self.period)
-
-    def travel_direction(self, t: float) -> float:
-        """Smoothed direction of travel: trailing-period mean of the heading."""
-        return self._mean_heading(t, pad_allowed=self.warm_start_enabled)
-
-    def warm_start_direction(self, t: float) -> float:
-        """Travel direction with the commanded-direction substitution active."""
-        if not self.warm_start_enabled:
-            raise ValueError("warm start is disabled on this estimator")
-        return self._mean_heading(t, pad_allowed=True)

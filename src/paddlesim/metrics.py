@@ -140,16 +140,21 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     return changes
 
 
+def coincident(p0: tuple[float, float], p1: tuple[float, float]) -> bool:
+    """True when two points are too close to define a line (under 1e-9 m)."""
+    return math.hypot(p1[0] - p0[0], p1[1] - p0[1]) < 1e-9
+
+
 def rms_perpendicular_error(log: TelemetryLog,
                             segment: tuple[tuple[float, float], tuple[float, float]],
                             time_window: tuple[float, float] | None = None) -> SegmentError:
     """RMS and max perpendicular distance to the infinite line through the
     segment endpoints, over the samples inside the time window."""
     (x0, y0), (x1, y1) = segment
+    if coincident(*segment):
+        raise DegenerateSegment("segment endpoints coincide")
     dx, dy = x1 - x0, y1 - y0
     length = math.hypot(dx, dy)
-    if length < 1e-9:
-        raise DegenerateSegment("segment endpoints coincide")
     if time_window is None:
         mask = np.ones(len(log.t), dtype=bool)
     else:

@@ -19,7 +19,7 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
 from .dynamics import INNER_DT, BoatParams, SimState, rk4_step
 from .estimation import InsufficientHistory, TravelEstimator
-from .metrics import settled_step_changes
+from .metrics import coincident, settled_step_changes
 
 INNER_RATE = 250.0
 OUTER_RATE = 120.0
@@ -52,7 +52,6 @@ class MissionSpec:
     tolerance_radius: float = 0.1         # segment-transition radius, m
     step_schedule: tuple = ()             # (time s, heading change rad) pairs
     disturbances: tuple = ()              # (time s, (dvx, dvy) m/s) impulses
-    controller_mode: ControlMode | None = None  # None: take ControllerConfig.mode
     initial_theta: float | None = None    # None: start at the initial reference
     start: tuple[float, float] = (0.0, 0.0)
     warm_start: bool = True               # substitute heading for early estimates
@@ -133,9 +132,11 @@ def validate_spec(spec: MissionSpec) -> None:
             raise ConfigError(f"{spec.kind.value} mission needs at least one waypoint")
         if spec.step_schedule:
             raise ConfigError("step_schedule is only valid for converge/step missions")
-    times = [ts for ts, _ in spec.step_schedule]
+    if any(coincident(p0, p1) for p0, p1 in zip(spec.waypoints, spec.waypoints[1:])):
+        raise ConfigError("consecutive waypoints must not coincide")
+    times = [0.0] + [ts for ts, _ in spec.step_schedule]
     if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-        raise ConfigError("step_schedule times must be non-decreasing")
+        raise ConfigError("step_schedule times must be non-negative and non-decreasing")
     dtimes = [ts for ts, _ in spec.disturbances]
     if any(t1 < t0 for t0, t1 in zip(dtimes, dtimes[1:])):
         raise ConfigError("disturbance times must be non-decreasing")
@@ -165,7 +166,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 spec: MissionSpec) -> TelemetryLog:
     """Run one scenario deterministically and return its full telemetry."""
     validate_spec(spec)
-    mode = spec.controller_mode if spec.controller_mode is not None else cfg.mode
+    mode = cfg.mode
     dt = INNER_DT
     n_steps = round(spec.duration * INNER_RATE)
     period = cfg.period
@@ -180,8 +181,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     theta_des = _initial_desired_heading(spec)
     theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
     state = SimState(t=0.0, theta=theta0, pos=spec.start)
-    ref = ReferenceState(theta_r=theta_des, theta_des=theta_des)
-    theta_r = ref.theta_r
+    theta_r = theta_des
+    last_desat_time = -math.inf
     est = TravelEstimator(period, theta_des_fallback=theta_des,
                           warm_start_enabled=spec.warm_start)
 
@@ -225,16 +226,17 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             theta_des, active_idx = _desired_heading(spec, state, t, active_idx)
             if mode is ControlMode.LIMIT_CYCLE_ONLY:
                 # reference driven directly; unwrapped commands pass through
-                ref = ReferenceState(theta_des, theta_des, ref.last_desat_time)
+                theta_r = theta_des
             else:
                 target = outer_loop_reference(cfg, theta_des, psi_hat)
-                pending = wrap_to_pi(target - ref.theta_r)
-                ref = ReferenceState(ref.theta_r + pending, theta_des,
-                                     ref.last_desat_time)
+                pending = wrap_to_pi(target - theta_r)
+                theta_r += pending
                 if mode is ControlMode.DESATURATED_THRUST_DIRECTION:
                     mean_rate = rate_sum / (i + 1 - lo)
-                    ref = desaturate_reference(ref, mean_rate, t, cfg, pending)
-            theta_r = ref.theta_r
+                    ref = desaturate_reference(
+                        ReferenceState(theta_r, last_desat_time), mean_rate, t,
+                        cfg, pending)
+                    theta_r, last_desat_time = ref.theta_r, ref.last_desat_time
 
         tau = torque_law(cfg, t, state.theta, theta_r)
 

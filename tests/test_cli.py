@@ -24,8 +24,10 @@ mission.duration = 1.0
 
 def test_parse_minimal_config():
     cfg = parse_scenario(MINIMAL)
-    assert cfg.mission.kind is MissionKind.CONVERGE
-    assert cfg.mission.duration == 1.0
+    (label, _, _, mission), = cfg.points
+    assert label == ""
+    assert mission.kind is MissionKind.CONVERGE
+    assert mission.duration == 1.0
     assert cfg.repeats == 1 and cfg.basename == "run"
 
 
@@ -46,12 +48,13 @@ def test_parse_full_config():
     batch.repeats = 3
     """
     cfg = parse_scenario(text)
-    assert cfg.boat.I_t == 2.0e-3 and cfg.boat.C_v == 1.4
-    assert cfg.control.K == 10.0
-    assert cfg.control.mode is ControlMode.DESATURATED_THRUST_DIRECTION
-    assert cfg.mission.waypoints == ((0.5, 0.0), (0.5, 0.5))
-    assert cfg.mission.start == (0.1, -0.1)
-    assert cfg.mission.warm_start is False
+    (_, boat, control, mission), = cfg.points
+    assert boat.I_t == 2.0e-3 and boat.C_v == 1.4
+    assert control.K == 10.0
+    assert control.mode is ControlMode.DESATURATED_THRUST_DIRECTION
+    assert mission.waypoints == ((0.5, 0.0), (0.5, 0.5))
+    assert mission.start == (0.1, -0.1)
+    assert mission.warm_start is False
     assert (cfg.out_dir, cfg.basename, cfg.repeats) == ("out", "sq", 3)
 
 
@@ -78,6 +81,13 @@ def test_parse_full_config():
     ("control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
      "desat_interval must be at least one period"),
     ("batch.repeats = 0", "repeats must be at least 1"),
+    ("mission.controller_mode = limit_cycle", "unknown key"),
+    ("mission.step_schedule = -1.0 0.5", "non-negative"),
+    ("mission.waypoints = 0.3 0; 0.3 0; 0.3 0.3", "must not coincide"),
+    ("output.basename =", "bad value"),
+    ("output.basename = a/b", "bad value"),
+    ("output.basename = ../escaped", "bad value"),
+    ("output.basename = ..", "bad value"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -91,12 +101,22 @@ def test_parse_builds_every_sweep_point():
     cfg = parse_scenario(MINIMAL + "mission.waypoints = 1 0; 1 1\n"
                          "mission.disturbances = 0.5 0 0.1\n"
                          f"sweep.control.omega = {math.tau!r}, {2 * math.tau!r}\n")
-    assert cfg.mission.waypoints == ((1.0, 0.0), (1.0, 1.0))
-    assert cfg.mission.disturbances == ((0.5, (0.0, 0.1)),)
-    labels = [label for label, *_ in cfg.sweeps]
+    labels = [label for label, *_ in cfg.points]
     assert labels == ["omega=6.28319", "omega=12.5664"]
+    for *_, mission in cfg.points:
+        assert mission.waypoints == ((1.0, 0.0), (1.0, 1.0))
+        assert mission.disturbances == ((0.5, (0.0, 0.1)),)
     # the unset desat_interval is derived per point, not carried over
-    assert [control.desat_interval for _, _, control, _ in cfg.sweeps] == [2.0, 1.0]
+    assert [control.desat_interval for _, _, control, _ in cfg.points] == [2.0, 1.0]
+
+
+def test_parse_sweep_supplies_a_required_key():
+    # only the sweep points are runs, so the unswept keys need not form a
+    # valid run of their own
+    cfg = parse_scenario("mission.kind = converge\n"
+                         "sweep.mission.duration = 10, 20\n")
+    assert [(label, mission.duration) for label, _, _, mission in cfg.points] == [
+        ("duration=10", 10.0), ("duration=20", 20.0)]
 
 
 @pytest.mark.parametrize("lines,run_flags", [
@@ -107,23 +127,33 @@ def test_parse_builds_every_sweep_point():
         "sweep.boat.mass = 1, -1",
         "control.desat_interval = 2\nsweep.control.omega = 6.283185307179586, 1",
         "batch.repeats = 0",
+        "mission.kind = step\nmission.duration = 6\n"
+        "mission.step_schedule = -1.0 0.5",
+        "mission.kind = waypoints\nmission.duration = 6\n"
+        "mission.waypoints = 0.3 0; 0.3 0; 0.3 0.3",
+        "output.basename =",
+        "output.basename = a/b",
+        "output.basename = ../escaped",
     )
 ] + [pytest.param("", ["--repeats", "0"], id="--repeats 0")])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines, run_flags):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(MINIMAL + lines + "\n")
+    cfg_path.write_text((lines if "mission.kind" in lines else MINIMAL + lines)
+                        + "\n")
     out = tmp_path / "out"
     if not run_flags:  # the config itself is bad
         assert main(["validate", str(cfg_path)]) == 2
     assert main(["run", str(cfg_path), "--out-dir", str(out), *run_flags]) == 2
     assert not out.exists()
+    assert sorted(tmp_path.iterdir()) == [cfg_path]  # nothing escaped it either
 
 
 def test_duration_cap_rejected_at_parse(tmp_path, capsys):
     # checked through the parser only: an over-cap run is never started
     head = "mission.kind = converge\n"
     cap = MAX_TICKS / 250.0
-    assert parse_scenario(head + f"mission.duration = {cap!r}\n").mission.duration == cap
+    (*_, mission), = parse_scenario(head + f"mission.duration = {cap!r}\n").points
+    assert mission.duration == cap
     for text in (f"mission.duration = {cap + 0.004!r}",
                  "mission.duration = 1e9",
                  "mission.duration = 1e308",
@@ -297,6 +327,21 @@ def test_sweep_produces_monotone_speed(tmp_path):
                    (out / f"run_K={k}_metrics.dat").read_text().splitlines())
         speeds.append(float(dat["steady_speed_mps.median"]))
     assert speeds[0] < speeds[1] < speeds[2]
+
+
+def test_zero_delta_step_reports_direction_error_only(tmp_path):
+    # nothing turns, so there is no rise time or travel to measure, but the
+    # settled direction error is still defined
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text("mission.kind = step\n"
+                        "mission.duration = 10.0\n"
+                        "mission.step_schedule = 5.0 0\n")
+    out = tmp_path / "o"
+    for flags in ([], ["--strict-settle"]):
+        assert main(["run", str(cfg_path), "--out-dir", str(out), *flags]) == 0
+        dat = (out / "run_metrics.dat").read_text()
+        assert "rise_time_s" not in dat and "travel_m" not in dat
+        assert "direction_error_rad.median" in dat
 
 
 def test_strict_settle_exit_code(tmp_path):

@@ -90,7 +90,7 @@ def test_desaturated_reduces_to_limit_cycle_when_wrapped():
 
 def test_desaturate_reference_threshold_and_interval():
     cfg = ControllerConfig()
-    ref = ReferenceState(theta_r=0.5, theta_des=0.5, last_desat_time=-math.inf)
+    ref = ReferenceState(theta_r=0.5, last_desat_time=-math.inf)
     # below threshold: unchanged
     assert desaturate_reference(ref, 0.0, 10.0, cfg) is ref
     assert desaturate_reference(ref, 2.9, 10.0, cfg) is ref
@@ -102,13 +102,13 @@ def test_desaturate_reference_threshold_and_interval():
     out = desaturate_reference(ref, -5.0, 10.0, cfg)
     assert out.theta_r == pytest.approx(0.5 - math.tau)
     # interval not elapsed: unchanged regardless of velocity
-    recent = ReferenceState(theta_r=0.5, theta_des=0.5, last_desat_time=9.0)
+    recent = ReferenceState(theta_r=0.5, last_desat_time=9.0)
     assert desaturate_reference(recent, 50.0, 10.0, cfg) is recent
 
 
 def test_desaturate_reference_pending_change_gate():
     cfg = ControllerConfig()
-    ref = ReferenceState(theta_r=0.0, theta_des=0.0, last_desat_time=-math.inf)
+    ref = ReferenceState(theta_r=0.0, last_desat_time=-math.inf)
     # a pending positive reference change already slows a positive rate: skip
     assert desaturate_reference(ref, 5.0, 10.0, cfg, pending_delta=0.2) is ref
     # a pending change in the unhelpful direction does not block the unwind

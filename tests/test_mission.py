@@ -180,12 +180,12 @@ def test_thrust_can_follow_mean_hull_heading():
     # alternative thrust source: the trailing-period mean of the hull
     # orientation instead of the reference; both settle on the same course
     spec = MissionSpec(kind=MissionKind.CONVERGE, duration=12.0, heading=0.6,
-                       initial_theta=0.0,
-                       controller_mode=ControlMode.LIMIT_CYCLE_ONLY)
+                       initial_theta=0.0)
     params = BoatParams()
-    ref_log = run_mission(params, ControllerConfig(), spec)
-    mean_log = run_mission(params, ControllerConfig(thrust_from_mean_heading=True),
-                           spec)
+    lc = ControlMode.LIMIT_CYCLE_ONLY
+    ref_log = run_mission(params, ControllerConfig(mode=lc), spec)
+    mean_log = run_mission(
+        params, ControllerConfig(mode=lc, thrust_from_mean_heading=True), spec)
     tail_ref = np.arctan2(ref_log.vy[-1], ref_log.vx[-1])
     tail_mean = np.arctan2(mean_log.vy[-1], mean_log.vx[-1])
     assert tail_mean == pytest.approx(tail_ref, abs=0.05)
@@ -195,10 +195,8 @@ def test_thrust_can_follow_mean_hull_heading():
 
 def test_controller_mode_override():
     params = BoatParams()
-    cfg = ControllerConfig(mode=ControlMode.THRUST_DIRECTION)
-    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=1.0,
-                       controller_mode=ControlMode.LIMIT_CYCLE_ONLY,
-                       heading=0.7)
+    cfg = ControllerConfig(mode=ControlMode.LIMIT_CYCLE_ONLY)
+    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=1.0, heading=0.7)
     log = run_mission(params, cfg, spec)
     # direct reference mode pins theta_r to the command exactly
     assert np.all(log.theta_r == 0.7)
@@ -253,11 +251,12 @@ LOOP_PATHS = {
         MissionSpec(kind=MissionKind.CONVERGE, duration=6.0, heading=0.4,
                     initial_theta=-1.0, warm_start=False,
                     disturbances=((1.0, (0.0, 0.08)),))),
+    # recorded when a mission could override the controller's mode; the
+    # digest is of this limit-cycle run
     "controller_mode_override": (
-        ControllerConfig(mode=_DESAT),
+        ControllerConfig(mode=ControlMode.LIMIT_CYCLE_ONLY),
         MissionSpec(kind=MissionKind.STEP_TEST, duration=6.0,
-                    step_schedule=((2.0, 0.8), (4.0, -1.5)),
-                    controller_mode=ControlMode.LIMIT_CYCLE_ONLY)),
+                    step_schedule=((2.0, 0.8), (4.0, -1.5)))),
     "desaturated_disturbances": (
         ControllerConfig(mode=_DESAT),
         MissionSpec(kind=MissionKind.WAYPOINTS, duration=20.0,
