@@ -23,7 +23,7 @@ from .dynamics import BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                      TelemetryLog, run_mission, validate_spec)
+                      TelemetryLog, run_mission)
 
 CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 # one row: every float column to 9 significant digits, then the waypoint index
@@ -99,20 +99,20 @@ _SECTIONS = {"boat": _BOAT_FIELDS, "control": _CONTROL_FIELDS,
              "batch": _BATCH_FIELDS}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     """One parsed scenario: its run points plus output and batch settings."""
 
     points: tuple   # (label, boat, control, mission) per run; label "" unswept
-    out_dir: str = "runs"
-    basename: str = "run"
-    repeats: int = 1
+    out_dir: str
+    basename: str
+    repeats: int
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     """Parse the flat key = value format; reject unknown or malformed keys."""
-    raw: dict[str, dict] = {"boat": {}, "control": {}, "mission": {},
-                            "output": {}, "batch": {}}
+    raw: dict[str, dict] = {section: {} for section in _SECTIONS}
+    seen = set()
     axes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -121,54 +121,48 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         if "=" not in stripped:
             raise ConfigError(f"{name}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        parts = key.split(".")
-        if parts[0] == "sweep":
-            if len(parts) != 3:
-                raise ConfigError(f"{name}:{lineno}: sweep keys look like "
-                                  f"sweep.<section>.<field>")
-            _, section, field = parts
-            schema = _SECTIONS.get(section)
-            if schema is None or field not in schema:
-                raise ConfigError(f"{name}:{lineno}: unknown sweep target {key!r}")
-            if schema[field] is not _parse_float:
-                raise ConfigError(f"{name}:{lineno}: only scalar fields can be swept")
-            try:
-                axes.append([(section, field, _parse_float(v))
-                             for v in value.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"{name}:{lineno}: {exc}") from exc
-            continue
-        if len(parts) != 2 or parts[0] not in _SECTIONS:
-            raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
-        section, field = parts
-        schema = _SECTIONS[section]
+        swept = key.startswith("sweep.")
+        section, _, field = key.removeprefix("sweep.").partition(".")
+        schema = _SECTIONS.get(section, {})
         if field not in schema:
+            if swept:
+                raise ConfigError(f"{name}:{lineno}: unknown sweep target {key!r}; "
+                                  f"sweep keys look like sweep.<section>.<field>")
             raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
-        if field in raw[section]:
+        if key in seen:
             raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        if swept and schema[field] is not _parse_float:
+            raise ConfigError(f"{name}:{lineno}: only scalar fields can be swept")
         try:
-            raw[section][field] = schema[field](value)
+            if not swept:
+                raw[section][field] = schema[field](value)
+                continue
+            # each value carries its label part, which names the output files
+            axis = [(section, field, v, f"{field}={v:g}")
+                    for v in map(_parse_float, value.split(","))]
         except ValueError as exc:
             raise ConfigError(f"{name}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if len({part for *_, part in axis}) < len(axis):
+            raise ConfigError(f"{name}:{lineno}: the values of {key!r} must differ "
+                              f"in 6 significant digits, which name their output files")
+        axes.append(axis)
 
     def build(combo):
         """One labelled point: the parsed keys with the combo's values on top."""
         keys = {section: dict(raw[section]) for section in ("boat", "control", "mission")}
-        for section, field, value in combo:
+        for section, field, value, _ in combo:
             keys[section][field] = value
-        label = "_".join(f"{field}={value:g}" for _, field, value in combo)
+        label = "_".join(part for *_, part in combo)
         try:
-            boat = BoatParams(**keys["boat"])
-            control = ControllerConfig(**keys["control"])
-            mission = MissionSpec(**keys["mission"])
-            validate_spec(mission)
+            return (label, BoatParams(**keys["boat"]),
+                    ControllerConfig(**keys["control"]), MissionSpec(**keys["mission"]))
         except TypeError as exc:
             raise ConfigError(f"{name}: mission.kind and mission.duration are "
                               f"required ({exc})") from exc
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             where = f" sweep point {label}:" if label else ""
             raise ConfigError(f"{name}:{where} {exc}") from exc
-        return label, boat, control, mission
 
     repeats = raw["batch"].get("repeats", 1)
     if repeats < 1:
@@ -346,7 +340,10 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
     for label, boat, control, mission in cfg.points:
         stem = cfg.basename if not label else f"{cfg.basename}_{label}"
         # runs are bit-deterministic: simulate and write once, copy per repeat
-        log = run_mission(boat, control, mission)
+        try:
+            log = run_mission(boat, control, mission)
+        except ConfigError as exc:  # the run diverged
+            raise ConfigError(f"{stem}: {exc}") from exc
         paths = [out / (f"{stem}_r{r}.csv" if n_runs > 1 else f"{stem}.csv")
                  for r in range(n_runs)]
         write_telemetry_csv(log, paths[0])
@@ -386,8 +383,6 @@ def _cmd_presets(args) -> int:
         return 0
     text = load_preset(args.name)
     cfg = parse_scenario(text, name=f"preset:{args.name}")
-    if cfg.basename == "run":
-        cfg = dataclasses.replace(cfg, basename=args.name)
     return _execute(cfg, args.out_dir, args.repeats, args.strict_settle)
 
 

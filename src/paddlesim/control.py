@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .dynamics import INNER_DT
+
 _WRAP_EPS = 1e-9  # slack for the wrapped-equality test at the +/- pi boundary
 
 
@@ -22,7 +24,7 @@ class ControlMode(Enum):
     DESATURATED_THRUST_DIRECTION = "desaturated"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Gains and switches for the controller variants."""
 
@@ -38,15 +40,14 @@ class ControllerConfig:
                                             # instead of the reference
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega <= math.pi / INNER_DT:
+            raise ValueError(f"omega must lie in (0, {math.pi / INNER_DT:g}] rad/s, "
+                             f"up to the inner loop's Nyquist rate")
         if self.K <= 0.0 or self.beta <= 0.0:
             raise ValueError("K and beta must be positive")
         if self.K_p < 0.0:
             raise ValueError("K_p must be non-negative")
-        if self.desat_interval is None:
-            self.desat_interval = 2.0 * self.period
-        if self.desat_interval < self.period:
+        if self.desat_interval is not None and self.desat_interval < self.period:
             raise ValueError("desat_interval must be at least one period")
 
     @property
@@ -115,7 +116,8 @@ def desaturate_reference(ref: ReferenceState, mean_top_velocity: float, t: float
     """
     if abs(mean_top_velocity) <= cfg.desat_threshold:
         return ref
-    if t - ref.last_desat_time < cfg.desat_interval:
+    interval = cfg.desat_interval
+    if t - ref.last_desat_time < (2.0 * cfg.period if interval is None else interval):
         return ref
     if pending_delta * mean_top_velocity > 0.0:
         return ref

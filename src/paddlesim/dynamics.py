@@ -13,7 +13,7 @@ from dataclasses import dataclass
 INNER_DT = 1.0 / 250.0  # fixed integration step, matches the motor command rate
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoatParams:
     """Physical constants of the plant.
 

@@ -30,8 +30,8 @@ _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 MAX_TICKS = 10**7
 
 
-class ConfigError(Exception):
-    """Raised when a mission specification is invalid."""
+class ConfigError(ValueError):
+    """Raised when a scenario or mission specification is invalid."""
 
 
 class MissionKind(Enum):
@@ -41,7 +41,7 @@ class MissionKind(Enum):
     STATION_KEEP = "station_keep"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissionSpec:
     """Declarative description of one scenario run."""
 
@@ -55,6 +55,32 @@ class MissionSpec:
     initial_theta: float | None = None    # None: start at the initial reference
     start: tuple[float, float] = (0.0, 0.0)
     warm_start: bool = True               # substitute heading for early estimates
+
+    def __post_init__(self):
+        if not isinstance(self.kind, MissionKind):
+            raise ConfigError(f"unknown mission kind: {self.kind!r}")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ConfigError("duration must be finite and non-negative")
+        if self.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
+            raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
+                              f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
+        if self.tolerance_radius <= 0.0:
+            raise ConfigError("tolerance_radius must be positive")
+        if self.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
+            if not self.waypoints:
+                raise ConfigError(f"{self.kind.value} mission needs at least one waypoint")
+            if self.step_schedule:
+                raise ConfigError("step_schedule is only valid for converge/step missions")
+        if any(coincident(p0, p1) for p0, p1 in zip(self.waypoints, self.waypoints[1:])):
+            raise ConfigError("consecutive waypoints must not coincide")
+        times = [0.0] + [ts for ts, _ in self.step_schedule] + [self.duration]
+        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+            raise ConfigError("step_schedule times must be non-negative, "
+                              "non-decreasing and at most duration")
+        dtimes = [ts for ts, _ in self.disturbances] + [self.duration]
+        if any(t1 < t0 for t0, t1 in zip(dtimes, dtimes[1:])):
+            raise ConfigError("disturbance times must be non-decreasing "
+                              "and at most duration")
 
 
 @dataclass
@@ -116,32 +142,6 @@ def waypoint_heading(state: SimState, spec: MissionSpec,
     return math.atan2(wy - py, wx - px), active_index
 
 
-def validate_spec(spec: MissionSpec) -> None:
-    """Raise ConfigError if the mission specification is not runnable."""
-    if not isinstance(spec.kind, MissionKind):
-        raise ConfigError(f"unknown mission kind: {spec.kind!r}")
-    if not (math.isfinite(spec.duration) and spec.duration >= 0.0):
-        raise ConfigError("duration must be finite and non-negative")
-    if spec.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
-        raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
-                          f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
-    if spec.tolerance_radius <= 0.0:
-        raise ConfigError("tolerance_radius must be positive")
-    if spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
-        if not spec.waypoints:
-            raise ConfigError(f"{spec.kind.value} mission needs at least one waypoint")
-        if spec.step_schedule:
-            raise ConfigError("step_schedule is only valid for converge/step missions")
-    if any(coincident(p0, p1) for p0, p1 in zip(spec.waypoints, spec.waypoints[1:])):
-        raise ConfigError("consecutive waypoints must not coincide")
-    times = [0.0] + [ts for ts, _ in spec.step_schedule]
-    if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-        raise ConfigError("step_schedule times must be non-negative and non-decreasing")
-    dtimes = [ts for ts, _ in spec.disturbances]
-    if any(t1 < t0 for t0, t1 in zip(dtimes, dtimes[1:])):
-        raise ConfigError("disturbance times must be non-decreasing")
-
-
 def _desired_heading(spec: MissionSpec, state: SimState, t: float,
                      active_index: int) -> tuple[float, int]:
     if spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
@@ -165,7 +165,6 @@ def _initial_desired_heading(spec: MissionSpec) -> float:
 def run_mission(params: BoatParams, cfg: ControllerConfig,
                 spec: MissionSpec) -> TelemetryLog:
     """Run one scenario deterministically and return its full telemetry."""
-    validate_spec(spec)
     mode = cfg.mode
     dt = INNER_DT
     n_steps = round(spec.duration * INNER_RATE)
@@ -214,6 +213,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             state = apply_disturbance(state, disturbances[next_dist][1])
             next_dist += 1
         x, y = state.pos
+        # an overflowing plant goes non-finite here before any law reads it
+        if not math.isfinite(x + y + state.theta_dot):
+            raise ConfigError(f"the simulated state diverged at t = {t:g} s")
 
         if i == next_outer:
             next_outer += _OUTER_GAPS[gap_i % len(_OUTER_GAPS)]

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helpers import make_log
-from paddlesim.cli import (CSV_HEADER, main, parse_scenario, preset_names,
-                           read_telemetry_csv, report_metrics,
+from paddlesim.cli import (CSV_HEADER, load_preset, main, parse_scenario,
+                           preset_names, read_telemetry_csv, report_metrics,
                            render_report_dat, render_report_text,
                            write_telemetry_csv)
 from paddlesim.control import ControlMode
@@ -88,6 +89,14 @@ def test_parse_full_config():
     ("output.basename = a/b", "bad value"),
     ("output.basename = ../escaped", "bad value"),
     ("output.basename = ..", "bad value"),
+    ("mission.kind = step\nmission.duration = 2\nmission.step_schedule = 5 1",
+     "at most duration"),
+    ("mission.disturbances = 5 0 0.1", "at most duration"),
+    ("sweep.control.K = 5, 6\nsweep.control.K = 5, 6", "duplicate key"),
+    ("sweep.control.K = 5, 5", "must differ"),
+    ("sweep.boat.mass = 0.1000001, 0.1000002", "must differ"),
+    ("control.omega = 1e300", "Nyquist"),
+    ("sweep.control.omega = 6.283185307179586, 800", "Nyquist"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -106,8 +115,8 @@ def test_parse_builds_every_sweep_point():
     for *_, mission in cfg.points:
         assert mission.waypoints == ((1.0, 0.0), (1.0, 1.0))
         assert mission.disturbances == ((0.5, (0.0, 0.1)),)
-    # the unset desat_interval is derived per point, not carried over
-    assert [control.desat_interval for _, _, control, _ in cfg.points] == [2.0, 1.0]
+    # an unset desat_interval stays unset; each point's own period derives it
+    assert [control.desat_interval for _, _, control, _ in cfg.points] == [None, None]
 
 
 def test_parse_sweep_supplies_a_required_key():
@@ -134,6 +143,11 @@ def test_parse_sweep_supplies_a_required_key():
         "output.basename =",
         "output.basename = a/b",
         "output.basename = ../escaped",
+        "mission.kind = step\nmission.duration = 2\nmission.step_schedule = 5 1",
+        "sweep.control.K = 5, 6\nsweep.control.K = 5, 6",
+        "sweep.control.K = 5, 5",
+        "sweep.boat.mass = 0.1000001, 0.1000002",
+        "control.omega = 1e300",
     )
 ] + [pytest.param("", ["--repeats", "0"], id="--repeats 0")])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines, run_flags):
@@ -146,6 +160,40 @@ def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines, run_flags):
     assert main(["run", str(cfg_path), "--out-dir", str(out), *run_flags]) == 2
     assert not out.exists()
     assert sorted(tmp_path.iterdir()) == [cfg_path]  # nothing escaped it either
+
+
+@pytest.mark.parametrize("lines", [
+    "control.K = 1e300",
+    "boat.mass = 1e-300",
+    "control.mode = desaturated\ncontrol.beta = 1e300",
+])
+def test_diverging_run_exits_2_without_its_csv(tmp_path, capsys, lines):
+    # the values are finite and parse, but the plant overflows within a few ticks
+    cfg_path = tmp_path / "wild.cfg"
+    cfg_path.write_text(MINIMAL + lines + "\n")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "diverged at t = " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_diverging_sweep_point_keeps_earlier_points(tmp_path):
+    cfg_path = tmp_path / "wild.cfg"
+    cfg_path.write_text(MINIMAL + "sweep.control.K = 15, 1e300\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run_K=15.csv", "run_K=15_metrics.dat", "run_K=15_metrics.txt"]
+
+
+def test_settings_are_frozen():
+    cfg = parse_scenario(MINIMAL)
+    (_, boat, control, mission), = cfg.points
+    for settings, field in ((boat, "mass"), (control, "omega"),
+                            (mission, "duration"), (cfg, "basename")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings, field, getattr(settings, field))
 
 
 def test_duration_cap_rejected_at_parse(tmp_path, capsys):
@@ -293,6 +341,9 @@ def test_presets_ship_and_validate():
     # dry-run validation of a preset by name: exit 0, no files written
     assert main(["validate", "defaults"]) == 0
     assert main(["validate", "not-a-preset"]) == 2
+    # each preset names its own output files
+    for name in names:
+        assert parse_scenario(load_preset(name)).basename == name
 
 
 def test_presets_run_unknown_name():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from paddlesim.control import (ControlMode, ControllerConfig, ReferenceState,
                                desaturate_reference, desaturated_torque,
                                limit_cycle_torque, outer_loop_reference,
                                resonant_beta, wrap_override, wrap_to_pi)
-from paddlesim.dynamics import BoatParams, SimState, rk4_step
+from paddlesim.dynamics import INNER_DT, BoatParams, SimState, rk4_step
 
 
 def test_wrap_to_pi_examples():
@@ -179,6 +180,22 @@ def test_table_gain_is_near_resonance():
 def test_controller_config_validation(kwargs):
     with pytest.raises(ValueError):
         ControllerConfig(**kwargs)
+
+
+def test_omega_cap_is_the_inner_loop_nyquist_rate():
+    assert ControllerConfig(omega=math.pi / INNER_DT).omega == pytest.approx(785.398, abs=1e-3)
+    with pytest.raises(ValueError, match="Nyquist"):
+        ControllerConfig(omega=math.nextafter(math.pi / INNER_DT, math.inf))
+
+
+def test_replace_rederives_the_default_desat_interval():
+    # the default interval is two periods of the omega in force, not a stored value
+    assert replace(ControllerConfig(), omega=4 * math.pi) == ControllerConfig(omega=4 * math.pi)
+    slow = replace(ControllerConfig(), omega=1.0)  # one period is 2*pi s
+    assert slow.desat_interval is None
+    ref = ReferenceState(theta_r=0.0, last_desat_time=0.0)
+    assert desaturate_reference(ref, 5.0, 4 * math.pi - 1e-6, slow) is ref
+    assert desaturate_reference(ref, 5.0, 4 * math.pi, slow) is not ref
 
 
 def test_mode_round_trip_by_value():

@@ -203,21 +203,25 @@ def test_controller_mode_override():
 
 
 @pytest.mark.parametrize("bad", [
-    MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0),
-    MissionSpec(kind=MissionKind.STATION_KEEP, duration=1.0),
-    MissionSpec(kind=MissionKind.CONVERGE, duration=-1.0),
-    MissionSpec(kind=MissionKind.CONVERGE, duration=math.inf),
-    MissionSpec(kind=MissionKind.CONVERGE, duration=1.0, tolerance_radius=0.0),
-    MissionSpec(kind=MissionKind.STEP_TEST, duration=1.0,
-                step_schedule=((2.0, 0.1), (1.0, 0.1))),
-    MissionSpec(kind=MissionKind.CONVERGE, duration=1.0,
-                disturbances=((2.0, (0.0, 0.1)), (1.0, (0.0, 0.1)))),
-    MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0,
-                waypoints=((1.0, 0.0),), step_schedule=((0.5, 0.1),)),
+    dict(kind=MissionKind.WAYPOINTS, duration=1.0),
+    dict(kind=MissionKind.STATION_KEEP, duration=1.0),
+    dict(kind=MissionKind.CONVERGE, duration=-1.0),
+    dict(kind=MissionKind.CONVERGE, duration=math.inf),
+    dict(kind=MissionKind.CONVERGE, duration=1.0, tolerance_radius=0.0),
+    dict(kind=MissionKind.STEP_TEST, duration=3.0,
+         step_schedule=((2.0, 0.1), (1.0, 0.1))),
+    dict(kind=MissionKind.CONVERGE, duration=3.0,
+         disturbances=((2.0, (0.0, 0.1)), (1.0, (0.0, 0.1)))),
+    dict(kind=MissionKind.WAYPOINTS, duration=1.0,
+         waypoints=((1.0, 0.0),), step_schedule=((0.5, 0.1),)),
+    dict(kind=MissionKind.STEP_TEST, duration=2.0, step_schedule=((5.0, 1.0),)),
+    dict(kind=MissionKind.CONVERGE, duration=2.0,
+         disturbances=((2.5, (0.0, 0.1)),)),
 ])
 def test_invalid_specs_rejected(bad):
+    # a spec is checked as it is built, so no invalid one reaches run_mission
     with pytest.raises(ConfigError):
-        run_mission(BoatParams(), ControllerConfig(), bad)
+        MissionSpec(**bad)
 
 
 def test_initial_conditions_default_to_rest():
