@@ -6,7 +6,7 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       wrap_override, wrap_to_pi)
 from .dynamics import (INNER_DT, BoatParams, SimState, orientation_accel,
                        rk4_step, rk4_step_controlled, translational_accel)
-from .estimation import InsufficientHistory, TravelEstimator
+from .estimation import TravelEstimator
 from .metrics import (DegenerateSegment, NotSettled, SegmentError, TurnEvent,
                       measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, rise_time, rolling_mean,

@@ -33,15 +33,6 @@ _CSV_CHUNK_ROWS = 4096
 
 # --------------------------------------------------------------------- values
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -80,7 +71,7 @@ _BOAT_FIELDS = {f.name: _parse_float for f in dataclasses.fields(BoatParams)}
 _CONTROL_FIELDS = {
     "omega": _parse_float, "K": _parse_float, "beta": _parse_float,
     "K_p": _parse_float, "mode": ControlMode, "desat_interval": _parse_float,
-    "desat_threshold": _parse_float, "thrust_from_mean_heading": _parse_bool,
+    "desat_threshold": _parse_float,
 }
 _MISSION_FIELDS = {
     "kind": MissionKind, "duration": _parse_float, "heading": _parse_float,
@@ -90,7 +81,7 @@ _MISSION_FIELDS = {
     "disturbances": lambda text: tuple((t, (dvx, dvy))
                                        for t, dvx, dvy in _parse_list(text, 3)),
     "initial_theta": _parse_float,
-    "start": _parse_start, "warm_start": _parse_bool,
+    "start": _parse_start,
 }
 _OUTPUT_FIELDS = {"dir": str, "basename": _parse_basename}
 _BATCH_FIELDS = {"repeats": int}
@@ -330,11 +321,8 @@ def _preset_summary(text: str) -> str:
 
 # ------------------------------------------------------------------- commands
 
-def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
-             strict_settle: bool) -> int:
-    n_runs = repeats if repeats is not None else cfg.repeats
-    if n_runs < 1:
-        raise ConfigError("repeats must be at least 1")
+def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> int:
+    n_runs = cfg.repeats
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for label, boat, control, mission in cfg.points:
@@ -362,7 +350,7 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, repeats: int | None,
 def _cmd_run(args) -> int:
     text = Path(args.config).read_text()
     cfg = parse_scenario(text, name=str(args.config))
-    return _execute(cfg, args.out_dir, args.repeats, args.strict_settle)
+    return _execute(cfg, args.out_dir, args.strict_settle)
 
 
 def _cmd_validate(args) -> int:
@@ -383,7 +371,7 @@ def _cmd_presets(args) -> int:
         return 0
     text = load_preset(args.name)
     cfg = parse_scenario(text, name=f"preset:{args.name}")
-    return _execute(cfg, args.out_dir, args.repeats, args.strict_settle)
+    return _execute(cfg, args.out_dir, args.strict_settle)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,8 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out-dir", default=None,
                        help="output directory (overrides output.dir)")
-        p.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="runs per scenario (overrides batch.repeats)")
         p.add_argument("--strict-settle", action="store_true",
                        help="treat an unsettled rise-time as a fatal error")
 

@@ -36,8 +36,6 @@ class ControllerConfig:
     desat_interval: float | None = None   # min time between reference
                                           # unwinds, s; None: two periods
     desat_threshold: float = 3.0  # |mean top rate| that arms an unwind, rad/s
-    thrust_from_mean_heading: bool = False  # thrust along mean hull heading
-                                            # instead of the reference
 
     def __post_init__(self):
         if not 0.0 < self.omega <= math.pi / INNER_DT:
@@ -49,6 +47,8 @@ class ControllerConfig:
             raise ValueError("K_p must be non-negative")
         if self.desat_interval is not None and self.desat_interval < self.period:
             raise ValueError("desat_interval must be at least one period")
+        if not (self.desat_threshold >= 0.0):  # NaN fails too
+            raise ValueError("desat_threshold must be non-negative")
 
     @property
     def period(self) -> float:

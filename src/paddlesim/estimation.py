@@ -4,8 +4,8 @@ The hull oscillates as it paddles, so differentiating the trajectory
 directly gives a wildly swinging heading.  Instead the displacement over
 one oscillation period (the period-wise velocity) is smoothed again by
 averaging its orientation over a trailing period.  Until enough history
-exists the estimate can warm-start from the commanded travel direction,
-which is a fair assumption in still water.
+exists the estimate warm-starts from the commanded travel direction, which
+is a fair assumption in still water.
 """
 
 import math
@@ -17,10 +17,6 @@ _SPEED_FLOOR = 1e-6   # m/s below which the heading sample holds its last value
 _TIME_SLACK = 1e-12   # tolerance when testing window coverage, s
 
 
-class InsufficientHistory(Exception):
-    """Raised when a query reaches back before the buffered history."""
-
-
 class TravelEstimator:
     """Buffers of pose and period-wise heading with interpolating queries.
 
@@ -30,13 +26,11 @@ class TravelEstimator:
     over the span queries can reach (two periods for poses, one for headings).
     """
 
-    def __init__(self, period: float, theta_des_fallback: float = 0.0,
-                 warm_start_enabled: bool = True):
+    def __init__(self, period: float, theta_des_fallback: float = 0.0):
         if period <= 0.0:
             raise ValueError("period must be positive")
         self.period = period
         self.theta_des_fallback = theta_des_fallback
-        self.warm_start_enabled = warm_start_enabled
         # pose samples
         self._pt: list[float] = []
         self._px: list[float] = []
@@ -113,16 +107,13 @@ class TravelEstimator:
         return (x1 - x0) / self.period, (y1 - y0) / self.period
 
     def periodwise_velocity(self, t: float) -> tuple[float, float]:
-        """Displacement over the trailing period divided by the period."""
+        """Displacement over the trailing period divided by the period.
+
+        Before a full period of poses is buffered this is the displacement
+        over the span available, still divided by the full period.
+        """
         if not self._pt:
-            if self.warm_start_enabled:
-                return 0.0, 0.0
-            raise InsufficientHistory("no pose samples buffered")
-        if t - self.period < self._pt[0] - _TIME_SLACK:
-            if not self.warm_start_enabled:
-                raise InsufficientHistory(
-                    f"pose history does not reach back to t - T = {t - self.period:.6g}")
-            # startup: displacement over the span available, still over a full T
+            return 0.0, 0.0
         return self._velocity_at(t)
 
     def _heading_cumint(self, x: float) -> float:
@@ -140,20 +131,14 @@ class TravelEstimator:
     def travel_direction(self, t: float) -> float:
         """Smoothed direction of travel: trailing-period mean of the heading.
 
-        With warm start enabled, the part of the window before the first
-        heading sample is filled with the fallback direction; without it,
-        that case raises InsufficientHistory.
+        The part of the window before the first heading sample is filled
+        with the fallback direction (warm start).
         """
         a, b = t - self.period, t
         if not self._ht:
-            if self.warm_start_enabled:
-                return wrap_to_pi(self.theta_des_fallback)
-            raise InsufficientHistory("no heading samples buffered yet")
+            return wrap_to_pi(self.theta_des_fallback)
         first = self._ht[0]
         if a < first - _TIME_SLACK:
-            if not self.warm_start_enabled:
-                raise InsufficientHistory(
-                    f"heading history does not reach back to t - T = {a:.6g}")
             # pad the missing prefix with the fallback, on the branch nearest
             # the first real sample so the unwrapped average stays coherent
             anchor = self._hu[0]

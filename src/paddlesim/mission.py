@@ -18,7 +18,7 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       desaturate_reference, desaturated_torque,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
 from .dynamics import INNER_DT, BoatParams, SimState, rk4_step
-from .estimation import InsufficientHistory, TravelEstimator
+from .estimation import TravelEstimator
 from .metrics import coincident, settled_step_changes
 
 INNER_RATE = 250.0
@@ -54,7 +54,6 @@ class MissionSpec:
     disturbances: tuple = ()              # (time s, (dvx, dvy) m/s) impulses
     initial_theta: float | None = None    # None: start at the initial reference
     start: tuple[float, float] = (0.0, 0.0)
-    warm_start: bool = True               # substitute heading for early estimates
 
     def __post_init__(self):
         if not isinstance(self.kind, MissionKind):
@@ -173,7 +172,6 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     # resolved per run from this module, so wrappers installed on it apply
     torque_law = (limit_cycle_torque if mode is ControlMode.THRUST_DIRECTION
                   else desaturated_torque)
-    mean_heading_thrust = cfg.thrust_from_mean_heading
     disturbances = spec.disturbances
     n_dist = len(disturbances)
 
@@ -182,8 +180,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     state = SimState(t=0.0, theta=theta0, pos=spec.start)
     theta_r = theta_des
     last_desat_time = -math.inf
-    est = TravelEstimator(period, theta_des_fallback=theta_des,
-                          warm_start_enabled=spec.warm_start)
+    est = TravelEstimator(period, theta_des_fallback=theta_des)
 
     # preallocated columns in TELEMETRY_COLUMNS order, written through
     # memoryviews, which take and give plain Python floats
@@ -193,11 +190,11 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
      y_col, vx_col, vy_col, theta_r_col, theta_des_col, psi_hat_col, tau_col,
      idx_col) = map(memoryview, columns)
 
-    # Trailing one-period boxcar of the reaction-mass rate and hull heading.
-    # Its samples are rows lo..i of the t, theta and theta_t_dot columns,
-    # which are written as soon as the plant step produces them.
+    # Trailing one-period boxcar of the reaction-mass rate.  Its samples are
+    # rows lo..i of the t and theta_t_dot columns, which are written as soon
+    # as the plant step produces them.
     t_col[0] = state.t
-    theta_col[0] = theta_sum = state.theta
+    theta_col[0] = state.theta
     rate_col[0] = rate_sum = state.top_rate
     lo = 0
 
@@ -221,10 +218,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             next_outer += _OUTER_GAPS[gap_i % len(_OUTER_GAPS)]
             gap_i += 1
             est.add_pose(t, x, y)
-            try:
-                psi_hat = est.travel_direction(t)
-            except InsufficientHistory:
-                psi_hat = wrap_to_pi(theta_des)  # no estimate yet: assume on course
+            psi_hat = est.travel_direction(t)
             theta_des, active_idx = _desired_heading(spec, state, t, active_idx)
             if mode is ControlMode.LIMIT_CYCLE_ONLY:
                 # reference driven directly; unwrapped commands pass through
@@ -258,20 +252,14 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         if i == n_steps:
             break
-        if mean_heading_thrust:
-            heading_cmd = theta_sum / (i + 1 - lo)
-        else:
-            heading_cmd = theta_r
-        state = rk4_step(params, state, tau, heading_cmd, dt, thrust)
+        state = rk4_step(params, state, tau, theta_r, dt, thrust)
         t_col[i + 1] = state.t
-        theta_col[i + 1] = theta = state.theta
+        theta_col[i + 1] = state.theta
         rate_col[i + 1] = rate = state.top_rate
         rate_sum += rate
-        theta_sum += theta
         floor = state.t - period
         while t_col[lo] <= floor:
             rate_sum -= rate_col[lo]
-            theta_sum -= theta_col[lo]
             lo += 1
 
     return TelemetryLog(*columns, period=period, body_length=params.body_length)

@@ -43,7 +43,6 @@ def test_parse_full_config():
     mission.waypoints = 0.5 0; 0.5 0.5
     mission.tolerance_radius = 0.05
     mission.start = 0.1 -0.1
-    mission.warm_start = false
     output.dir = out
     output.basename = sq
     batch.repeats = 3
@@ -55,7 +54,6 @@ def test_parse_full_config():
     assert control.mode is ControlMode.DESATURATED_THRUST_DIRECTION
     assert mission.waypoints == ((0.5, 0.0), (0.5, 0.5))
     assert mission.start == (0.1, -0.1)
-    assert mission.warm_start is False
     assert (cfg.out_dir, cfg.basename, cfg.repeats) == ("out", "sq", 3)
 
 
@@ -97,6 +95,9 @@ def test_parse_full_config():
     ("sweep.boat.mass = 0.1000001, 0.1000002", "must differ"),
     ("control.omega = 1e300", "Nyquist"),
     ("sweep.control.omega = 6.283185307179586, 800", "Nyquist"),
+    ("control.desat_threshold = -1", "desat_threshold must be non-negative"),
+    ("mission.warm_start = false", "unknown key"),
+    ("control.thrust_from_mean_heading = true", "unknown key"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -128,8 +129,8 @@ def test_parse_sweep_supplies_a_required_key():
         ("duration=10", 10.0), ("duration=20", 20.0)]
 
 
-@pytest.mark.parametrize("lines,run_flags", [
-    pytest.param(lines, [], id=lines) for lines in (
+@pytest.mark.parametrize("lines", [
+    pytest.param(lines, id=lines) for lines in (
         "boat.mass = nan",
         "control.omega = inf",
         "mission.tolerance_radius = nan",
@@ -148,18 +149,31 @@ def test_parse_sweep_supplies_a_required_key():
         "sweep.control.K = 5, 5",
         "sweep.boat.mass = 0.1000001, 0.1000002",
         "control.omega = 1e300",
+        "control.desat_threshold = -1",
+        "mission.warm_start = false",
+        "control.thrust_from_mean_heading = true",
     )
-] + [pytest.param("", ["--repeats", "0"], id="--repeats 0")])
-def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines, run_flags):
+])
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text((lines if "mission.kind" in lines else MINIMAL + lines)
                         + "\n")
     out = tmp_path / "out"
-    if not run_flags:  # the config itself is bad
-        assert main(["validate", str(cfg_path)]) == 2
-    assert main(["run", str(cfg_path), "--out-dir", str(out), *run_flags]) == 2
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
     assert not out.exists()
     assert sorted(tmp_path.iterdir()) == [cfg_path]  # nothing escaped it either
+
+
+def test_repeats_flag_is_rejected(tmp_path):
+    # batch.repeats is the one holder of the repeat count
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(cfg_path), "--out-dir", str(out), "--repeats", "2"])
+    assert exit_.value.code == 2
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("lines", [
@@ -352,9 +366,10 @@ def test_presets_run_unknown_name():
 
 def test_repeats_and_degenerate_iqr(tmp_path):
     cfg_path = tmp_path / "scen.cfg"
-    cfg_path.write_text("mission.kind = converge\nmission.duration = 1.0\n")
+    cfg_path.write_text("mission.kind = converge\nmission.duration = 1.0\n"
+                        "batch.repeats = 2\n")
     out = tmp_path / "o"
-    code = main(["run", str(cfg_path), "--out-dir", str(out), "--repeats", "2"])
+    code = main(["run", str(cfg_path), "--out-dir", str(out)])
     assert code == 0
     assert (out / "run_r0.csv").exists() and (out / "run_r1.csv").exists()
     # deterministic repeats: identical files, degenerate quartiles

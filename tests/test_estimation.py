@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paddlesim.control import wrap_to_pi
-from paddlesim.estimation import InsufficientHistory, TravelEstimator
+from paddlesim.estimation import TravelEstimator
 
 RATE = 80.0     # sample times i/80 are exact binary floats
 DT = 1.0 / RATE
@@ -21,7 +21,7 @@ def feed(est, fn, t_end, t_start=0.0):
 
 def test_straight_line_velocity_and_direction():
     alpha = 0.7
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     feed(est, lambda t: (0.3 * t * math.cos(alpha), 0.3 * t * math.sin(alpha)), 3.0)
     vx, vy = est.periodwise_velocity(3.0)
     assert (vx, vy) == pytest.approx((0.3 * math.cos(alpha), 0.3 * math.sin(alpha)))
@@ -29,14 +29,14 @@ def test_straight_line_velocity_and_direction():
 
 
 def test_stationary_pose_zero_velocity():
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     feed(est, lambda t: (1.0, -2.0), 3.0)
     assert est.periodwise_velocity(3.0) == pytest.approx((0.0, 0.0))
 
 
 def test_circle_chord_speed():
     r, om = 2.0, 0.9
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     feed(est, lambda t: (r * math.cos(om * t), r * math.sin(om * t)), 5.0)
     v = est.periodwise_velocity(5.0)
     # oracle: chord length over one period
@@ -45,7 +45,7 @@ def test_circle_chord_speed():
 
 
 def test_interpolation_between_pose_samples():
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     feed(est, lambda t: (0.25 * t, 0.0), 3.0)
     # query off the sample grid: linear pose interpolation keeps v_T exact
     vx, vy = est.periodwise_velocity(2.71828)
@@ -57,7 +57,7 @@ def test_wrap_boundary_average_is_pi():
     # with a small lateral dither); the mean must come out at pi, not zero
     def fn(t):
         return -0.3 * t, 1e-4 * math.sin(40.0 * t)
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     feed(est, fn, 4.0)
     got = est.travel_direction(4.0)
     assert abs(wrap_to_pi(got - math.pi)) < 1e-3
@@ -74,7 +74,7 @@ def test_oscillatory_trajectory_mean_direction():
         return s * ca - w * sa, s * sa + w * ca
 
     period = 1.0
-    est = TravelEstimator(period, warm_start_enabled=False)
+    est = TravelEstimator(period)
     t_end = feed(est, fn, 6.0)
     got = est.travel_direction(t_end)
 
@@ -96,7 +96,7 @@ def test_oscillatory_trajectory_mean_direction():
 def test_warm_start_values():
     fb = -0.4
     alpha = 0.9
-    est = TravelEstimator(1.0, theta_des_fallback=fb, warm_start_enabled=True)
+    est = TravelEstimator(1.0, theta_des_fallback=fb)
     # before any data the fallback is returned outright
     assert est.travel_direction(0.0) == pytest.approx(fb)
     feed(est, lambda t: (0.2 * t * math.cos(alpha), 0.2 * t * math.sin(alpha)), 1.5)
@@ -112,13 +112,13 @@ def test_warm_start_values():
 
 def test_warm_start_consistency_when_samples_equal_fallback():
     fb = 0.9
-    est = TravelEstimator(1.0, theta_des_fallback=fb, warm_start_enabled=True)
+    est = TravelEstimator(1.0, theta_des_fallback=fb)
     feed(est, lambda t: (0.2 * t * math.cos(fb), 0.2 * t * math.sin(fb)), 1.0)
     assert est.travel_direction(1.0) == pytest.approx(fb)
 
 
 def test_warm_start_never_raises():
-    est = TravelEstimator(1.0, theta_des_fallback=0.3, warm_start_enabled=True)
+    est = TravelEstimator(1.0, theta_des_fallback=0.3)
     assert math.isfinite(est.travel_direction(0.0))
     assert math.isfinite(est.periodwise_velocity(0.0)[0])
     for i in range(161):
@@ -129,25 +129,12 @@ def test_warm_start_never_raises():
         assert math.isfinite(vx) and math.isfinite(vy)
 
 
-def test_insufficient_history_raised_without_warm_start():
-    est = TravelEstimator(1.0, warm_start_enabled=False)
-    with pytest.raises(InsufficientHistory):
-        est.travel_direction(0.0)
-    feed(est, lambda t: (0.1 * t, 0.0), 1.5)
-    with pytest.raises(InsufficientHistory):
-        est.travel_direction(1.5)  # needs 2T of data for the full average
-    with pytest.raises(InsufficientHistory):
-        est.periodwise_velocity(0.5)
-    feed(est, lambda t: (0.1 * t, 0.0), 2.0, t_start=1.5 + DT)
-    assert est.travel_direction(2.0) == pytest.approx(0.0, abs=1e-9)
-
-
 def test_shift_invariance():
     def fn(t):
         return 0.2 * t, 0.05 * math.sin(3.0 * t)
 
-    a = TravelEstimator(1.0, warm_start_enabled=False)
-    b = TravelEstimator(1.0, warm_start_enabled=False)
+    a = TravelEstimator(1.0)
+    b = TravelEstimator(1.0)
     feed(a, fn, 4.0)
     feed(b, lambda t: (fn(t)[0] + 17.0, fn(t)[1] - 3.5), 4.0)
     assert a.periodwise_velocity(4.0) == pytest.approx(b.periodwise_velocity(4.0))
@@ -165,8 +152,8 @@ def test_rotation_equivariance():
         x, y = fn(t)
         return cr * x - sr * y, sr * x + cr * y
 
-    a = TravelEstimator(1.0, warm_start_enabled=False)
-    b = TravelEstimator(1.0, warm_start_enabled=False)
+    a = TravelEstimator(1.0)
+    b = TravelEstimator(1.0)
     feed(a, fn, 4.0)
     feed(b, rot, 4.0)
     diff = b.travel_direction(4.0) - a.travel_direction(4.0)
@@ -181,7 +168,7 @@ def test_timestamps_must_increase():
 
 
 def test_near_zero_velocity_holds_heading():
-    est = TravelEstimator(1.0, warm_start_enabled=False)
+    est = TravelEstimator(1.0)
     # move for 2.5 s, then stop dead
     def fn(t):
         s = min(t, 2.5)

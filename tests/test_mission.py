@@ -162,37 +162,6 @@ def test_short_station_keep_stays_bounded():
     assert np.all(np.isfinite(log.theta))
 
 
-def test_warm_start_disabled_holds_commanded_heading():
-    # without warm start the outer loop sees no estimate for the first two
-    # periods and steers feed-forward: an early disturbance goes unnoticed
-    # until the history fills up
-    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=6.0, heading=0.4,
-                       warm_start=False, disturbances=((1.0, (0.0, 0.08)),))
-    log = run_mission(BoatParams(), ControllerConfig(), spec)
-    early = log.t < 2.0 - 1e-9
-    assert np.allclose(log.psi_hat[early], 0.4)
-    seen = (log.t >= 2.5) & (log.t <= 3.5)
-    assert np.all(log.psi_hat[seen] > 0.4 + 0.01)  # the impulse shows up
-    assert np.all(np.isfinite(log.psi_hat))
-
-
-def test_thrust_can_follow_mean_hull_heading():
-    # alternative thrust source: the trailing-period mean of the hull
-    # orientation instead of the reference; both settle on the same course
-    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=12.0, heading=0.6,
-                       initial_theta=0.0)
-    params = BoatParams()
-    lc = ControlMode.LIMIT_CYCLE_ONLY
-    ref_log = run_mission(params, ControllerConfig(mode=lc), spec)
-    mean_log = run_mission(
-        params, ControllerConfig(mode=lc, thrust_from_mean_heading=True), spec)
-    tail_ref = np.arctan2(ref_log.vy[-1], ref_log.vx[-1])
-    tail_mean = np.arctan2(mean_log.vy[-1], mean_log.vx[-1])
-    assert tail_mean == pytest.approx(tail_ref, abs=0.05)
-    # during the turn the two thrust sources genuinely differ
-    assert not np.allclose(ref_log.vx, mean_log.vx)
-
-
 def test_controller_mode_override():
     params = BoatParams()
     cfg = ControllerConfig(mode=ControlMode.LIMIT_CYCLE_ONLY)
@@ -242,19 +211,16 @@ def test_telemetry_column_access():
 
 # Loop paths that no shipped preset takes; the preset CSVs pin the rest.
 # LOOP_PATH_SHA256 holds the sha256 of every column's raw bytes, recorded
-# before the loop was rewritten around preallocated columns.
+# before the loop was rewritten around preallocated columns, and for
+# initial_theta_disturbance before the estimator's warm start became
+# unconditional.
 _DESAT = ControlMode.DESATURATED_THRUST_DIRECTION
 _KICKS = ((3.0, (0.05, 0.0)), (3.0, (0.0, -0.04)), (9.0, (-0.06, 0.02)))
 LOOP_PATHS = {
-    "thrust_from_mean_heading": (
-        ControllerConfig(mode=_DESAT, thrust_from_mean_heading=True),
-        MissionSpec(kind=MissionKind.STEP_TEST, duration=8.0, heading=0.3,
-                    step_schedule=((3.0, 1.2),))),
-    "cold_start_initial_theta": (
+    "initial_theta_disturbance": (
         ControllerConfig(),
         MissionSpec(kind=MissionKind.CONVERGE, duration=6.0, heading=0.4,
-                    initial_theta=-1.0, warm_start=False,
-                    disturbances=((1.0, (0.0, 0.08)),))),
+                    initial_theta=-1.0, disturbances=((1.0, (0.0, 0.08)),))),
     # recorded when a mission could override the controller's mode; the
     # digest is of this limit-cycle run
     "controller_mode_override": (
@@ -278,6 +244,10 @@ LOOP_PATH_SHA256 = json.loads(
 def column_digests(log):
     return {name: hashlib.sha256(log.column(name).tobytes()).hexdigest()
             for name in TELEMETRY_COLUMNS}
+
+
+def test_every_loop_path_has_exactly_one_digest():
+    assert set(LOOP_PATHS) == set(LOOP_PATH_SHA256)
 
 
 @pytest.mark.parametrize("case", sorted(LOOP_PATHS))

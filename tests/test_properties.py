@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from paddlesim.cli import _parse_float
 from paddlesim.control import wrap_to_pi
-from paddlesim.estimation import InsufficientHistory, TravelEstimator
+from paddlesim.estimation import TravelEstimator
 
 # bounded and reproducible: the same examples on every run
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -23,11 +23,12 @@ _GAPS = st.lists(st.one_of(st.floats(0.02, 0.6), st.floats(2.6, 4.0)),
 @given(gaps=_GAPS, period=st.floats(0.25, 2.0),
        speed=st.floats(0.01, 1.0), heading=st.floats(-math.pi, math.pi),
        t0=st.floats(-50.0, 50.0), x0=st.floats(-10.0, 10.0),
-       y0=st.floats(-10.0, 10.0))
+       y0=st.floats(-10.0, 10.0), offset=st.floats(-3.0, 3.0))
 def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, heading,
-                                                     t0, x0, y0):
+                                                     t0, x0, y0, offset):
     vx, vy = speed * math.cos(heading), speed * math.sin(heading)
-    est = TravelEstimator(period, warm_start_enabled=False)
+    # the warm-start fallback lies within a half turn of the true heading
+    est = TravelEstimator(period, theta_des_fallback=heading + offset)
     t = t0
     first_heading_t = None  # the first pose at least one period after t0
     checked = 0
@@ -41,20 +42,24 @@ def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, headi
         # one period back can interpolate from
         assert len(est._pt) == 1 or est._pt[1] > t - 2.5 * period
         assert len(est._ht) <= 1 or est._ht[1] > t - 1.5 * period
-        if t - period >= t0:
-            got_vx, got_vy = est.periodwise_velocity(t)
-            assert got_vx == pytest.approx(vx, abs=1e-9)
-            assert got_vy == pytest.approx(vy, abs=1e-9)
-        elif t - period < t0 - 1e-9:
-            with pytest.raises(InsufficientHistory):
-                est.periodwise_velocity(t)
+        # before a full period has passed, the displacement since t0 still
+        # divides by the whole period
+        got_vx, got_vy = est.periodwise_velocity(t)
+        span = min(t - t0, period)
+        assert got_vx == pytest.approx(vx * span / period, abs=1e-9)
+        assert got_vy == pytest.approx(vy * span / period, abs=1e-9)
         if first_heading_t is not None and t - period >= first_heading_t:
             err = wrap_to_pi(est.travel_direction(t) - heading)
             assert err == pytest.approx(0.0, abs=1e-9)
             checked += 1
-        elif first_heading_t is None or t - period < first_heading_t - 1e-9:
-            with pytest.raises(InsufficientHistory):
-                est.travel_direction(t)
+        else:
+            # warm start: the window before the first heading sample holds
+            # the fallback, the rest of it the true heading
+            pad_end = t if first_heading_t is None else first_heading_t
+            pad = pad_end - (t - period)
+            expected = heading + offset * pad / period
+            err = wrap_to_pi(est.travel_direction(t) - expected)
+            assert err == pytest.approx(0.0, abs=1e-9)
     assert checked > 0
 
 
