@@ -180,22 +180,6 @@ def write_telemetry_csv(log: TelemetryLog, path) -> None:
             fh.write("".join([_CSV_ROW % row for row in rows]))
 
 
-def read_telemetry_csv(path, period: float = 1.0,
-                       body_length: float = 0.15) -> TelemetryLog:
-    """Parse a telemetry CSV back into a log (metadata supplied by caller)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigError(f"{path}: unexpected telemetry header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n_cols = len(TELEMETRY_COLUMNS)
-    if data.shape[1] != n_cols:
-        raise ConfigError(f"{path}: expected {n_cols} columns")
-    cols = [data[:, i] for i in range(n_cols - 1)]
-    return TelemetryLog(*cols, data[:, -1].astype(np.int64),
-                        period=period, body_length=body_length)
-
-
 # -------------------------------------------------------------------- metrics
 
 def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
@@ -407,7 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a bad flag (2) or --help (0): return, not raise
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

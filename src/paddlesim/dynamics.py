@@ -81,16 +81,6 @@ def _planar_accel(params: BoatParams, vx: float, vy: float,
     return (tx - cd * vx) / params.mass, (ty - cd * vy) / params.mass
 
 
-def translational_accel(params: BoatParams, state: SimState,
-                        thrust_heading: float, thrust_mag: float) -> tuple[float, float]:
-    """Planar acceleration with thrust of the given magnitude along a heading."""
-    if thrust_mag < 0.0:
-        raise ValueError("thrust_mag must be non-negative")
-    tx = thrust_mag * math.cos(thrust_heading)
-    ty = thrust_mag * math.sin(thrust_heading)
-    return _planar_accel(params, state.vel[0], state.vel[1], tx, ty)
-
-
 def _translational_rk4(params: BoatParams, state: SimState, thrust_heading: float,
                       thrust_mag: float, dt: float) -> tuple[tuple, tuple]:
     """Classical fourth-order stages of the point-mass translation.
@@ -147,47 +137,4 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     phi_dot = state.phi_dot + a * dt
 
     return SimState(t=state.t + dt, theta=theta, theta_dot=theta_dot,
-                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)
-
-
-def rk4_step_controlled(params: BoatParams, state: SimState, torque_fn,
-                        thrust_heading: float, dt: float,
-                        thrust_mag: float = 0.0) -> SimState:
-    """One fourth-order step with the torque law evaluated at the stage points.
-
-    torque_fn(t, theta, theta_dot) is sampled inside the step, so a smooth
-    feedback law integrates at the full order of the method.  Use rk4_step
-    for the sampled-command (zero-order hold) plant that missions run.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t0 = state.t
-    th, w = state.theta, state.theta_dot
-    ph, pd = state.phi, state.phi_dot
-    half = 0.5 * dt
-
-    tau1 = torque_fn(t0, th, w)
-    k1w = orientation_accel(params, w, tau1)
-
-    th2, w2 = th + half * w, w + half * k1w
-    tau2 = torque_fn(t0 + half, th2, w2)
-    k2w = orientation_accel(params, w2, tau2)
-
-    th3, w3 = th + half * w2, w + half * k2w
-    tau3 = torque_fn(t0 + half, th3, w3)
-    k3w = orientation_accel(params, w3, tau3)
-
-    th4, w4 = th + dt * w3, w + dt * k3w
-    tau4 = torque_fn(t0 + dt, th4, w4)
-    k4w = orientation_accel(params, w4, tau4)
-
-    theta = th + dt / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4)
-    theta_dot = w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    phi = ph + dt / 6.0 * (pd + 2.0 * (pd + half * tau1) + 2.0 * (pd + half * tau2)
-                           + (pd + dt * tau3))
-    phi_dot = pd + dt / 6.0 * (tau1 + 2.0 * tau2 + 2.0 * tau3 + tau4)
-
-    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
-
-    return SimState(t=t0 + dt, theta=theta, theta_dot=theta_dot,
                     phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)

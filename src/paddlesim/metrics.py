@@ -47,17 +47,6 @@ class SegmentError:
     max_perp: float   # m
 
 
-def rolling_mean(t: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
-    """Trailing boxcar mean over (t - window, t] at every sample.
-
-    Early samples average over whatever part of the window exists.
-    """
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    idx = np.arange(len(values))
-    start = np.searchsorted(t, t - window, side="right")
-    return (csum[idx + 1] - csum[start]) / (idx + 1 - start)
-
-
 def rise_time(log: TelemetryLog, command_time: float, delta: float,
               fraction: float = 0.9, hold_period: float | None = None) -> float:
     """Time after the command for the travel-direction change to reach

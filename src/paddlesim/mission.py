@@ -19,7 +19,7 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
 from .dynamics import INNER_DT, BoatParams, SimState, rk4_step
 from .estimation import TravelEstimator
-from .metrics import coincident, settled_step_changes
+from .metrics import coincident
 
 INNER_RATE = 250.0
 OUTER_RATE = 120.0
@@ -28,6 +28,10 @@ _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
 # preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB.
 MAX_TICKS = 10**7
+# Largest unwrapped angle accepted (heading, initial_theta, a step change), rad.
+# Real commands are a few turns; near 1e308, sums and means of angles overflow
+# to inf, which wrap_to_pi cannot floor.
+MAX_ANGLE = 1e6
 
 
 class ConfigError(ValueError):
@@ -63,6 +67,12 @@ class MissionSpec:
         if self.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
             raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
                               f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
+        angles = [self.heading, *(delta for _, delta in self.step_schedule)]
+        if self.initial_theta is not None:
+            angles.append(self.initial_theta)
+        if any(not (abs(a) <= MAX_ANGLE) for a in angles):  # NaN fails too
+            raise ConfigError(f"heading, initial_theta and step changes must be "
+                              f"at most {MAX_ANGLE:g} rad in magnitude")
         if self.tolerance_radius <= 0.0:
             raise ConfigError("tolerance_radius must be positive")
         if self.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
@@ -263,22 +273,3 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             lo += 1
 
     return TelemetryLog(*columns, period=period, body_length=params.body_length)
-
-
-def run_step_test(params: BoatParams, cfg: ControllerConfig, delta: float,
-                  initial_leg: float = 15.0,
-                  second_leg: float = 15.0) -> tuple[float, float]:
-    """Step-input test: swim straight, step the desired heading, swim again.
-
-    Returns the commanded change and the settled change in the measured
-    travel direction, the latter taken as the difference of the mean
-    estimate over the final quarter of each leg.
-    """
-    if not 0.0 <= delta < math.tau:
-        raise ValueError("delta must lie in [0, 2*pi)")
-    spec = MissionSpec(kind=MissionKind.STEP_TEST,
-                       duration=initial_leg + second_leg,
-                       heading=0.0,
-                       step_schedule=((initial_leg, delta),))
-    log = run_mission(params, cfg, spec)
-    return delta, settled_step_changes(log, spec.step_schedule)[0]

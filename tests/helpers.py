@@ -1,8 +1,13 @@
-"""Small builders shared by the test modules."""
+"""Small builders and reference integrators shared by the test modules."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from paddlesim.mission import TelemetryLog
+from paddlesim.dynamics import orientation_accel
+from paddlesim.metrics import settled_step_changes
+from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
 
 
 def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_t_dot=None,
@@ -21,3 +26,78 @@ def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_t_dot=None,
         theta_des=np.zeros(n), psi_hat=col(psi_hat), tau=np.zeros(n),
         waypoint_index=np.zeros(n, dtype=np.int64),
         period=period, body_length=body_length)
+
+
+def rolling_mean(t: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:
+    """Trailing boxcar mean over (t - window, t] at every sample.
+
+    Early samples average over whatever part of the window exists.
+    """
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    idx = np.arange(len(values))
+    start = np.searchsorted(t, t - window, side="right")
+    return (csum[idx + 1] - csum[start]) / (idx + 1 - start)
+
+
+def rk4_step_controlled(params, state, torque_fn, dt):
+    """One fourth-order step of the hull rotation with the torque law
+    torque_fn(t, theta, theta_dot) evaluated at the stage points, so a
+    smooth feedback law integrates at the full order of the method.
+
+    rk4_step, which missions run, holds the torque over the step instead.
+    Only t, theta and theta_dot advance; the motor angle and the translation
+    are left as they were.
+    """
+    t0, th, w = state.t, state.theta, state.theta_dot
+    half = 0.5 * dt
+    k1 = orientation_accel(params, w, torque_fn(t0, th, w))
+    th2, w2 = th + half * w, w + half * k1
+    k2 = orientation_accel(params, w2, torque_fn(t0 + half, th2, w2))
+    th3, w3 = th + half * w2, w + half * k2
+    k3 = orientation_accel(params, w3, torque_fn(t0 + half, th3, w3))
+    th4, w4 = th + dt * w3, w + dt * k3
+    k4 = orientation_accel(params, w4, torque_fn(t0 + dt, th4, w4))
+    return replace(state, t=t0 + dt,
+                   theta=th + dt / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
+                   theta_dot=w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def pendulum_reference(params, cfg, psi0, dt, n):
+    """Heading error psi at n + 1 samples, from RK4 on the damped-pendulum
+    form of the closed loop (limit-cycle law, reference heading zero)."""
+    inertia = params.I_b + params.I_t
+
+    def accel(t, psi, dpsi):
+        drag = params.C_f * dpsi * abs(dpsi) + params.C_r * dpsi
+        return (-drag + params.I_t * cfg.K * math.sin(cfg.omega * t)
+                - params.I_t * cfg.beta * math.sin(psi)) / inertia
+
+    out = np.empty(n + 1)
+    out[0] = psi = psi0
+    dpsi = 0.0
+    for i in range(n):
+        t = i * dt
+        k1 = accel(t, psi, dpsi)
+        s2 = dpsi + 0.5 * dt * k1
+        k2 = accel(t + 0.5 * dt, psi + 0.5 * dt * dpsi, s2)
+        s3 = dpsi + 0.5 * dt * k2
+        k3 = accel(t + 0.5 * dt, psi + 0.5 * dt * s2, s3)
+        s4 = dpsi + dt * k3
+        k4 = accel(t + dt, psi + dt * s3, s4)
+        psi += dt / 6.0 * (dpsi + 2.0 * s2 + 2.0 * s3 + s4)
+        dpsi += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = psi
+    return out
+
+
+def run_step_test(params, cfg, delta, initial_leg=15.0, second_leg=15.0):
+    """Swim straight, step the desired heading by delta, swim again.
+
+    Returns the commanded change and the settled change in the measured
+    travel direction (mean estimate over the final quarter of each leg).
+    """
+    spec = MissionSpec(kind=MissionKind.STEP_TEST,
+                       duration=initial_leg + second_leg, heading=0.0,
+                       step_schedule=((initial_leg, delta),))
+    log = run_mission(params, cfg, spec)
+    return delta, settled_step_changes(log, spec.step_schedule)[0]

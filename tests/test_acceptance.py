@@ -17,12 +17,11 @@ from conftest import SLOW_WATER
 from paddlesim.cli import main, preset_names
 from paddlesim.control import (ControlMode, ControllerConfig,
                                limit_cycle_torque, resonant_beta, wrap_to_pi)
-from paddlesim.dynamics import BoatParams, SimState, rk4_step_controlled
-from paddlesim.metrics import (orbit_radius, rise_time, rolling_mean,
-                               rms_perpendicular_error)
-from paddlesim.mission import (MissionKind, MissionSpec, run_mission,
-                               run_step_test)
-from helpers import make_log
+from paddlesim.dynamics import BoatParams, SimState
+from paddlesim.metrics import orbit_radius, rise_time, rms_perpendicular_error
+from paddlesim.mission import MissionKind, MissionSpec, run_mission
+from helpers import (make_log, pendulum_reference, rk4_step_controlled,
+                     rolling_mean, run_step_test)
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
 STEP_DELTAS = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
@@ -95,32 +94,6 @@ def test_criterion_02_no_drag_does_not_settle():
     _passline(2, f"drag-free period-avg error reaches {worst:.2f} rad >= 0.05")
 
 
-def _pendulum_reference(params, cfg, psi0, dt, n):
-    inertia = params.I_b + params.I_t
-
-    def accel(t, psi, dpsi):
-        drag = params.C_f * dpsi * abs(dpsi) + params.C_r * dpsi
-        return (-drag + params.I_t * cfg.K * math.sin(cfg.omega * t)
-                - params.I_t * cfg.beta * math.sin(psi)) / inertia
-
-    out = np.empty(n + 1)
-    out[0] = psi = psi0
-    dpsi = 0.0
-    for i in range(n):
-        t = i * dt
-        k1 = accel(t, psi, dpsi)
-        s2 = dpsi + 0.5 * dt * k1
-        k2 = accel(t + 0.5 * dt, psi + 0.5 * dt * dpsi, s2)
-        s3 = dpsi + 0.5 * dt * k2
-        k3 = accel(t + 0.5 * dt, psi + 0.5 * dt * s2, s3)
-        s4 = dpsi + dt * k3
-        k4 = accel(t + dt, psi + dt * s3, s4)
-        psi += dt / 6.0 * (dpsi + 2.0 * s2 + 2.0 * s3 + s4)
-        dpsi += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = psi
-    return out
-
-
 def test_criterion_03_pendulum_equivalence():
     params = BoatParams(**BENCH)
     cfg = ControllerConfig()
@@ -133,11 +106,11 @@ def test_criterion_03_pendulum_equivalence():
     full = np.empty(n + 1)
     full[0] = state.theta
     for i in range(n):
-        state = rk4_step_controlled(params, state, torque, 0.0, dt)
+        state = rk4_step_controlled(params, state, torque, dt)
         full[i + 1] = state.theta
 
-    pend = _pendulum_reference(params, cfg, psi0, dt, n)
-    ref = _pendulum_reference(params, cfg, psi0, dt / 16.0, 16 * n)[::16]
+    pend = pendulum_reference(params, cfg, psi0, dt, n)
+    ref = pendulum_reference(params, cfg, psi0, dt / 16.0, 16 * n)[::16]
     err_full = float(np.max(np.abs(full - ref)))
     err_pend = float(np.max(np.abs(pend - ref)))
     assert err_full < 1e-6 and err_pend < 1e-6
@@ -298,7 +271,7 @@ def test_criterion_11_integrator_order():
         state = SimState(theta=-math.pi / 2)
         torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, 0.0)
         for _ in range(round(horizon / dt)):
-            state = rk4_step_controlled(params, state, torque, 0.0, dt)
+            state = rk4_step_controlled(params, state, torque, dt)
         return state.theta
 
     ref = endpoint(1.0 / 16000.0)  # dt/16 of the finest grid below

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from paddlesim.control import ControllerConfig, limit_cycle_torque
-from paddlesim.dynamics import (BoatParams, SimState, orientation_accel,
-                                rk4_step, rk4_step_controlled,
-                                translational_accel)
+from helpers import pendulum_reference, rk4_step_controlled
+from paddlesim.control import ControlMode, ControllerConfig, limit_cycle_torque
+from paddlesim.dynamics import BoatParams, SimState, orientation_accel, rk4_step
+from paddlesim.mission import MissionKind, MissionSpec, run_mission
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
 
@@ -39,27 +40,6 @@ def test_orientation_accel_sign_of_zero_rate():
 def test_orientation_accel_quadratic_drag_is_odd():
     p = BoatParams(**BENCH)
     assert orientation_accel(p, 2.0, 0.0) == -orientation_accel(p, -2.0, 0.0)
-
-
-def test_translational_accel_unit_thrust():
-    p = BoatParams(mass=1.0)
-    state = SimState()
-    ax, ay = translational_accel(p, state, 0.0, 1.0)
-    assert (ax, ay) == pytest.approx((1.0, 0.0))
-
-
-def test_translational_accel_steady_state_balance():
-    p = BoatParams()
-    thrust = p.k_thrust * 15.0
-    v_ss = math.sqrt(thrust / p.C_v)
-    state = SimState(vel=(v_ss, 0.0))
-    ax, ay = translational_accel(p, state, 0.0, thrust)
-    assert abs(ax) < 1e-15 and abs(ay) < 1e-15
-
-
-def test_translational_accel_rejects_negative_thrust():
-    with pytest.raises(ValueError):
-        translational_accel(BoatParams(), SimState(), 0.0, -1.0)
 
 
 def test_heading_step_travel_lags_command():
@@ -128,33 +108,6 @@ def test_hull_rate_decays_with_drag_and_no_torque():
         prev = cur
 
 
-def _pendulum_reference(params, cfg, theta_r, psi0, dt, n):
-    """Independent two-state integrator of the heading-error pendulum form."""
-    inertia = params.I_b + params.I_t
-
-    def accel(t, psi, dpsi):
-        drag = params.C_f * dpsi * abs(dpsi) + params.C_r * dpsi
-        return (-drag + params.I_t * cfg.K * math.sin(cfg.omega * t)
-                - params.I_t * cfg.beta * math.sin(psi)) / inertia
-
-    out = np.empty(n + 1)
-    out[0] = psi = psi0
-    dpsi = 0.0
-    for i in range(n):
-        t = i * dt
-        k1 = accel(t, psi, dpsi)
-        s2 = dpsi + 0.5 * dt * k1
-        k2 = accel(t + 0.5 * dt, psi + 0.5 * dt * dpsi, s2)
-        s3 = dpsi + 0.5 * dt * k2
-        k3 = accel(t + 0.5 * dt, psi + 0.5 * dt * s2, s3)
-        s4 = dpsi + dt * k3
-        k4 = accel(t + dt, psi + dt * s3, s4)
-        psi += dt / 6.0 * (dpsi + 2.0 * s2 + 2.0 * s3 + s4)
-        dpsi += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = psi
-    return out
-
-
 def test_closed_loop_matches_pendulum_form():
     # the full plant under the oscillatory torque law and the substituted
     # heading-error pendulum are the same ODE; both must agree with a
@@ -171,11 +124,11 @@ def test_closed_loop_matches_pendulum_form():
     full[0] = state.theta
     torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, theta_r)
     for i in range(n):
-        state = rk4_step_controlled(params, state, torque, 0.0, dt)
+        state = rk4_step_controlled(params, state, torque, dt)
         full[i + 1] = state.theta
 
-    pend = _pendulum_reference(params, cfg, theta_r, psi0, dt, n)
-    ref = _pendulum_reference(params, cfg, theta_r, psi0, dt / 16.0, n * 16)[::16]
+    pend = pendulum_reference(params, cfg, psi0, dt, n)
+    ref = pendulum_reference(params, cfg, psi0, dt / 16.0, n * 16)[::16]
     assert np.max(np.abs(full - ref)) < 1e-6
     assert np.max(np.abs(pend - ref)) < 1e-6
     assert np.max(np.abs(full - pend)) < 1e-9
@@ -191,7 +144,7 @@ def test_rk4_global_error_is_fourth_order():
         state = SimState(theta=-math.pi / 2)
         torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, 0.0)
         for _ in range(round(horizon / dt)):
-            state = rk4_step_controlled(params, state, torque, 0.0, dt)
+            state = rk4_step_controlled(params, state, torque, dt)
         return state.theta
 
     ref = endpoint(1.0 / 16000.0)
@@ -207,3 +160,54 @@ def test_rk4_global_error_is_fourth_order():
 def test_boat_params_validation(kwargs):
     with pytest.raises(ValueError):
         BoatParams(**kwargs)
+
+
+def _oracle_rhs(params, tau, heading, thrust):
+    """The plant equations for one hold, written out from the model."""
+    inertia = params.I_b + params.I_t
+    tx, ty = thrust * math.cos(heading), thrust * math.sin(heading)
+
+    def rhs(t, s):
+        _, w, _, pd, _, _, vx, vy = s
+        drag = params.C_f * w * abs(w) + params.C_r * w
+        speed = math.hypot(vx, vy)
+        return [w, -(drag + params.I_t * tau) / inertia, pd, tau, vx, vy,
+                (tx - params.C_v * speed * vx) / params.mass,
+                (ty - params.C_v * speed * vy) / params.mass]
+    return rhs
+
+
+@pytest.mark.parametrize("mode, disturbances", [
+    (ControlMode.LIMIT_CYCLE_ONLY, ()),
+    (ControlMode.THRUST_DIRECTION, ()),
+    (ControlMode.DESATURATED_THRUST_DIRECTION, ()),
+    (ControlMode.DESATURATED_THRUST_DIRECTION, ((1.0, (0.0, 0.05)),)),
+], ids=["limit_cycle", "thrust_direction", "desaturated", "desaturated-impulse"])
+def test_rk4_step_matches_adaptive_oracle(mode, disturbances):
+    # every mission runs rk4_step; replay its sampled torque and thrust
+    # heading through a tight adaptive integrator, hold by hold
+    params = BoatParams()
+    cfg = ControllerConfig(mode=mode)
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=5.0,
+                       initial_theta=-math.pi / 2,
+                       step_schedule=((2.0, -3 * math.pi / 2),),
+                       disturbances=disturbances)
+    log = run_mission(params, cfg, spec)
+    names = ("theta", "theta_dot", "phi", "phi_dot", "x", "y", "vx", "vy")
+    plant = np.column_stack([log.column(name) for name in names])
+    oracle = np.empty_like(plant)
+    oracle[0] = s = plant[0]
+    thrust = params.k_thrust * cfg.K
+    pending = list(disturbances)
+    for i in range(len(log) - 1):
+        t0, t1 = log.t[i], log.t[i + 1]
+        sol = solve_ivp(_oracle_rhs(params, log.tau[i], log.theta_r[i], thrust),
+                        (t0, t1), s, method="DOP853", rtol=1e-12, atol=1e-14)
+        s = sol.y[:, -1]
+        while pending and pending[0][0] <= t1 + 1e-12:  # as run_mission does
+            s[6:] += pending.pop(0)[1]
+        oracle[i + 1] = s
+    gap = np.max(np.abs(plant - oracle), axis=0)
+    assert gap[:2].max() < 1e-6    # theta, theta_dot: the step's own error
+    assert gap[2:4].max() < 1e-10  # phi, phi_dot: exact up to rounding
+    assert gap[4:].max() < 1e-12   # x, y, vx, vy

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_log
+from helpers import make_log, rolling_mean
 from paddlesim.metrics import (DegenerateSegment, NotSettled, measure_turn,
                                orbit_radius, quartiles, rise_time,
-                               rms_perpendicular_error, rolling_mean,
-                               travel_during_turn)
+                               rms_perpendicular_error, travel_during_turn)
 
 DT = 1.0 / 250.0
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
+from helpers import run_step_test
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import BoatParams, SimState
 from paddlesim.mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind,
                                MissionSpec, _OUTER_GAPS, apply_disturbance,
-                               run_mission, run_step_test, waypoint_heading)
+                               run_mission, waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -140,15 +141,6 @@ def test_step_test_outer_loop_shrinks_error():
     _, obs_outer = run_step_test(
         params, ControllerConfig(mode=ControlMode.THRUST_DIRECTION), delta)
     assert abs(obs_outer - delta) < 0.5 * abs(obs_inner - delta)
-
-
-def test_step_test_rejects_out_of_range_delta():
-    params = BoatParams()
-    cfg = ControllerConfig()
-    with pytest.raises(ValueError):
-        run_step_test(params, cfg, -0.1)
-    with pytest.raises(ValueError):
-        run_step_test(params, cfg, math.tau)
 
 
 def test_short_station_keep_stays_bounded():
