@@ -331,8 +331,15 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
     return 0
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text()
+    text = _read_config(Path(args.config))
     cfg = parse_scenario(text, name=str(args.config))
     return _execute(cfg, args.out_dir, args.strict_settle)
 
@@ -340,7 +347,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     path = Path(args.config)
     if path.is_file():
-        parse_scenario(path.read_text(), name=str(path))
+        parse_scenario(_read_config(path), name=str(path))
     else:
         # also accept a preset name for dry-run validation
         parse_scenario(load_preset(args.config), name=f"preset:{args.config}")

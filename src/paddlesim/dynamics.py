@@ -7,7 +7,7 @@ follows a damped rotational ODE; planar translation is approximated as a
 point mass pushed along the commanded heading against quadratic drag.
 """
 
-import math
+from math import cos, hypot, sin
 from dataclasses import dataclass
 
 INNER_DT = 1.0 / 250.0  # fixed integration step, matches the motor command rate
@@ -45,7 +45,7 @@ class BoatParams:
             raise ValueError("body dimensions must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Full continuous state at one time instant.  Treated as a value."""
 
@@ -73,68 +73,61 @@ def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> 
     return -(drag + params.I_t * phi_ddot) / (params.I_b + params.I_t)
 
 
-def _planar_accel(params: BoatParams, vx: float, vy: float,
-                  tx: float, ty: float) -> tuple[float, float]:
-    """Point-mass acceleration under a fixed thrust vector and quadratic drag."""
-    speed = math.hypot(vx, vy)
-    cd = params.C_v * speed
-    return (tx - cd * vx) / params.mass, (ty - cd * vy) / params.mass
-
-
-def _translational_rk4(params: BoatParams, state: SimState, thrust_heading: float,
-                      thrust_mag: float, dt: float) -> tuple[tuple, tuple]:
-    """Classical fourth-order stages of the point-mass translation.
-
-    The thrust vector is held constant across the step; returns the new
-    (pos, vel) pair.
-    """
-    tx = thrust_mag * math.cos(thrust_heading)
-    ty = thrust_mag * math.sin(thrust_heading)
-    vx, vy = state.vel
-    half = 0.5 * dt
-    ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
-    ux2, uy2 = vx + half * ax1, vy + half * ay1
-    ax2, ay2 = _planar_accel(params, ux2, uy2, tx, ty)
-    ux3, uy3 = vx + half * ax2, vy + half * ay2
-    ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
-    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
-    ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
-    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
-    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
-    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
-    return (x, y), (new_vx, new_vy)
-
-
 def rk4_step(params: BoatParams, state: SimState, control_torque: float,
              thrust_heading: float, dt: float, thrust_mag: float = 0.0) -> SimState:
     """Advance the state by one classical fourth-order step.
 
     The commanded motor acceleration and the thrust vector are held constant
     across the step (zero-order hold); time advances by exactly dt.
+
+    The stages are written out over local constants because this runs on
+    every tick; each stage repeats orientation_accel's arithmetic for the
+    rotation and a point mass under quadratic drag for the translation.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     a = control_torque  # motor acceleration, constant over the step
+    C_f, C_r, C_v, mass = params.C_f, params.C_r, params.C_v, params.mass
+    I_t = params.I_t
+    inertia = params.I_b + I_t
+    motor = I_t * a
     w = state.theta_dot
     half = 0.5 * dt
+    sixth = dt / 6.0
 
     # rotational stages: theta's stage derivative is the stage value of theta_dot
-    k1 = orientation_accel(params, w, a)
+    k1 = -(C_f * w * abs(w) + C_r * w + motor) / inertia
     s2 = w + half * k1
-    k2 = orientation_accel(params, s2, a)
+    k2 = -(C_f * s2 * abs(s2) + C_r * s2 + motor) / inertia
     s3 = w + half * k2
-    k3 = orientation_accel(params, s3, a)
+    k3 = -(C_f * s3 * abs(s3) + C_r * s3 + motor) / inertia
     s4 = w + dt * k3
-    k4 = orientation_accel(params, s4, a)
-    theta = state.theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4)
-    theta_dot = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k4 = -(C_f * s4 * abs(s4) + C_r * s4 + motor) / inertia
+    theta = state.theta + sixth * (w + 2.0 * s2 + 2.0 * s3 + s4)
+    theta_dot = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
+    # translational stages under a thrust vector held over the step
+    tx = thrust_mag * cos(thrust_heading)
+    ty = thrust_mag * sin(thrust_heading)
+    vx, vy = state.vel
+    cd = C_v * hypot(vx, vy)
+    ax1, ay1 = (tx - cd * vx) / mass, (ty - cd * vy) / mass
+    ux2, uy2 = vx + half * ax1, vy + half * ay1
+    cd = C_v * hypot(ux2, uy2)
+    ax2, ay2 = (tx - cd * ux2) / mass, (ty - cd * uy2) / mass
+    ux3, uy3 = vx + half * ax2, vy + half * ay2
+    cd = C_v * hypot(ux3, uy3)
+    ax3, ay3 = (tx - cd * ux3) / mass, (ty - cd * uy3) / mass
+    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
+    cd = C_v * hypot(ux4, uy4)
+    ax4, ay4 = (tx - cd * ux4) / mass, (ty - cd * uy4) / mass
+    x, y = state.pos
 
     # constant motor acceleration integrates exactly
-    phi = state.phi + state.phi_dot * dt + 0.5 * a * dt * dt
-    phi_dot = state.phi_dot + a * dt
-
-    return SimState(t=state.t + dt, theta=theta, theta_dot=theta_dot,
-                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)
+    phi_dot = state.phi_dot
+    return SimState(state.t + dt, theta, theta_dot,
+                    state.phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
+                    (x + sixth * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4),
+                     y + sixth * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)),
+                    (vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+                     vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)))

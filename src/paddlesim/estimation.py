@@ -44,46 +44,46 @@ class TravelEstimator:
 
     def add_pose(self, t: float, x: float, y: float) -> None:
         """Append a pose sample and derive a heading sample once possible."""
-        if self._pt and t <= self._pt[-1]:
+        pt, px, py = self._pt, self._px, self._py
+        if pt and t <= pt[-1]:
             raise ValueError("pose timestamps must be strictly increasing")
-        self._pt.append(t)
-        self._px.append(x)
-        self._py.append(y)
+        pt.append(t)
+        px.append(x)
+        py.append(y)
+        period = self.period
+        ht, hu, hc = self._ht, self._hu, self._hc
 
         # a trimmed buffer starts 2.5 periods back, so testing against its
         # first pose equals testing against the very first one
-        if t - self._pt[0] >= self.period - _TIME_SLACK:
-            vx, vy = self._velocity_at(t)
+        if t - pt[0] >= period - _TIME_SLACK:
+            # the window ends at the pose just appended
+            x0, y0 = self._interp_pose(t - period)
+            vx, vy = (x - x0) / period, (y - y0) / period
             if math.hypot(vx, vy) < _SPEED_FLOOR:
                 # near-zero net displacement: hold the previous heading
-                if self._hu:
-                    unwrapped = self._hu[-1]
+                if hu:
+                    unwrapped = hu[-1]
                 else:
                     unwrapped = wrap_to_pi(self.theta_des_fallback)
             else:
                 raw = math.atan2(vy, vx)
-                if self._hu:
-                    unwrapped = self._hu[-1] + wrap_to_pi(raw - self._hu[-1])
+                if hu:
+                    unwrapped = hu[-1] + wrap_to_pi(raw - hu[-1])
                 else:
                     unwrapped = raw
-            if self._ht:
-                cum = self._hc[-1] + 0.5 * (unwrapped + self._hu[-1]) * (t - self._ht[-1])
+            if ht:
+                cum = hc[-1] + 0.5 * (unwrapped + hu[-1]) * (t - ht[-1])
             else:
                 cum = 0.0
-            self._ht.append(t)
-            self._hu.append(unwrapped)
-            self._hc.append(cum)
+            ht.append(t)
+            hu.append(unwrapped)
+            hc.append(cum)
 
-        self._prune(t)
-
-    def _prune(self, now: float) -> None:
-        """Drop samples older than the last one at or before each floor."""
-        pt, px, py = self._pt, self._px, self._py
-        floor = now - 2.5 * self.period
+        # drop samples older than the last one at or before each floor
+        floor = t - 2.5 * period
         while len(pt) > 1 and pt[1] <= floor:
             del pt[0], px[0], py[0]
-        ht, hu, hc = self._ht, self._hu, self._hc
-        floor = now - 1.5 * self.period
+        floor = t - 1.5 * period
         while len(ht) > 1 and ht[1] <= floor:
             del ht[0], hu[0], hc[0]
 

@@ -11,6 +11,7 @@ identical inputs produce bit-identical telemetry.
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from itertools import cycle
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class MissionSpec:
         if any(not (abs(a) <= MAX_ANGLE) for a in angles):  # NaN fails too
             raise ConfigError(f"heading, initial_theta and step changes must be "
                               f"at most {MAX_ANGLE:g} rad in magnitude")
-        if self.tolerance_radius <= 0.0:
+        if not (self.tolerance_radius > 0.0):  # NaN fails too
             raise ConfigError("tolerance_radius must be positive")
         if self.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
             if not self.waypoints:
@@ -151,17 +152,15 @@ def waypoint_heading(state: SimState, spec: MissionSpec,
     return math.atan2(wy - py, wx - px), active_index
 
 
-def _desired_heading(spec: MissionSpec, state: SimState, t: float,
-                     active_index: int) -> tuple[float, int]:
-    if spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
-        return waypoint_heading(state, spec, active_index)
+def _scheduled_heading(spec: MissionSpec, t: float) -> float:
+    """Commanded heading of a converge or step mission at time t."""
     heading = spec.heading
     for step_time, delta in spec.step_schedule:
         if t >= step_time - 1e-12:
             heading += delta
         else:
             break
-    return heading, active_index
+    return heading
 
 
 def _initial_desired_heading(spec: MissionSpec) -> float:
@@ -175,15 +174,24 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 spec: MissionSpec) -> TelemetryLog:
     """Run one scenario deterministically and return its full telemetry."""
     mode = cfg.mode
+    limit_cycle_only = mode is ControlMode.LIMIT_CYCLE_ONLY
+    desaturated = mode is ControlMode.DESATURATED_THRUST_DIRECTION
+    follows_waypoints = spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP)
     dt = INNER_DT
     n_steps = round(spec.duration * INNER_RATE)
     period = cfg.period
     thrust = params.k_thrust * cfg.K
-    # resolved per run from this module, so wrappers installed on it apply
+    isfinite = math.isfinite
+    # resolved per run from this module, so wrappers installed on it apply;
+    # rk4_step, desaturate_reference and waypoint_heading are looked up on
+    # every call for the same reason
     torque_law = (limit_cycle_torque if mode is ControlMode.THRUST_DIRECTION
                   else desaturated_torque)
     disturbances = spec.disturbances
     n_dist = len(disturbances)
+    next_dist = 0
+    next_dist_t = disturbances[0][0] if n_dist else math.inf
+    outer_gaps = cycle(_OUTER_GAPS)
 
     theta_des = _initial_desired_heading(spec)
     theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
@@ -210,34 +218,36 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     psi_hat = theta_des
     active_idx = 0
-    next_dist = 0
     next_outer = 0
-    gap_i = 0
 
     for i in range(n_steps + 1):
         t = state.t
-        while next_dist < n_dist and disturbances[next_dist][0] <= t + 1e-12:
+        while next_dist_t <= t + 1e-12:
             state = apply_disturbance(state, disturbances[next_dist][1])
             next_dist += 1
+            next_dist_t = disturbances[next_dist][0] if next_dist < n_dist else math.inf
         x, y = state.pos
+        theta_dot = state.theta_dot
         # an overflowing plant goes non-finite here before any law reads it
-        if not math.isfinite(x + y + state.theta_dot):
+        if not isfinite(x + y + theta_dot):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
 
         if i == next_outer:
-            next_outer += _OUTER_GAPS[gap_i % len(_OUTER_GAPS)]
-            gap_i += 1
+            next_outer += next(outer_gaps)
             est.add_pose(t, x, y)
             psi_hat = est.travel_direction(t)
-            theta_des, active_idx = _desired_heading(spec, state, t, active_idx)
-            if mode is ControlMode.LIMIT_CYCLE_ONLY:
+            if follows_waypoints:
+                theta_des, active_idx = waypoint_heading(state, spec, active_idx)
+            else:
+                theta_des = _scheduled_heading(spec, t)
+            if limit_cycle_only:
                 # reference driven directly; unwrapped commands pass through
                 theta_r = theta_des
             else:
                 target = outer_loop_reference(cfg, theta_des, psi_hat)
                 pending = wrap_to_pi(target - theta_r)
                 theta_r += pending
-                if mode is ControlMode.DESATURATED_THRUST_DIRECTION:
+                if desaturated:
                     mean_rate = rate_sum / (i + 1 - lo)
                     ref = desaturate_reference(
                         ReferenceState(theta_r, last_desat_time), mean_rate, t,
@@ -247,7 +257,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
         tau = torque_law(cfg, t, state.theta, theta_r)
 
         vx, vy = state.vel
-        theta_dot_col[i] = state.theta_dot
+        theta_dot_col[i] = theta_dot
         phi_col[i] = state.phi
         phi_dot_col[i] = state.phi_dot
         x_col[i] = x

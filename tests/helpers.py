@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from paddlesim.dynamics import orientation_accel
+from paddlesim.dynamics import SimState, orientation_accel
 from paddlesim.metrics import settled_step_changes
 from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
 
@@ -60,6 +60,61 @@ def rk4_step_controlled(params, state, torque_fn, dt):
     return replace(state, t=t0 + dt,
                    theta=th + dt / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
                    theta_dot=w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _planar_accel(params, vx, vy, tx, ty):
+    """Point-mass acceleration under a fixed thrust vector and quadratic drag."""
+    speed = math.hypot(vx, vy)
+    cd = params.C_v * speed
+    return (tx - cd * vx) / params.mass, (ty - cd * vy) / params.mass
+
+
+def _translational_rk4(params, state, thrust_heading, thrust_mag, dt):
+    """Classical fourth-order stages of the point-mass translation.
+
+    The thrust vector is held constant across the step; returns the new
+    (pos, vel) pair.
+    """
+    tx = thrust_mag * math.cos(thrust_heading)
+    ty = thrust_mag * math.sin(thrust_heading)
+    vx, vy = state.vel
+    half = 0.5 * dt
+    ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
+    ux2, uy2 = vx + half * ax1, vy + half * ay1
+    ax2, ay2 = _planar_accel(params, ux2, uy2, tx, ty)
+    ux3, uy3 = vx + half * ax2, vy + half * ay2
+    ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
+    ux4, uy4 = vx + dt * ax3, vy + dt * ay3
+    ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
+    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
+    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
+    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+    return (x, y), (new_vx, new_vy)
+
+
+def rk4_step_reference(params, state, control_torque, thrust_heading, dt,
+                       thrust_mag=0.0):
+    """rk4_step written stage by stage through orientation_accel and a
+    point-mass helper, in the same operation order, so the two must agree
+    bit for bit."""
+    a = control_torque
+    w = state.theta_dot
+    half = 0.5 * dt
+    k1 = orientation_accel(params, w, a)
+    s2 = w + half * k1
+    k2 = orientation_accel(params, s2, a)
+    s3 = w + half * k2
+    k3 = orientation_accel(params, s3, a)
+    s4 = w + dt * k3
+    k4 = orientation_accel(params, s4, a)
+    theta = state.theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4)
+    theta_dot = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
+    phi = state.phi + state.phi_dot * dt + 0.5 * a * dt * dt
+    phi_dot = state.phi_dot + a * dt
+    return SimState(t=state.t + dt, theta=theta, theta_dot=theta_dot,
+                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)
 
 
 def pendulum_reference(params, cfg, psi0, dt, n):

@@ -446,6 +446,16 @@ def test_missing_config_file_is_io_error():
     assert main(["run", "/nonexistent/path.cfg"]) == 1
 
 
+def test_non_utf8_config_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(MINIMAL.encode() + b"\xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.count("config error:") == 2
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_runtime_imports_only_numpy():
     # scipy and hypothesis are test dependencies; the package must not pull them in
     code = ("import sys, paddlesim, paddlesim.cli; "

@@ -178,6 +178,8 @@ def test_controller_mode_override():
     dict(kind=MissionKind.STEP_TEST, duration=2.0, step_schedule=((5.0, 1.0),)),
     dict(kind=MissionKind.CONVERGE, duration=2.0,
          disturbances=((2.5, (0.0, 0.1)),)),
+    dict(kind=MissionKind.WAYPOINTS, duration=1.0,
+         waypoints=((0.05, 0.0), (1.0, 0.0)), tolerance_radius=math.nan),
 ])
 def test_invalid_specs_rejected(bad):
     # a spec is checked as it is built, so no invalid one reaches run_mission
@@ -251,3 +253,37 @@ def test_uncovered_loop_paths_bit_identical(case):
     assert all(log.column(name).dtype == np.float64
                for name in TELEMETRY_COLUMNS[:-1])
     assert column_digests(log) == LOOP_PATH_SHA256[case]
+
+
+def test_wrapped_names_see_every_call(monkeypatch):
+    # The benchmark times the plant, the torque law and the estimator by
+    # wrapping these names from outside; a loop that went round them would
+    # read as zero calls there.  Wrapping must not change a bit either.
+    from paddlesim import mission
+    from paddlesim.estimation import TravelEstimator
+    cfg, spec = LOOP_PATHS["desaturated_disturbances"]
+    plain = run_mission(BoatParams(), cfg, spec)
+    calls = dict.fromkeys(("rk4_step", "desaturated_torque", "desaturate_reference",
+                           "add_pose", "travel_direction"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("rk4_step", "desaturated_torque", "desaturate_reference"):
+        counted(mission, name)
+    for name in ("add_pose", "travel_direction"):
+        counted(TravelEstimator, name)
+    wrapped = run_mission(BoatParams(), cfg, spec)
+
+    n_steps = round(250 * spec.duration)
+    n_outer = len(outer_tick_indices(n_steps + 1))
+    assert calls == {"rk4_step": n_steps, "desaturated_torque": n_steps + 1,
+                     "desaturate_reference": n_outer, "add_pose": n_outer,
+                     "travel_direction": n_outer}
+    for name in TELEMETRY_COLUMNS:
+        assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), name
