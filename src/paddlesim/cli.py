@@ -13,12 +13,13 @@ import math
 import os
 import shutil
 import sys
+from enum import EnumMeta
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .control import ControlMode, ControllerConfig, wrap_to_pi
+from .control import ControllerConfig, wrap_to_pi
 from .dynamics import BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, settled_step_changes)
@@ -33,13 +34,6 @@ _CSV_CHUNK_ROWS = 4096
 
 # --------------------------------------------------------------------- values
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _parse_list(text: str, arity: int) -> tuple:
     """';'-separated items of `arity` numbers each; empty items are skipped."""
     items = []
@@ -49,7 +43,7 @@ def _parse_list(text: str, arity: int) -> tuple:
             continue
         if len(parts) != arity:
             raise ValueError(f"expected {arity} numbers per item, got {item.strip()!r}")
-        items.append(tuple(_parse_float(part) for part in parts))
+        items.append(tuple(map(float, parts)))
     return tuple(items)
 
 
@@ -67,27 +61,26 @@ def _parse_basename(text: str) -> str:
     return text
 
 
-_BOAT_FIELDS = {f.name: _parse_float for f in dataclasses.fields(BoatParams)}
-_CONTROL_FIELDS = {
-    "omega": _parse_float, "K": _parse_float, "beta": _parse_float,
-    "K_p": _parse_float, "mode": ControlMode, "desat_interval": _parse_float,
-    "desat_threshold": _parse_float,
+def _keys(cls, **parsers) -> dict:
+    """Each field of a settings class mapped to its config value parser: the
+    one named in `parsers`, by value for an Enum-annotated field, else float.
+    The class checks range and finiteness when a point is built."""
+    return {f.name: parsers.get(f.name, f.type if isinstance(f.type, EnumMeta) else float)
+            for f in dataclasses.fields(cls)}
+
+
+_SECTIONS = {
+    "boat": _keys(BoatParams),
+    "control": _keys(ControllerConfig),
+    "mission": _keys(
+        MissionSpec, waypoints=lambda text: _parse_list(text, 2),
+        step_schedule=lambda text: _parse_list(text, 2),
+        disturbances=lambda text: tuple((t, (dvx, dvy))
+                                        for t, dvx, dvy in _parse_list(text, 3)),
+        start=_parse_start),
+    "output": {"dir": str, "basename": _parse_basename},
+    "batch": {"repeats": int},
 }
-_MISSION_FIELDS = {
-    "kind": MissionKind, "duration": _parse_float, "heading": _parse_float,
-    "waypoints": lambda text: _parse_list(text, 2),
-    "tolerance_radius": _parse_float,
-    "step_schedule": lambda text: _parse_list(text, 2),
-    "disturbances": lambda text: tuple((t, (dvx, dvy))
-                                       for t, dvx, dvy in _parse_list(text, 3)),
-    "initial_theta": _parse_float,
-    "start": _parse_start,
-}
-_OUTPUT_FIELDS = {"dir": str, "basename": _parse_basename}
-_BATCH_FIELDS = {"repeats": int}
-_SECTIONS = {"boat": _BOAT_FIELDS, "control": _CONTROL_FIELDS,
-             "mission": _MISSION_FIELDS, "output": _OUTPUT_FIELDS,
-             "batch": _BATCH_FIELDS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,7 +116,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
         if key in seen:
             raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        if swept and schema[field] is not _parse_float:
+        if swept and schema[field] is not float:
             raise ConfigError(f"{name}:{lineno}: only scalar fields can be swept")
         try:
             if not swept:
@@ -131,7 +124,7 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
                 continue
             # each value carries its label part, which names the output files
             axis = [(section, field, v, f"{field}={v:g}")
-                    for v in map(_parse_float, value.split(","))]
+                    for v in map(float, value.split(","))]
         except ValueError as exc:
             raise ConfigError(f"{name}:{lineno}: bad value for {key!r}: {exc}") from exc
         if len({part for *_, part in axis}) < len(axis):
@@ -316,15 +309,16 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
             log = run_mission(boat, control, mission)
         except ConfigError as exc:  # the run diverged
             raise ConfigError(f"{stem}: {exc}") from exc
+        # reported before anything is written, so a failed point leaves no files
+        report = report_metrics([log] * n_runs, mission, strict_settle)
+        if not report:
+            print(f"error: no metrics produced for {stem}", file=sys.stderr)
+            return 1
         paths = [out / (f"{stem}_r{r}.csv" if n_runs > 1 else f"{stem}.csv")
                  for r in range(n_runs)]
         write_telemetry_csv(log, paths[0])
         for path in paths[1:]:
             shutil.copyfile(paths[0], path)
-        report = report_metrics([log] * n_runs, mission, strict_settle)
-        if not report:
-            print(f"error: no metrics produced for {stem}", file=sys.stderr)
-            return 1
         (out / f"{stem}_metrics.txt").write_text(render_report_text(report))
         (out / f"{stem}_metrics.dat").write_text(render_report_dat(report))
         print(f"{stem}: {n_runs} run(s), {len(report)} metric(s) -> {out}")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import INNER_DT
+from .dynamics import INNER_DT, ConfigError, check_fields
 
 _WRAP_EPS = 1e-9  # slack for the wrapped-equality test at the +/- pi boundary
 
@@ -38,17 +38,13 @@ class ControllerConfig:
     desat_threshold: float = 3.0  # |mean top rate| that arms an unwind, rad/s
 
     def __post_init__(self):
-        if not 0.0 < self.omega <= math.pi / INNER_DT:
-            raise ValueError(f"omega must lie in (0, {math.pi / INNER_DT:g}] rad/s, "
-                             f"up to the inner loop's Nyquist rate")
-        if self.K <= 0.0 or self.beta <= 0.0:
-            raise ValueError("K and beta must be positive")
-        if self.K_p < 0.0:
-            raise ValueError("K_p must be non-negative")
+        check_fields(self, positive=("omega", "K", "beta"),
+                     non_negative=("K_p", "desat_threshold"))
+        if self.omega > math.pi / INNER_DT:
+            raise ConfigError(f"omega must be at most {math.pi / INNER_DT:g} rad/s, "
+                              f"the inner loop's Nyquist rate")
         if self.desat_interval is not None and self.desat_interval < self.period:
-            raise ValueError("desat_interval must be at least one period")
-        if not (self.desat_threshold >= 0.0):  # NaN fails too
-            raise ValueError("desat_threshold must be non-negative")
+            raise ConfigError("desat_interval must be at least one period")
 
     @property
     def period(self) -> float:
@@ -128,13 +124,12 @@ def desaturate_reference(ref: ReferenceState, mean_top_velocity: float, t: float
 def outer_loop_reference(cfg: ControllerConfig, theta_des: float, psi_hat: float) -> float:
     """Reference heading that steers the travel direction toward theta_des.
 
-    Works on unit vectors, so the output stays well behaved for any error
-    magnitude; the antipodal degenerate case falls back to theta_des.
+    Works on unit vectors d and p, so the output stays well behaved for any
+    error magnitude: w = (1 + K_p) d - K_p p has length at least 1 for the
+    finite K_p >= 0 that ControllerConfig guarantees.
     """
     dx, dy = math.cos(theta_des), math.sin(theta_des)
     px, py = math.cos(psi_hat), math.sin(psi_hat)
     wx = dx + cfg.K_p * (dx - px)
     wy = dy + cfg.K_p * (dy - py)
-    if math.hypot(wx, wy) < 1e-9:  # unreachable for K_p >= 0, kept as a guard
-        return theta_des
     return math.atan2(wy, wx)

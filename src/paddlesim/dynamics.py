@@ -7,10 +7,33 @@ follows a damped rotational ODE; planar translation is approximated as a
 point mass pushed along the commanded heading against quadratic drag.
 """
 
-from math import cos, hypot, sin
-from dataclasses import dataclass
+from math import cos, hypot, isfinite, sin
+from dataclasses import dataclass, fields
 
 INNER_DT = 1.0 / 250.0  # fixed integration step, matches the motor command rate
+
+
+class ConfigError(ValueError):
+    """Raised when a setting or scenario specification is invalid."""
+
+
+def check_fields(settings, positive=(), non_negative=()) -> None:
+    """Reject a settings dataclass holding a non-finite number, nested tuples
+    included, then any `positive` field not > 0 or `non_negative` one not
+    >= 0.  The ConfigError names the first field that fails."""
+    for f in fields(settings):
+        values = [getattr(settings, f.name)]
+        for value in values:  # a tuple's items are appended and visited in turn
+            if isinstance(value, tuple):
+                values.extend(value)
+            elif isinstance(value, (int, float)) and not isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
+    for name in positive:
+        if not getattr(settings, name) > 0.0:
+            raise ConfigError(f"{name} must be positive")
+    for name in non_negative:
+        if not getattr(settings, name) >= 0.0:
+            raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -33,16 +56,8 @@ class BoatParams:
     body_radius: float = 0.075   # m
 
     def __post_init__(self):
-        if self.I_b <= 0.0 or self.I_t <= 0.0:
-            raise ValueError("moments of inertia must be positive")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.C_f < 0.0 or self.C_r < 0.0 or self.C_v < 0.0:
-            raise ValueError("drag coefficients must be non-negative")
-        if self.k_thrust < 0.0:
-            raise ValueError("k_thrust must be non-negative")
-        if self.body_length <= 0.0 or self.body_radius <= 0.0:
-            raise ValueError("body dimensions must be positive")
+        check_fields(self, positive=("I_b", "I_t", "mass", "body_length", "body_radius"),
+                     non_negative=("C_f", "C_r", "C_v", "k_thrust"))
 
 
 @dataclass(slots=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .control import (ControlMode, ControllerConfig, ReferenceState,
                       desaturate_reference, desaturated_torque,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
-from .dynamics import INNER_DT, BoatParams, SimState, rk4_step
+from .dynamics import INNER_DT, BoatParams, ConfigError, SimState, check_fields, rk4_step
 from .estimation import TravelEstimator
 from .metrics import coincident
 
@@ -33,10 +33,6 @@ MAX_TICKS = 10**7
 # Real commands are a few turns; near 1e308, sums and means of angles overflow
 # to inf, which wrap_to_pi cannot floor.
 MAX_ANGLE = 1e6
-
-
-class ConfigError(ValueError):
-    """Raised when a scenario or mission specification is invalid."""
 
 
 class MissionKind(Enum):
@@ -63,19 +59,16 @@ class MissionSpec:
     def __post_init__(self):
         if not isinstance(self.kind, MissionKind):
             raise ConfigError(f"unknown mission kind: {self.kind!r}")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ConfigError("duration must be finite and non-negative")
+        check_fields(self, positive=("tolerance_radius",), non_negative=("duration",))
         if self.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
             raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
                               f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
         angles = [self.heading, *(delta for _, delta in self.step_schedule)]
         if self.initial_theta is not None:
             angles.append(self.initial_theta)
-        if any(not (abs(a) <= MAX_ANGLE) for a in angles):  # NaN fails too
+        if any(abs(a) > MAX_ANGLE for a in angles):
             raise ConfigError(f"heading, initial_theta and step changes must be "
                               f"at most {MAX_ANGLE:g} rad in magnitude")
-        if not (self.tolerance_radius > 0.0):  # NaN fails too
-            raise ConfigError("tolerance_radius must be positive")
         if self.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
             if not self.waypoints:
                 raise ConfigError(f"{self.kind.value} mission needs at least one waypoint")
@@ -83,14 +76,11 @@ class MissionSpec:
                 raise ConfigError("step_schedule is only valid for converge/step missions")
         if any(coincident(p0, p1) for p0, p1 in zip(self.waypoints, self.waypoints[1:])):
             raise ConfigError("consecutive waypoints must not coincide")
-        times = [0.0] + [ts for ts, _ in self.step_schedule] + [self.duration]
-        if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
-            raise ConfigError("step_schedule times must be non-negative, "
-                              "non-decreasing and at most duration")
-        dtimes = [ts for ts, _ in self.disturbances] + [self.duration]
-        if any(t1 < t0 for t0, t1 in zip(dtimes, dtimes[1:])):
-            raise ConfigError("disturbance times must be non-decreasing "
-                              "and at most duration")
+        for name in ("step_schedule", "disturbances"):
+            times = [0.0, *(ts for ts, _ in getattr(self, name)), self.duration]
+            if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
+                raise ConfigError(f"{name} times must be non-negative, "
+                                  f"non-decreasing and at most duration")
 
 
 @dataclass

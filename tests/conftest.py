@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from paddlesim import BoatParams, ControllerConfig
 from paddlesim.control import ControlMode
@@ -10,6 +11,11 @@ from paddlesim.mission import MissionKind, MissionSpec, run_mission
 # same 0.1 m/s steady speed, but cross-track velocity decays slowly enough
 # that drift is visible at the measurement window
 SLOW_WATER = dict(C_v=1.4, k_thrust=1.4 * 0.01 / 15.0)
+
+# every property test draws the same examples on every run, with no timing
+# gate; a test sets only its example count
+settings.register_profile("paddlesim", derandomize=True, deadline=None)
+settings.load_profile("paddlesim")
 
 
 @pytest.fixture(scope="session")

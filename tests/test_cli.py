@@ -418,8 +418,10 @@ def test_strict_settle_exit_code(tmp_path):
                         "mission.step_schedule = 5.0 1.0471975511965976\n")
     out = tmp_path / "o"
     assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
-    assert main(["run", str(cfg_path), "--out-dir", str(out),
+    strict_out = tmp_path / "strict"
+    assert main(["run", str(cfg_path), "--out-dir", str(strict_out),
                  "--strict-settle"]) == 3
+    assert not (strict_out / "run.csv").exists()  # a failed point writes nothing
 
 
 def test_report_metrics_empty_and_quartiles():
@@ -439,7 +441,9 @@ def test_empty_report_exits_nonzero(tmp_path):
                         "mission.duration = 0.0\n"
                         "mission.waypoints = 0 1\n"
                         "control.mode = desaturated\n")
-    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "x")]) == 1
+    out = tmp_path / "x"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert not (out / "run.csv").exists()  # a failed point writes nothing
 
 
 def test_missing_config_file_is_io_error():

@@ -176,7 +176,8 @@ def test_table_gain_is_near_resonance():
 @pytest.mark.parametrize("kwargs", [
     dict(omega=0.0), dict(K=0.0), dict(beta=-1.0), dict(K_p=-0.1),
     dict(desat_interval=0.5), dict(desat_threshold=-1.0),
-    dict(desat_threshold=math.nan),
+    dict(desat_threshold=math.nan), dict(K=math.nan), dict(K_p=math.inf),
+    dict(desat_interval=math.nan),
 ])
 def test_controller_config_validation(kwargs):
     with pytest.raises(ValueError):

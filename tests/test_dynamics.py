@@ -156,6 +156,7 @@ def test_rk4_global_error_is_fourth_order():
 @pytest.mark.parametrize("kwargs", [
     dict(I_b=0.0), dict(I_t=-1.0), dict(mass=0.0), dict(C_f=-1e-9),
     dict(C_v=-1.0), dict(body_length=0.0), dict(k_thrust=-0.1),
+    dict(mass=math.nan), dict(C_v=math.inf),
 ])
 def test_boat_params_validation(kwargs):
     with pytest.raises(ValueError):

@@ -180,6 +180,10 @@ def test_controller_mode_override():
          disturbances=((2.5, (0.0, 0.1)),)),
     dict(kind=MissionKind.WAYPOINTS, duration=1.0,
          waypoints=((0.05, 0.0), (1.0, 0.0)), tolerance_radius=math.nan),
+    dict(kind=MissionKind.CONVERGE, duration=2.0,
+         disturbances=((math.nan, (0.5, 0.0)),)),
+    dict(kind=MissionKind.CONVERGE, duration=2.0,
+         disturbances=((-1.0, (0.1, 0.0)),)),
 ])
 def test_invalid_specs_rejected(bad):
     # a spec is checked as it is built, so no invalid one reaches run_mission

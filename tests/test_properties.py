@@ -1,21 +1,26 @@
 """Property tests: the plant step, the estimator's trimmed history, angle
-wrapping, float parsing."""
+wrapping, float parsing, the settings' finite check and whole configs."""
 
+import contextlib
+import io
 import math
 import random
+from dataclasses import fields, replace
+from enum import Enum, EnumMeta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rk4_step_reference
-from paddlesim.cli import _parse_float
-from paddlesim.control import wrap_to_pi
-from paddlesim.dynamics import BoatParams, SimState, rk4_step
+from paddlesim.cli import _SECTIONS, main, parse_scenario
+from paddlesim.control import ControllerConfig, wrap_to_pi
+from paddlesim.dynamics import BoatParams, ConfigError, SimState, rk4_step
 from paddlesim.estimation import TravelEstimator
+from paddlesim.mission import MissionKind, MissionSpec
 
-# bounded and reproducible: the same examples on every run
-FAST = settings(max_examples=60, deadline=None, derandomize=True)
+# bounded; the conftest profile makes every run draw the same examples
+FAST = settings(max_examples=60)
 
 
 def _signed(bound):
@@ -39,7 +44,7 @@ def _hex_fields(state):
             *(v.hex() for v in state.pos), *(v.hex() for v in state.vel)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(params=_PARAMS, state=_STATES, torque=_signed(1e3),
        heading=_signed(20.0), dt=st.sampled_from([1.0 / 250.0, 1e-3, 0.05]),
        thrust=st.just(0.0) | st.floats(0.0, 1.0))
@@ -128,14 +133,143 @@ def test_wrap_to_pi_range_and_congruence(angle):
     assert turns == pytest.approx(round(turns), abs=1e-9)
 
 
+_CONVERGE = "mission.kind = converge\nmission.duration = 1\n"
+
+
 @FAST
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_parse_float_round_trips_every_finite_float(x):
-    assert _parse_float(repr(x)) == x
+    (*_, mission), = parse_scenario(f"{_CONVERGE}mission.start = {x!r} 0\n").points
+    assert mission.start == (x, 0.0)
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "-nan", "inf", "-inf", "+inf",
                                   "Infinity", "1e309", "-1e400"])
 def test_parse_float_rejects_non_finite(text):
-    with pytest.raises(ValueError, match="finite"):
-        _parse_float(text)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_scenario(f"{_CONVERGE}boat.mass = {text}\n")
+
+
+# one value of each settings class with every optional number set and every
+# tuple field filled, so that each float slot the class can hold is present
+_SETTINGS = (
+    BoatParams(),
+    ControllerConfig(desat_interval=2.0),
+    MissionSpec(kind=MissionKind.STEP_TEST, duration=3.0, heading=0.3,
+                waypoints=((1.0, 0.0), (1.0, 1.0)), step_schedule=((1.0, 0.5),),
+                disturbances=((2.0, (0.1, 0.0)),), initial_theta=0.2,
+                start=(0.1, -0.1)),
+)
+
+
+def _float_slots(value, path=()):
+    """(index path, float) of each float in a field value, through nested tuples."""
+    if isinstance(value, float):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _float_slots(item, path + (i,))
+
+
+def _with_slot(value, path, x):
+    """The field value with the float at `path` replaced by x."""
+    if not path:
+        return x
+    i, *rest = path
+    return value[:i] + (_with_slot(value[i], rest, x),) + value[i + 1:]
+
+
+_SLOTS = [(value, f.name, path, x) for value in _SETTINGS for f in fields(value)
+          for path, x in _float_slots(getattr(value, f.name))]
+
+
+def test_every_number_field_has_a_float_slot():
+    # the enumeration misses no field: only the enums hold no number
+    covered = {(type(value), name) for value, name, *_ in _SLOTS}
+    assert covered == {(type(value), f.name) for value in _SETTINGS
+                       for f in fields(value)
+                       if not isinstance(getattr(value, f.name), Enum)}
+
+
+@pytest.mark.parametrize("value, name, path, x", _SLOTS, ids=[
+    type(value).__name__ + "." + name + "".join(f"[{i}]" for i in path)
+    for value, name, path, _ in _SLOTS])
+@FAST
+@given(bad=st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
+def test_every_float_slot_rejects_non_finite(value, name, path, x, bad):
+    def field_with(number):
+        return _with_slot(getattr(value, name), path, number)
+
+    with pytest.raises(ConfigError, match=rf"\b{name} must be finite"):
+        replace(value, **{name: field_with(bad)})
+    # a finite number in the same slot still builds
+    finite = math.nextafter(x, 0.0)
+    assert getattr(replace(value, **{name: field_with(finite)}), name) == field_with(finite)
+
+
+# values of the whole-config fuzz: zeros, tiny, unit, huge and overflowing
+# numbers, the non-finite ones and a malformed token; positive ones are drawn
+# half the time, since most fields reject the rest and a config stops at its
+# first bad value
+_POSITIVE = ["1e-300", "1", "1e300", "1e308"]
+_TOKEN = st.sampled_from(_POSITIVE) | st.sampled_from(
+    ["0", "-1e-300", "-1", "-1e300", "-1e308", "nan", "inf", "1e", *_POSITIVE])
+# the tuple fields take pairs or triples; the other arity is malformed
+_LIST = st.lists(st.lists(_TOKEN, min_size=2, max_size=3).map(" ".join),
+                 min_size=1, max_size=3).map("; ".join)
+
+
+def _values(parser):
+    if isinstance(parser, EnumMeta):
+        return st.sampled_from([member.value for member in parser]) | _TOKEN
+    return _TOKEN if parser is float else _TOKEN | _LIST
+
+
+_KEYS = {f"{section}.{field}": _values(parser)
+         for section, schema in _SECTIONS.items() for field, parser in schema.items()}
+_SWEEPABLE = [f"{section}.{field}" for section, schema in _SECTIONS.items()
+              for field, parser in schema.items() if parser is float]
+
+
+@st.composite
+def _configs(draw):
+    # a valid kind, a duration of at most 1 s and the waypoints a waypoint
+    # mission needs are always set, or nearly every config would stop at
+    # them; any other key may be drawn
+    kind = draw(st.sampled_from([kind.value for kind in MissionKind]))
+    lines = [f"mission.kind = {kind}",
+             f"mission.duration = {draw(st.sampled_from(['0', '1e-300', '1']))}"]
+    if kind in ("waypoints", "station_keep"):
+        lines.append(f"mission.waypoints = {draw(_LIST)}")
+    others = sorted(set(_KEYS) - {"mission.kind", "mission.duration", "mission.waypoints"})
+    for key in draw(st.lists(st.sampled_from(others), unique=True, max_size=3)):
+        lines.append(f"{key} = {draw(_KEYS[key])}")
+    for key in draw(st.lists(st.sampled_from(_SWEEPABLE), unique=True, max_size=2)):
+        values = draw(st.lists(_TOKEN, min_size=1, max_size=3, unique=True))
+        lines.append(f"sweep.{key} = {', '.join(values)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(text=_configs(), strict=st.booleans())
+def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg_path, out = root / "fuzz.cfg", root / "out"
+    cfg_path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(cfg_path), "--out-dir", str(out),
+                     *(["--strict-settle"] if strict else [])])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert "no metrics produced" in err
+    files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code == 2 and files:  # only a later sweep point can fail after a write
+        assert "diverged at t = " in err
+    # a point writes its CSV only together with its report
+    csvs = {name[:-len(".csv")] for name in files if name.endswith(".csv")}
+    reports = {name[:-len("_metrics.dat")] for name in files
+               if name.endswith("_metrics.dat")}
+    assert csvs == reports
+    assert set(root.iterdir()) <= {cfg_path, out}
