@@ -7,10 +7,12 @@ follows a damped rotational ODE; planar translation is approximated as a
 point mass pushed along the commanded heading against quadratic drag.
 """
 
-from math import cos, hypot, isfinite, sin
+from math import cos, hypot, sin
 from dataclasses import dataclass, fields
+from sys import float_info
 
-INNER_DT = 1.0 / 250.0  # fixed integration step, matches the motor command rate
+INNER_RATE = 250.0  # Hz, the plant step and motor command rate
+INNER_DT = 1.0 / INNER_RATE  # fixed integration step, s
 
 
 class ConfigError(ValueError):
@@ -18,15 +20,21 @@ class ConfigError(ValueError):
 
 
 def check_fields(settings, positive=(), non_negative=()) -> None:
-    """Reject a settings dataclass holding a non-finite number, nested tuples
-    included, then any `positive` field not > 0 or `non_negative` one not
-    >= 0.  The ConfigError names the first field that fails."""
+    """Reject a settings dataclass holding a bool or a non-finite number,
+    nested tuples included, then any `positive` field not > 0 or
+    `non_negative` one not >= 0.  The ConfigError names the first field that
+    fails."""
     for f in fields(settings):
         values = [getattr(settings, f.name)]
         for value in values:  # a tuple's items are appended and visited in turn
             if isinstance(value, tuple):
                 values.extend(value)
-            elif isinstance(value, (int, float)) and not isfinite(value):
+            elif isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, not a bool")
+            # int and float compare exactly, so an int too large for a float
+            # fails here as NaN and the infinities do
+            elif (isinstance(value, (int, float))
+                  and not -float_info.max <= value <= float_info.max):
                 raise ConfigError(f"{f.name} must be finite")
     for name in positive:
         if not getattr(settings, name) > 0.0:
@@ -53,10 +61,9 @@ class BoatParams:
     C_v: float = 5.0             # translational quadratic drag, kg/m
     k_thrust: float = 0.05 / 15.0  # thrust per unit forcing amplitude, N
     body_length: float = 0.15    # m, normalisation for BL metrics
-    body_radius: float = 0.075   # m
 
     def __post_init__(self):
-        check_fields(self, positive=("I_b", "I_t", "mass", "body_length", "body_radius"),
+        check_fields(self, positive=("I_b", "I_t", "mass", "body_length"),
                      non_negative=("C_f", "C_r", "C_v", "k_thrust"))
 
 

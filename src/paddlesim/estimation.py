@@ -18,12 +18,13 @@ _TIME_SLACK = 1e-12   # tolerance when testing window coverage, s
 
 
 class TravelEstimator:
-    """Buffers of pose and period-wise heading with interpolating queries.
+    """Buffers of pose and period-wise heading; travel_direction answers at
+    the latest pose.
 
     Poses arrive through add_pose with strictly increasing timestamps; each
     arrival that is at least one period past the first buffered pose also
     appends a period-wise heading sample.  Buffers are trimmed to a little
-    over the span queries can reach (two periods for poses, one for headings).
+    over the span the window reaches (two periods for poses, one for headings).
     """
 
     def __init__(self, period: float, theta_des_fallback: float = 0.0):
@@ -90,10 +91,9 @@ class TravelEstimator:
     # ---------------------------------------------------------------- queries
 
     def _interp_pose(self, q: float) -> tuple[float, float]:
-        """Linear interpolation of the position, held flat at the buffer ends."""
+        """Linear interpolation of the position before the latest pose, held
+        flat before the first buffered one."""
         pt = self._pt
-        if q >= pt[-1]:
-            return self._px[-1], self._py[-1]
         if q <= pt[0]:
             return self._px[0], self._py[0]
         i = bisect_right(pt, q) - 1
@@ -101,52 +101,39 @@ class TravelEstimator:
         return (self._px[i] + f * (self._px[i + 1] - self._px[i]),
                 self._py[i] + f * (self._py[i + 1] - self._py[i]))
 
-    def _velocity_at(self, t: float) -> tuple[float, float]:
-        x1, y1 = self._interp_pose(t)
-        x0, y0 = self._interp_pose(t - self.period)
-        return (x1 - x0) / self.period, (y1 - y0) / self.period
-
-    def periodwise_velocity(self, t: float) -> tuple[float, float]:
-        """Displacement over the trailing period divided by the period.
-
-        Before a full period of poses is buffered this is the displacement
-        over the span available, still divided by the full period.
-        """
-        if not self._pt:
-            return 0.0, 0.0
-        return self._velocity_at(t)
-
     def _heading_cumint(self, x: float) -> float:
-        """Cumulative integral of the piecewise-linear unwrapped heading."""
+        """Cumulative integral of the piecewise-linear unwrapped heading at a
+        time before the last heading sample."""
         ht = self._ht
         if x <= ht[0]:
             return self._hc[0]
-        if x >= ht[-1]:
-            return self._hc[-1] + self._hu[-1] * (x - ht[-1])
         i = bisect_right(ht, x) - 1
         f = (x - ht[i]) / (ht[i + 1] - ht[i])
         v = self._hu[i] + f * (self._hu[i + 1] - self._hu[i])
         return self._hc[i] + 0.5 * (self._hu[i] + v) * (x - ht[i])
 
-    def travel_direction(self, t: float) -> float:
-        """Smoothed direction of travel: trailing-period mean of the heading.
+    def travel_direction(self) -> float:
+        """Smoothed direction of travel at the latest pose: the mean of the
+        heading over the trailing period.
 
         The part of the window before the first heading sample is filled
         with the fallback direction (warm start).
         """
-        a, b = t - self.period, t
-        if not self._ht:
+        ht, hc = self._ht, self._hc
+        if not ht:
             return wrap_to_pi(self.theta_des_fallback)
-        first = self._ht[0]
+        # once heading samples exist every pose appends one, so the window
+        # ends at the last of them, where the running integral is hc[-1]
+        a = ht[-1] - self.period
+        first = ht[0]
         if a < first - _TIME_SLACK:
             # pad the missing prefix with the fallback, on the branch nearest
             # the first real sample so the unwrapped average stays coherent
             anchor = self._hu[0]
             pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
-            pad_end = min(b, first)
-            total = pad_val * (pad_end - a)
-            if b > first:
-                total += self._heading_cumint(b) - self._heading_cumint(first)
+            total = pad_val * (first - a)
+            if len(ht) > 1:  # adding 0.0 would turn a -0.0 pad into +0.0
+                total += hc[-1] - hc[0]
         else:
-            total = self._heading_cumint(b) - self._heading_cumint(a)
+            total = hc[-1] - self._heading_cumint(a)
         return wrap_to_pi(total / self.period)

@@ -1,7 +1,7 @@
 """Maneuvering metrics computed from telemetry.
 
-Covers the turn metrics (rise time at a configurable threshold with a
-one-period hold, path length during the turn, body-length normalisation),
+Covers the turn metrics (rise time to 90% of the change with a one-period
+hold, path length during the turn, body-length normalisation),
 straight-segment cross-track error against the infinite ideal line, and
 mean orbit radius for station-keeping runs.
 """
@@ -17,6 +17,8 @@ import numpy as np
 if TYPE_CHECKING:  # mission imports this module
     from .mission import TelemetryLog
 
+RISE_FRACTION = 0.9  # share of the commanded change that ends the rise
+
 
 class NotSettled(Exception):
     """The response never reached and held the rise threshold in the log."""
@@ -30,8 +32,6 @@ class DegenerateSegment(Exception):
 class TurnEvent:
     """Summary of one commanded heading change."""
 
-    command_time: float     # s
-    delta: float            # rad
     rise_time: float        # s, from the command
     travel_distance: float  # m, path length while turning
     travel_BL: float        # travel_distance / body length
@@ -41,36 +41,31 @@ class TurnEvent:
 class SegmentError:
     """Cross-track statistics against the line through two endpoints."""
 
-    p0: tuple[float, float]
-    p1: tuple[float, float]
     rms_perp: float   # m
     max_perp: float   # m
 
 
-def rise_time(log: TelemetryLog, command_time: float, delta: float,
-              fraction: float = 0.9, hold_period: float | None = None) -> float:
+def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     """Time after the command for the travel-direction change to reach
-    fraction * delta and stay within the remaining band for one period.
+    RISE_FRACTION * delta and stay within the remaining band for one period.
 
     Raises NotSettled if that never happens inside the log.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
-    hold = hold_period if hold_period is not None else log.period
+    hold = log.period
     t = log.t
     base_i = int(np.searchsorted(t, command_time, side="right")) - 1
     if base_i < 0:
         raise ValueError("command_time precedes the log")
     psi = np.unwrap(log.psi_hat)
     frac = (psi - psi[base_i]) / delta
-    in_band = np.abs(frac - 1.0) <= (1.0 - fraction) + 1e-12
+    in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
 
     j = base_i + 1
     n = len(t)
     while j < n:
-        ahead = np.nonzero(frac[j:] >= fraction)[0]
+        ahead = np.nonzero(frac[j:] >= RISE_FRACTION)[0]
         if len(ahead) == 0:
             break
         j += int(ahead[0])
@@ -82,7 +77,7 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float,
             return float(t[j] - command_time)
         j += int(bad[0]) + 1
     raise NotSettled(
-        f"travel direction never held {fraction:.0%} of {delta:.4g} rad")
+        f"travel direction never held {RISE_FRACTION:.0%} of {delta:.4g} rad")
 
 
 def travel_during_turn(log: TelemetryLog, command_time: float,
@@ -98,13 +93,12 @@ def travel_during_turn(log: TelemetryLog, command_time: float,
     return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
 
-def measure_turn(log: TelemetryLog, command_time: float, delta: float,
-                 fraction: float = 0.9) -> TurnEvent:
+def measure_turn(log: TelemetryLog, command_time: float, delta: float) -> TurnEvent:
     """Rise time plus travel for one commanded change, as a TurnEvent."""
-    rise = rise_time(log, command_time, delta, fraction)
+    rise = rise_time(log, command_time, delta)
     travel = travel_during_turn(log, command_time, command_time + rise)
-    return TurnEvent(command_time=command_time, delta=delta, rise_time=rise,
-                     travel_distance=travel, travel_BL=travel / log.body_length)
+    return TurnEvent(rise_time=rise, travel_distance=travel,
+                     travel_BL=travel / log.body_length)
 
 
 def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
@@ -151,8 +145,7 @@ def rms_perpendicular_error(log: TelemetryLog,
     if not np.any(mask):
         raise ValueError("time window contains no samples")
     perp = np.abs(dx * (log.y[mask] - y0) - dy * (log.x[mask] - x0)) / length
-    return SegmentError(p0=(x0, y0), p1=(x1, y1),
-                        rms_perp=float(np.sqrt(np.mean(perp * perp))),
+    return SegmentError(rms_perp=float(np.sqrt(np.mean(perp * perp))),
                         max_perp=float(np.max(perp)))
 
 

@@ -18,13 +18,13 @@ import numpy as np
 from .control import (ControlMode, ControllerConfig, ReferenceState,
                       desaturate_reference, desaturated_torque,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
-from .dynamics import INNER_DT, BoatParams, ConfigError, SimState, check_fields, rk4_step
+from .dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError, SimState,
+                       check_fields, rk4_step)
 from .estimation import TravelEstimator
 from .metrics import coincident
 
-INNER_RATE = 250.0
-OUTER_RATE = 120.0
-# 12 outer ticks per 25 inner ticks; eleven gaps of 2 and one of 3
+# the 120 Hz outer loop: 12 outer ticks per 25 inner ticks; eleven gaps of 2
+# and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
 # preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB.
@@ -33,6 +33,9 @@ MAX_TICKS = 10**7
 # Real commands are a few turns; near 1e308, sums and means of angles overflow
 # to inf, which wrap_to_pi cannot floor.
 MAX_ANGLE = 1e6
+# Largest waypoint or start coordinate accepted, m.  Distances to points near
+# 1e308 overflow to inf, and the report's quartiles of them to NaN.
+MAX_POSITION = 1e6
 
 
 class MissionKind(Enum):
@@ -69,6 +72,11 @@ class MissionSpec:
         if any(abs(a) > MAX_ANGLE for a in angles):
             raise ConfigError(f"heading, initial_theta and step changes must be "
                               f"at most {MAX_ANGLE:g} rad in magnitude")
+        for name, coords in (("waypoints", [c for p in self.waypoints for c in p]),
+                             ("start", self.start)):
+            if any(abs(c) > MAX_POSITION for c in coords):
+                raise ConfigError(f"{name} coordinates must be at most "
+                                  f"{MAX_POSITION:g} m in magnitude")
         if self.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
             if not self.waypoints:
                 raise ConfigError(f"{self.kind.value} mission needs at least one waypoint")
@@ -206,7 +214,6 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     rate_col[0] = rate_sum = state.top_rate
     lo = 0
 
-    psi_hat = theta_des
     active_idx = 0
     next_outer = 0
 
@@ -225,7 +232,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
         if i == next_outer:
             next_outer += next(outer_gaps)
             est.add_pose(t, x, y)
-            psi_hat = est.travel_direction(t)
+            psi_hat = est.travel_direction()
             if follows_waypoints:
                 theta_des, active_idx = waypoint_heading(state, spec, active_idx)
             else:

@@ -105,6 +105,11 @@ def test_parse_full_config():
     ("mission.initial_theta = 1e308", "at most 1e+06 rad"),
     ("mission.kind = step\nmission.duration = 2\nmission.step_schedule = 1 -1e7",
      "at most 1e+06 rad"),
+    ("mission.kind = station_keep\nmission.duration = 1\n"
+     "mission.waypoints = 1e-300 1e-300; 1e-300 1e308",
+     "waypoints coordinates must be at most 1e+06 m"),
+    ("mission.start = -2e6 0", "start coordinates must be at most 1e+06 m"),
+    ("boat.body_radius = 0.075", "unknown key"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -161,6 +166,9 @@ def test_parse_sweep_supplies_a_required_key():
         "control.thrust_from_mean_heading = true",
         "mission.heading = 1e308",
         "mission.initial_theta = 1e308",
+        "mission.kind = station_keep\nmission.duration = 1\n"
+        "mission.waypoints = 1e-300 1e-300; 1e-300 1e308",
+        "boat.body_radius = 0.075",
     )
 ])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines):

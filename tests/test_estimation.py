@@ -6,50 +6,77 @@ import pytest
 from paddlesim.control import wrap_to_pi
 from paddlesim.estimation import TravelEstimator
 
-RATE = 80.0     # sample times i/80 are exact binary floats
+RATE = 80.0
 DT = 1.0 / RATE
 
 
-def feed(est, fn, t_end, t_start=0.0):
-    i0 = round(t_start * RATE)
-    for i in range(i0, round(t_end * RATE) + 1):
+def feed(est, fn, t_end):
+    """Add the poses fn(t) at t = i * DT up to t_end and query the direction
+    after each one, as the mission loop does; return the last t and the
+    directions."""
+    directions = []
+    for i in range(round(t_end * RATE) + 1):
         t = i * DT
-        x, y = fn(t)
-        est.add_pose(t, x, y)
-    return i * DT
+        est.add_pose(t, *fn(t))
+        directions.append(est.travel_direction())
+    return t, directions
+
+
+def chord_direction_on_circle(om, period, t):
+    """Window mean of the period-wise heading on the circle (r cos om t, r sin om t).
+
+    The chord from s - period to s points along om * (s - period / 2) + pi/2,
+    which is linear in s, so its mean over [t - period, t] is its value at the
+    window's middle."""
+    return om * (t - period) + 0.5 * math.pi
 
 
 def test_straight_line_velocity_and_direction():
     alpha = 0.7
     est = TravelEstimator(1.0)
-    feed(est, lambda t: (0.3 * t * math.cos(alpha), 0.3 * t * math.sin(alpha)), 3.0)
-    vx, vy = est.periodwise_velocity(3.0)
-    assert (vx, vy) == pytest.approx((0.3 * math.cos(alpha), 0.3 * math.sin(alpha)))
-    assert est.travel_direction(3.0) == pytest.approx(alpha)
+    _, directions = feed(
+        est, lambda t: (0.3 * t * math.cos(alpha), 0.3 * t * math.sin(alpha)), 3.0)
+    assert directions[-1] == pytest.approx(alpha)
 
 
 def test_stationary_pose_zero_velocity():
-    est = TravelEstimator(1.0)
-    feed(est, lambda t: (1.0, -2.0), 3.0)
-    assert est.periodwise_velocity(3.0) == pytest.approx((0.0, 0.0))
+    # zero displacement holds the heading, so the fallback stays throughout
+    est = TravelEstimator(1.0, theta_des_fallback=0.3)
+    _, directions = feed(est, lambda t: (1.0, -2.0), 3.0)
+    assert directions == pytest.approx([0.3] * len(directions), abs=1e-12)
 
 
 def test_circle_chord_speed():
+    # a period that is a whole number of pose steps: the window start lands
+    # on a buffered pose
     r, om = 2.0, 0.9
     est = TravelEstimator(1.0)
-    feed(est, lambda t: (r * math.cos(om * t), r * math.sin(om * t)), 5.0)
-    v = est.periodwise_velocity(5.0)
-    # oracle: chord length over one period
-    expected = 2.0 * r * abs(math.sin(om * 0.5)) / 1.0
-    assert math.hypot(*v) == pytest.approx(expected, rel=1e-9)
+    t, directions = feed(est, lambda t: (r * math.cos(om * t), r * math.sin(om * t)), 5.0)
+    err = wrap_to_pi(directions[-1] - chord_direction_on_circle(om, 1.0, t))
+    assert err == pytest.approx(0.0, abs=1e-9)
 
 
 def test_interpolation_between_pose_samples():
-    est = TravelEstimator(1.0)
-    feed(est, lambda t: (0.25 * t, 0.0), 3.0)
-    # query off the sample grid: linear pose interpolation keeps v_T exact
-    vx, vy = est.periodwise_velocity(2.71828)
-    assert vx == pytest.approx(0.25, rel=1e-9)
+    # a period of 82.4 pose steps: the window start falls between samples,
+    # and linear pose interpolation keeps a straight line's heading exact
+    alpha = -2.2
+    est = TravelEstimator(1.03, theta_des_fallback=alpha)
+    _, directions = feed(
+        est, lambda t: (0.25 * t * math.cos(alpha), 0.25 * t * math.sin(alpha)), 3.0)
+    assert directions == pytest.approx([alpha] * len(directions), abs=1e-12)
+
+
+def test_off_grid_period_follows_the_chord_direction():
+    # on a circle the heading depends on where between two samples the
+    # interpolated pose sits; the chord between the samples sags inside the
+    # circle by r (om DT)^2 / 8, so the oracle holds to about 2e-5 rad
+    r, om, period = 2.0, 0.9, 1.03
+    est = TravelEstimator(period)
+    _, directions = feed(est, lambda t: (r * math.cos(om * t), r * math.sin(om * t)), 5.0)
+    # from 2.1 periods on, the window holds heading samples only
+    for i in range(round(2.1 * period * RATE), len(directions)):
+        err = wrap_to_pi(directions[i] - chord_direction_on_circle(om, period, i * DT))
+        assert err == pytest.approx(0.0, abs=1e-4)
 
 
 def test_wrap_boundary_average_is_pi():
@@ -58,8 +85,8 @@ def test_wrap_boundary_average_is_pi():
     def fn(t):
         return -0.3 * t, 1e-4 * math.sin(40.0 * t)
     est = TravelEstimator(1.0)
-    feed(est, fn, 4.0)
-    got = est.travel_direction(4.0)
+    _, directions = feed(est, fn, 4.0)
+    got = directions[-1]
     assert abs(wrap_to_pi(got - math.pi)) < 1e-3
     assert abs(got) > 3.0  # nowhere near zero
 
@@ -75,8 +102,8 @@ def test_oscillatory_trajectory_mean_direction():
 
     period = 1.0
     est = TravelEstimator(period)
-    t_end = feed(est, fn, 6.0)
-    got = est.travel_direction(t_end)
+    t_end, directions = feed(est, fn, 6.0)
+    got = directions[-1]
 
     # quadrature oracle: trapezoid of the periodwise heading at a fine step
     fine = 1e-4
@@ -98,35 +125,30 @@ def test_warm_start_values():
     alpha = 0.9
     est = TravelEstimator(1.0, theta_des_fallback=fb)
     # before any data the fallback is returned outright
-    assert est.travel_direction(0.0) == pytest.approx(fb)
-    feed(est, lambda t: (0.2 * t * math.cos(alpha), 0.2 * t * math.sin(alpha)), 1.5)
+    assert est.travel_direction() == pytest.approx(fb)
+    _, directions = feed(
+        est, lambda t: (0.2 * t * math.cos(alpha), 0.2 * t * math.sin(alpha)), 1.5)
+    # before a period has passed there is no heading sample yet
+    assert directions[round(0.5 * RATE)] == pytest.approx(fb)
     # all real samples sit at alpha over [T, 1.5T]; the window [0.5T, 1.5T]
     # is half fallback padding, half real data
-    got = est.travel_direction(1.5)
     # quadrature oracle on the padded signal (constant segments integrate exactly)
     expected = 0.5 * fb + 0.5 * alpha
-    assert got == pytest.approx(expected, abs=1e-9)
-    # early query still returns the fallback
-    assert est.travel_direction(0.5) == pytest.approx(fb)
+    assert directions[-1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_warm_start_consistency_when_samples_equal_fallback():
     fb = 0.9
     est = TravelEstimator(1.0, theta_des_fallback=fb)
-    feed(est, lambda t: (0.2 * t * math.cos(fb), 0.2 * t * math.sin(fb)), 1.0)
-    assert est.travel_direction(1.0) == pytest.approx(fb)
+    _, directions = feed(est, lambda t: (0.2 * t * math.cos(fb), 0.2 * t * math.sin(fb)), 1.0)
+    assert directions[-1] == pytest.approx(fb)
 
 
 def test_warm_start_never_raises():
     est = TravelEstimator(1.0, theta_des_fallback=0.3)
-    assert math.isfinite(est.travel_direction(0.0))
-    assert math.isfinite(est.periodwise_velocity(0.0)[0])
-    for i in range(161):
-        t = i * DT
-        est.add_pose(t, 0.1 * t, 0.0)
-        assert math.isfinite(est.travel_direction(t))
-        vx, vy = est.periodwise_velocity(t)
-        assert math.isfinite(vx) and math.isfinite(vy)
+    assert math.isfinite(est.travel_direction())
+    _, directions = feed(est, lambda t: (0.1 * t, 0.0), 2.0)
+    assert all(map(math.isfinite, directions))
 
 
 def test_shift_invariance():
@@ -135,10 +157,9 @@ def test_shift_invariance():
 
     a = TravelEstimator(1.0)
     b = TravelEstimator(1.0)
-    feed(a, fn, 4.0)
-    feed(b, lambda t: (fn(t)[0] + 17.0, fn(t)[1] - 3.5), 4.0)
-    assert a.periodwise_velocity(4.0) == pytest.approx(b.periodwise_velocity(4.0))
-    assert a.travel_direction(4.0) == pytest.approx(b.travel_direction(4.0))
+    _, da = feed(a, fn, 4.0)
+    _, db = feed(b, lambda t: (fn(t)[0] + 17.0, fn(t)[1] - 3.5), 4.0)
+    assert da == pytest.approx(db)
 
 
 def test_rotation_equivariance():
@@ -154,9 +175,9 @@ def test_rotation_equivariance():
 
     a = TravelEstimator(1.0)
     b = TravelEstimator(1.0)
-    feed(a, fn, 4.0)
-    feed(b, rot, 4.0)
-    diff = b.travel_direction(4.0) - a.travel_direction(4.0)
+    _, da = feed(a, fn, 4.0)
+    _, db = feed(b, rot, 4.0)
+    diff = db[-1] - da[-1]
     assert wrap_to_pi(diff - rho) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -173,10 +194,10 @@ def test_near_zero_velocity_holds_heading():
     def fn(t):
         s = min(t, 2.5)
         return 0.2 * s, 0.0
-    feed(est, fn, 5.0)
+    _, directions = feed(est, fn, 5.0)
     # net displacement over the final period is zero; the held samples keep
-    # the direction query finite and equal to the last real heading
-    assert est.travel_direction(5.0) == pytest.approx(0.0, abs=1e-9)
+    # the direction finite and equal to the last real heading
+    assert directions[-1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_smoothing_beats_raw_heading(square_log):

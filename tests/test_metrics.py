@@ -105,7 +105,6 @@ def test_measure_turn_composes():
     assert ev.rise_time == pytest.approx(DT)
     assert ev.travel_distance == pytest.approx(v * ev.rise_time, rel=1e-6)
     assert ev.travel_BL == pytest.approx(ev.travel_distance / 0.15, rel=1e-12)
-    assert ev.command_time == 2.0 and ev.delta == delta
 
 
 def test_rms_perp_on_line_and_offset():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from conftest import SLOW_WATER
 from helpers import run_step_test
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import BoatParams, SimState
-from paddlesim.mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind,
-                               MissionSpec, _OUTER_GAPS, apply_disturbance,
+from paddlesim.mission import (MAX_POSITION, TELEMETRY_COLUMNS, ConfigError,
+                               MissionKind, MissionSpec, _OUTER_GAPS, apply_disturbance,
                                run_mission, waypoint_heading)
 
 
@@ -184,11 +185,24 @@ def test_controller_mode_override():
          disturbances=((math.nan, (0.5, 0.0)),)),
     dict(kind=MissionKind.CONVERGE, duration=2.0,
          disturbances=((-1.0, (0.1, 0.0)),)),
+    dict(kind=MissionKind.STATION_KEEP, duration=1.0,
+         waypoints=((1e-300, 1e-300), (1e-300, 1e308))),
+    dict(kind=MissionKind.CONVERGE, duration=1.0, start=(0.0, -2e6)),
+    dict(kind=MissionKind.CONVERGE, duration=True),
 ])
 def test_invalid_specs_rejected(bad):
     # a spec is checked as it is built, so no invalid one reaches run_mission
     with pytest.raises(ConfigError):
         MissionSpec(**bad)
+
+
+def test_position_cap_is_inclusive():
+    edge = (MAX_POSITION, -MAX_POSITION)
+    spec = MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0, waypoints=(edge,),
+                       start=edge[::-1])
+    assert spec.waypoints == (edge,)
+    with pytest.raises(ConfigError, match="waypoints coordinates"):
+        replace(spec, waypoints=((math.nextafter(MAX_POSITION, math.inf), 0.0),))
 
 
 def test_initial_conditions_default_to_rest():
