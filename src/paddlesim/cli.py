@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControllerConfig, wrap_to_pi
-from .dynamics import BoatParams
+from .dynamics import INNER_RATE, BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
@@ -30,6 +30,12 @@ CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 # one row: every float column to 9 significant digits, then the waypoint index
 _CSV_ROW = ",".join(["%.9g"] * (len(TELEMETRY_COLUMNS) - 1) + ["%d"]) + "\n"
 _CSV_CHUNK_ROWS = 4096
+# Inclusive caps on a whole scenario, checked before any point runs: UTF-8
+# bytes in an output file name (the usual file-system limit), sweep points
+# (45 us each to build) and plant ticks of all points (15 min at 8 us a tick)
+MAX_NAME_BYTES = 255
+MAX_POINTS = 10_000
+MAX_TOTAL_TICKS = 10**8
 
 
 # --------------------------------------------------------------------- values
@@ -93,6 +99,16 @@ class ScenarioConfig:
     repeats: int
 
 
+def _stem(basename: str, label: str) -> str:
+    return basename if not label else f"{basename}_{label}"
+
+
+def _file_names(stem: str, run: int, repeats: int) -> tuple[str, str, str]:
+    """A point's CSV name for one run of `repeats`, then its two report names."""
+    csv = f"{stem}_r{run}.csv" if repeats > 1 else f"{stem}.csv"
+    return csv, f"{stem}_metrics.txt", f"{stem}_metrics.dat"
+
+
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     """Parse the flat key = value format; reject unknown or malformed keys."""
     raw: dict[str, dict] = {section: {} for section in _SECTIONS}
@@ -151,12 +167,24 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     repeats = raw["batch"].get("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"{name}: batch.repeats must be at least 1")
+    n_points = math.prod(map(len, axes))
+    if n_points > MAX_POINTS:
+        raise ConfigError(f"{name}: {n_points} sweep points, more than {MAX_POINTS}")
     # with no sweep axes the product is one empty combo: the unswept run
     points = tuple(build(combo) for combo in itertools.product(*axes))
+    ticks = sum(round(mission.duration * INNER_RATE) for *_, mission in points)
+    if ticks > MAX_TOTAL_TICKS:
+        raise ConfigError(f"{name}: {ticks} ticks in all, more than {MAX_TOTAL_TICKS}")
+    basename = raw["output"].get("basename", "run")
+    # the last run's CSV name has the most digits
+    size, longest = max((len(file.encode()), file) for label, *_ in points for file
+                        in _file_names(_stem(basename, label), repeats - 1, repeats))
+    if size > MAX_NAME_BYTES:
+        raise ConfigError(f"{name}: output file name {longest!r} has {size} bytes, "
+                          f"more than {MAX_NAME_BYTES}")
     return ScenarioConfig(points=points,
                           out_dir=raw["output"].get("dir", "runs"),
-                          basename=raw["output"].get("basename", "run"),
-                          repeats=repeats)
+                          basename=basename, repeats=repeats)
 
 
 # ------------------------------------------------------------------ telemetry
@@ -303,7 +331,7 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for label, boat, control, mission in cfg.points:
-        stem = cfg.basename if not label else f"{cfg.basename}_{label}"
+        stem = _stem(cfg.basename, label)
         # runs are bit-deterministic: simulate and write once, copy per repeat
         try:
             log = run_mission(boat, control, mission)
@@ -314,13 +342,13 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
         if not report:
             print(f"error: no metrics produced for {stem}", file=sys.stderr)
             return 1
-        paths = [out / (f"{stem}_r{r}.csv" if n_runs > 1 else f"{stem}.csv")
-                 for r in range(n_runs)]
+        paths = [out / _file_names(stem, r, n_runs)[0] for r in range(n_runs)]
         write_telemetry_csv(log, paths[0])
         for path in paths[1:]:
             shutil.copyfile(paths[0], path)
-        (out / f"{stem}_metrics.txt").write_text(render_report_text(report))
-        (out / f"{stem}_metrics.dat").write_text(render_report_dat(report))
+        _, text_name, dat_name = _file_names(stem, 0, n_runs)
+        (out / text_name).write_text(render_report_text(report))
+        (out / dat_name).write_text(render_report_dat(report))
         print(f"{stem}: {n_runs} run(s), {len(report)} metric(s) -> {out}")
     return 0
 

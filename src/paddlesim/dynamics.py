@@ -67,24 +67,6 @@ class BoatParams:
                      non_negative=("C_f", "C_r", "C_v", "k_thrust"))
 
 
-@dataclass(slots=True)
-class SimState:
-    """Full continuous state at one time instant.  Treated as a value."""
-
-    t: float = 0.0
-    theta: float = 0.0       # hull orientation, rad, unwrapped
-    theta_dot: float = 0.0   # rad/s
-    phi: float = 0.0         # motor angle, rad
-    phi_dot: float = 0.0     # rad/s
-    pos: tuple[float, float] = (0.0, 0.0)   # m
-    vel: tuple[float, float] = (0.0, 0.0)   # m/s
-
-    @property
-    def top_rate(self) -> float:
-        """Angular velocity of the reaction mass (hull rate + motor rate)."""
-        return self.theta_dot + self.phi_dot
-
-
 def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> float:
     """Hull angular acceleration for a given hull rate and motor acceleration.
 
@@ -95,16 +77,18 @@ def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> 
     return -(drag + params.I_t * phi_ddot) / (params.I_b + params.I_t)
 
 
-def rk4_step(params: BoatParams, state: SimState, control_torque: float,
-             thrust_heading: float, dt: float, thrust_mag: float = 0.0) -> SimState:
-    """Advance the state by one classical fourth-order step.
-
-    The commanded motor acceleration and the thrust vector are held constant
-    across the step (zero-order hold); time advances by exactly dt.
+def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
+             phi_dot: float, x: float, y: float, vx: float, vy: float,
+             control_torque: float, thrust_heading: float, dt: float,
+             thrust_mag: float = 0.0) -> tuple[float, ...]:
+    """Advance the hull angle and rate (theta unwrapped), the motor angle and
+    rate, the position and the velocity by one classical fourth-order step,
+    returning the eight new values in that order.  The motor acceleration and
+    the thrust vector are held over the step; the caller advances time by dt.
 
     The stages are written out over local constants because this runs on
-    every tick; each stage repeats orientation_accel's arithmetic for the
-    rotation and a point mass under quadratic drag for the translation.
+    every tick; each repeats orientation_accel's arithmetic for the rotation
+    and a point mass under quadratic drag for the translation.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -113,7 +97,7 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     I_t = params.I_t
     inertia = params.I_b + I_t
     motor = I_t * a
-    w = state.theta_dot
+    w = theta_dot
     half = 0.5 * dt
     sixth = dt / 6.0
 
@@ -125,13 +109,10 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     k3 = -(C_f * s3 * abs(s3) + C_r * s3 + motor) / inertia
     s4 = w + dt * k3
     k4 = -(C_f * s4 * abs(s4) + C_r * s4 + motor) / inertia
-    theta = state.theta + sixth * (w + 2.0 * s2 + 2.0 * s3 + s4)
-    theta_dot = w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # translational stages under a thrust vector held over the step
     tx = thrust_mag * cos(thrust_heading)
     ty = thrust_mag * sin(thrust_heading)
-    vx, vy = state.vel
     cd = C_v * hypot(vx, vy)
     ax1, ay1 = (tx - cd * vx) / mass, (ty - cd * vy) / mass
     ux2, uy2 = vx + half * ax1, vy + half * ay1
@@ -143,13 +124,12 @@ def rk4_step(params: BoatParams, state: SimState, control_torque: float,
     ux4, uy4 = vx + dt * ax3, vy + dt * ay3
     cd = C_v * hypot(ux4, uy4)
     ax4, ay4 = (tx - cd * ux4) / mass, (ty - cd * uy4) / mass
-    x, y = state.pos
 
-    # constant motor acceleration integrates exactly
-    phi_dot = state.phi_dot
-    return SimState(state.t + dt, theta, theta_dot,
-                    state.phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
-                    (x + sixth * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4),
-                     y + sixth * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)),
-                    (vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-                     vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)))
+    # the motor's constant acceleration integrates exactly
+    return (theta + sixth * (w + 2.0 * s2 + 2.0 * s3 + s4),
+            w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
+            x + sixth * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4),
+            y + sixth * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4),
+            vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+            vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4))

@@ -23,8 +23,8 @@ class TravelEstimator:
 
     Poses arrive through add_pose with strictly increasing timestamps; each
     arrival that is at least one period past the first buffered pose also
-    appends a period-wise heading sample.  Buffers are trimmed to a little
-    over the span the window reaches (two periods for poses, one for headings).
+    appends a period-wise heading sample.  Both buffers reach one period back
+    from the latest pose, to the last sample at or before that time.
     """
 
     def __init__(self, period: float, theta_des_fallback: float = 0.0):
@@ -54,8 +54,8 @@ class TravelEstimator:
         period = self.period
         ht, hu, hc = self._ht, self._hu, self._hc
 
-        # a trimmed buffer starts 2.5 periods back, so testing against its
-        # first pose equals testing against the very first one
+        # a trimmed buffer starts more than a period before t, so testing
+        # its first pose equals testing the very first one
         if t - pt[0] >= period - _TIME_SLACK:
             # the window ends at the pose just appended
             x0, y0 = self._interp_pose(t - period)
@@ -80,11 +80,10 @@ class TravelEstimator:
             hu.append(unwrapped)
             hc.append(cum)
 
-        # drop samples older than the last one at or before each floor
-        floor = t - 2.5 * period
+        # keep the last sample at or before t - period; later windows start after it
+        floor = t - period
         while len(pt) > 1 and pt[1] <= floor:
             del pt[0], px[0], py[0]
-        floor = t - 1.5 * period
         while len(ht) > 1 and ht[1] <= floor:
             del ht[0], hu[0], hc[0]
 

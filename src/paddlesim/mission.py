@@ -9,7 +9,7 @@ identical inputs produce bit-identical telemetry.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import cycle
 
@@ -18,8 +18,8 @@ import numpy as np
 from .control import (ControlMode, ControllerConfig, ReferenceState,
                       desaturate_reference, desaturated_torque,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
-from .dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError, SimState,
-                       check_fields, rk4_step)
+from .dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError, check_fields,
+                       rk4_step)
 from .estimation import TravelEstimator
 from .metrics import coincident
 
@@ -127,21 +127,16 @@ TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
                           if f.name not in ("period", "body_length"))
 
 
-def apply_disturbance(state: SimState, impulse: tuple[float, float]) -> SimState:
-    """Instantaneous velocity impulse; all other fields unchanged."""
-    return replace(state, vel=(state.vel[0] + impulse[0], state.vel[1] + impulse[1]))
-
-
-def waypoint_heading(state: SimState, spec: MissionSpec,
+def waypoint_heading(px: float, py: float, spec: MissionSpec,
                      active_index: int) -> tuple[float, int]:
-    """Desired heading toward the active waypoint, advancing it on arrival.
+    """Desired heading from (px, py) toward the active waypoint, advancing it
+    on arrival.
 
     The index advances at most once per call and the last waypoint is held
     forever, which is what makes a single-waypoint mission station-keep.
     """
     if not 0 <= active_index < len(spec.waypoints):
         raise IndexError(f"active_index {active_index} out of range")
-    px, py = state.pos
     wx, wy = spec.waypoints[active_index]
     if (math.hypot(wx - px, wy - py) <= spec.tolerance_radius
             and active_index < len(spec.waypoints) - 1):
@@ -185,15 +180,17 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     # every call for the same reason
     torque_law = (limit_cycle_torque if mode is ControlMode.THRUST_DIRECTION
                   else desaturated_torque)
-    disturbances = spec.disturbances
-    n_dist = len(disturbances)
-    next_dist = 0
-    next_dist_t = disturbances[0][0] if n_dist else math.inf
+    # velocity impulses in time order, then one that never comes
+    impulses = iter((*spec.disturbances, (math.inf, None)))
+    next_dist_t, kick = next(impulses)
     outer_gaps = cycle(_OUTER_GAPS)
 
     theta_des = _initial_desired_heading(spec)
-    theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
-    state = SimState(t=0.0, theta=theta0, pos=spec.start)
+    # the plant state, as plain floats
+    t = 0.0
+    theta = spec.initial_theta if spec.initial_theta is not None else theta_des
+    theta_dot = phi = phi_dot = vx = vy = 0.0
+    x, y = spec.start
     theta_r = theta_des
     last_desat_time = -math.inf
     est = TravelEstimator(period, theta_des_fallback=theta_des)
@@ -206,35 +203,33 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
      y_col, vx_col, vy_col, theta_r_col, theta_des_col, psi_hat_col, tau_col,
      idx_col) = map(memoryview, columns)
 
-    # Trailing one-period boxcar of the reaction-mass rate.  Its samples are
-    # rows lo..i of the t and theta_t_dot columns, which are written as soon
-    # as the plant step produces them.
-    t_col[0] = state.t
-    theta_col[0] = state.theta
-    rate_col[0] = rate_sum = state.top_rate
-    lo = 0
-
-    active_idx = 0
-    next_outer = 0
+    # trailing one-period boxcar of the reaction-mass rate over rows lo..i
+    rate_sum = 0.0
+    lo = active_idx = next_outer = 0
 
     for i in range(n_steps + 1):
-        t = state.t
         while next_dist_t <= t + 1e-12:
-            state = apply_disturbance(state, disturbances[next_dist][1])
-            next_dist += 1
-            next_dist_t = disturbances[next_dist][0] if next_dist < n_dist else math.inf
-        x, y = state.pos
-        theta_dot = state.theta_dot
+            vx += kick[0]
+            vy += kick[1]
+            next_dist_t, kick = next(impulses)
         # an overflowing plant goes non-finite here before any law reads it
         if not isfinite(x + y + theta_dot):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
+        t_col[i] = t
+        theta_col[i] = theta
+        rate_col[i] = rate = theta_dot + phi_dot
+        rate_sum += rate
+        floor = t - period
+        while t_col[lo] <= floor:
+            rate_sum -= rate_col[lo]
+            lo += 1
 
         if i == next_outer:
             next_outer += next(outer_gaps)
             est.add_pose(t, x, y)
             psi_hat = est.travel_direction()
             if follows_waypoints:
-                theta_des, active_idx = waypoint_heading(state, spec, active_idx)
+                theta_des, active_idx = waypoint_heading(x, y, spec, active_idx)
             else:
                 theta_des = _scheduled_heading(spec, t)
             if limit_cycle_only:
@@ -251,12 +246,11 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                         cfg, pending)
                     theta_r, last_desat_time = ref.theta_r, ref.last_desat_time
 
-        tau = torque_law(cfg, t, state.theta, theta_r)
+        tau = torque_law(cfg, t, theta, theta_r)
 
-        vx, vy = state.vel
         theta_dot_col[i] = theta_dot
-        phi_col[i] = state.phi
-        phi_dot_col[i] = state.phi_dot
+        phi_col[i] = phi
+        phi_dot_col[i] = phi_dot
         x_col[i] = x
         y_col[i] = y
         vx_col[i] = vx
@@ -269,14 +263,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         if i == n_steps:
             break
-        state = rk4_step(params, state, tau, theta_r, dt, thrust)
-        t_col[i + 1] = state.t
-        theta_col[i + 1] = state.theta
-        rate_col[i + 1] = rate = state.top_rate
-        rate_sum += rate
-        floor = state.t - period
-        while t_col[lo] <= floor:
-            rate_sum -= rate_col[lo]
-            lo += 1
+        theta, theta_dot, phi, phi_dot, x, y, vx, vy = rk4_step(
+            params, theta, theta_dot, phi, phi_dot, x, y, vx, vy, tau, theta_r,
+            dt, thrust)
+        t += dt
 
     return TelemetryLog(*columns, period=period, body_length=params.body_length)

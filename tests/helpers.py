@@ -1,11 +1,11 @@
 """Small builders and reference integrators shared by the test modules."""
 
 import math
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from paddlesim.dynamics import SimState, orientation_accel
+from paddlesim.dynamics import orientation_accel
 from paddlesim.metrics import settled_step_changes
 from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
 
@@ -39,16 +39,27 @@ def rolling_mean(t: np.ndarray, values: np.ndarray, window: float) -> np.ndarray
     return (csum[idx + 1] - csum[start]) / (idx + 1 - start)
 
 
-def rk4_step_controlled(params, state, torque_fn, dt):
-    """One fourth-order step of the hull rotation with the torque law
-    torque_fn(t, theta, theta_dot) evaluated at the stage points, so a
-    smooth feedback law integrates at the full order of the method.
+class Plant(NamedTuple):
+    """The state rk4_step advances, in its argument and result order."""
+
+    theta: float = 0.0
+    theta_dot: float = 0.0
+    phi: float = 0.0
+    phi_dot: float = 0.0
+    x: float = 0.0
+    y: float = 0.0
+    vx: float = 0.0
+    vy: float = 0.0
+
+
+def rk4_step_controlled(params, t0, th, w, torque_fn, dt):
+    """One fourth-order step of the hull rotation from time t0, hull angle th
+    and rate w, with the torque law torque_fn(t, theta, theta_dot) evaluated
+    at the stage points, so a smooth feedback law integrates at the full
+    order of the method.  Returns the new (theta, theta_dot).
 
     rk4_step, which missions run, holds the torque over the step instead.
-    Only t, theta and theta_dot advance; the motor angle and the translation
-    are left as they were.
     """
-    t0, th, w = state.t, state.theta, state.theta_dot
     half = 0.5 * dt
     k1 = orientation_accel(params, w, torque_fn(t0, th, w))
     th2, w2 = th + half * w, w + half * k1
@@ -57,9 +68,8 @@ def rk4_step_controlled(params, state, torque_fn, dt):
     k3 = orientation_accel(params, w3, torque_fn(t0 + half, th3, w3))
     th4, w4 = th + dt * w3, w + dt * k3
     k4 = orientation_accel(params, w4, torque_fn(t0 + dt, th4, w4))
-    return replace(state, t=t0 + dt,
-                   theta=th + dt / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
-                   theta_dot=w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return (th + dt / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
+            w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def _planar_accel(params, vx, vy, tx, ty):
@@ -69,15 +79,14 @@ def _planar_accel(params, vx, vy, tx, ty):
     return (tx - cd * vx) / params.mass, (ty - cd * vy) / params.mass
 
 
-def _translational_rk4(params, state, thrust_heading, thrust_mag, dt):
+def _translational_rk4(params, x, y, vx, vy, thrust_heading, thrust_mag, dt):
     """Classical fourth-order stages of the point-mass translation.
 
     The thrust vector is held constant across the step; returns the new
-    (pos, vel) pair.
+    (x, y, vx, vy).
     """
     tx = thrust_mag * math.cos(thrust_heading)
     ty = thrust_mag * math.sin(thrust_heading)
-    vx, vy = state.vel
     half = 0.5 * dt
     ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
     ux2, uy2 = vx + half * ax1, vy + half * ay1
@@ -86,20 +95,18 @@ def _translational_rk4(params, state, thrust_heading, thrust_mag, dt):
     ax3, ay3 = _planar_accel(params, ux3, uy3, tx, ty)
     ux4, uy4 = vx + dt * ax3, vy + dt * ay3
     ax4, ay4 = _planar_accel(params, ux4, uy4, tx, ty)
-    x = state.pos[0] + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4)
-    y = state.pos[1] + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4)
-    new_vx = vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-    new_vy = vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
-    return (x, y), (new_vx, new_vy)
+    return (x + dt / 6.0 * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4),
+            y + dt / 6.0 * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4),
+            vx + dt / 6.0 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+            vy + dt / 6.0 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4))
 
 
-def rk4_step_reference(params, state, control_torque, thrust_heading, dt,
-                       thrust_mag=0.0):
+def rk4_step_reference(params, theta, w, phi, phi_dot, x, y, vx, vy,
+                       control_torque, thrust_heading, dt, thrust_mag=0.0):
     """rk4_step written stage by stage through orientation_accel and a
     point-mass helper, in the same operation order, so the two must agree
     bit for bit."""
     a = control_torque
-    w = state.theta_dot
     half = 0.5 * dt
     k1 = orientation_accel(params, w, a)
     s2 = w + half * k1
@@ -108,13 +115,10 @@ def rk4_step_reference(params, state, control_torque, thrust_heading, dt,
     k3 = orientation_accel(params, s3, a)
     s4 = w + dt * k3
     k4 = orientation_accel(params, s4, a)
-    theta = state.theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4)
-    theta_dot = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    pos, vel = _translational_rk4(params, state, thrust_heading, thrust_mag, dt)
-    phi = state.phi + state.phi_dot * dt + 0.5 * a * dt * dt
-    phi_dot = state.phi_dot + a * dt
-    return SimState(t=state.t + dt, theta=theta, theta_dot=theta_dot,
-                    phi=phi, phi_dot=phi_dot, pos=pos, vel=vel)
+    return (theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4),
+            w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
+            *_translational_rk4(params, x, y, vx, vy, thrust_heading, thrust_mag, dt))
 
 
 def pendulum_reference(params, cfg, psi0, dt, n):
@@ -156,3 +160,43 @@ def run_step_test(params, cfg, delta, initial_leg=15.0, second_leg=15.0):
                        step_schedule=((initial_leg, delta),))
     log = run_mission(params, cfg, spec)
     return delta, settled_step_changes(log, spec.step_schedule)[0]
+
+
+def cap_scenarios():
+    """Scenario configs at, just under and just over each scenario-wide cap
+    of the CLI, keyed by (cap, side) with cap one of "points", "ticks" and
+    "name" and side one of "at", "under" and "over".
+
+    The point and tick cases set a thrust so large that every point diverges
+    on its first tick, so running an accepted one costs a tick.  The name
+    cases run 0.1 s and name their files in two-byte characters, so that
+    bytes, not characters, meet the 255-byte limit."""
+    wild = "mission.kind = converge\nboat.k_thrust = 1e300\n"
+
+    def values(n, start=1):
+        return ", ".join(str(v) for v in range(start, start + n))
+
+    def ticks(first):
+        # 100 points of 1,000,000 - 250 k ticks (k = 0..99) sum to
+        # 98,762,500, and a first point of 4950 s adds 1,237,500
+        return (wild + f"sweep.mission.duration = {first}, "
+                + ", ".join(str(d) for d in range(4000, 3900, -1)) + "\n")
+
+    def name(n_bytes):
+        # the longest name is the stem plus "_metrics.txt", 12 bytes
+        stem = "é" * ((n_bytes - 12) // 2) + "b" * (n_bytes % 2)
+        return ("mission.kind = converge\nmission.duration = 0.1\n"
+                f"output.basename = {stem}\n")
+
+    points = wild + "mission.duration = 1\nsweep.control.K = {}\nsweep.boat.mass = {}\n"
+    return {
+        ("points", "at"): points.format(values(100), values(100)),
+        ("points", "under"): points.format(values(99), values(101)),
+        ("points", "over"): points.format(values(73), values(137)),
+        ("ticks", "at"): ticks("4950"),
+        ("ticks", "under"): ticks("4949.996"),
+        ("ticks", "over"): ticks("4950.004"),
+        ("name", "at"): name(255),
+        ("name", "under"): name(254),
+        ("name", "over"): name(256),
+    }

@@ -17,7 +17,7 @@ from conftest import SLOW_WATER
 from paddlesim.cli import main, preset_names
 from paddlesim.control import (ControlMode, ControllerConfig,
                                limit_cycle_torque, resonant_beta, wrap_to_pi)
-from paddlesim.dynamics import BoatParams, SimState
+from paddlesim.dynamics import BoatParams
 from paddlesim.metrics import orbit_radius, rise_time, rms_perpendicular_error
 from paddlesim.mission import MissionKind, MissionSpec, run_mission
 from helpers import (make_log, pendulum_reference, rk4_step_controlled,
@@ -101,13 +101,14 @@ def test_criterion_03_pendulum_equivalence():
     dt = 1.0 / 250.0
     n = 2500  # 10 s
 
-    state = SimState(theta=psi0)
+    t, theta, theta_dot = 0.0, psi0, 0.0
     torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, 0.0)
     full = np.empty(n + 1)
-    full[0] = state.theta
+    full[0] = theta
     for i in range(n):
-        state = rk4_step_controlled(params, state, torque, dt)
-        full[i + 1] = state.theta
+        theta, theta_dot = rk4_step_controlled(params, t, theta, theta_dot, torque, dt)
+        t += dt
+        full[i + 1] = theta
 
     pend = pendulum_reference(params, cfg, psi0, dt, n)
     ref = pendulum_reference(params, cfg, psi0, dt / 16.0, 16 * n)[::16]
@@ -268,11 +269,13 @@ def test_criterion_11_integrator_order():
     horizon = 5.0
 
     def endpoint(dt):
-        state = SimState(theta=-math.pi / 2)
+        t, theta, theta_dot = 0.0, -math.pi / 2, 0.0
         torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, 0.0)
         for _ in range(round(horizon / dt)):
-            state = rk4_step_controlled(params, state, torque, dt)
-        return state.theta
+            theta, theta_dot = rk4_step_controlled(params, t, theta, theta_dot,
+                                                   torque, dt)
+            t += dt
+        return theta
 
     ref = endpoint(1.0 / 16000.0)  # dt/16 of the finest grid below
     errs = [abs(endpoint(dt) - ref) for dt in (1 / 250, 1 / 500, 1 / 1000)]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import paddlesim
-from helpers import make_log
-from paddlesim.cli import (CSV_HEADER, load_preset, main, parse_scenario,
+from helpers import cap_scenarios, make_log
+from paddlesim.cli import (CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS, MAX_TOTAL_TICKS,
+                           load_preset, main, parse_scenario,
                            preset_names, report_metrics, render_report_dat,
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode
@@ -241,6 +242,42 @@ def test_duration_cap_rejected_at_parse(tmp_path, capsys):
     cfg_path.write_text(head + "mission.duration = 1e9\n")
     assert main(["validate", str(cfg_path)]) == 2
     assert "duration must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap, side", sorted(cap_scenarios()))
+def test_scenario_caps_are_inclusive(cap, side):
+    # checked through the parser only, so no run starts
+    text = cap_scenarios()[cap, side]
+    if side == "over":
+        with pytest.raises(ConfigError, match="more than"):
+            parse_scenario(text)
+        return
+    cfg = parse_scenario(text)
+    limit = {"points": MAX_POINTS, "ticks": MAX_TOTAL_TICKS, "name": MAX_NAME_BYTES}[cap]
+    size = {"points": len(cfg.points),
+            "ticks": sum(round(m.duration * 250) for *_, m in cfg.points),
+            "name": len(f"{cfg.basename}_metrics.txt".encode())}[cap]
+    assert size == (limit if side == "at" else limit - 1)
+
+
+def test_long_output_name_exits_2_before_any_point_runs(tmp_path, capsys):
+    # the second point's report would be named in 261 bytes; the first
+    # point's files fit, but no point may write until all of them do
+    cfg_path = tmp_path / "long.cfg"
+    cfg_path.write_text(MINIMAL + "output.basename = " + "b" * 235 + "\n"
+                        "sweep.control.K = 1, 1.23457e-05\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "has 261 bytes" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_run_indices_count_toward_the_name_limit():
+    # from a million repeats on, the last CSV's name outgrows the reports'
+    head = MINIMAL + "batch.repeats = 1000001\noutput.basename = "
+    parse_scenario(head + "b" * 242 + "\n")  # run_r1000000.csv: 255 bytes
+    with pytest.raises(ConfigError, match=r"_r1000000\.csv' has 256 bytes"):
+        parse_scenario(head + "b" * 243 + "\n")
 
 
 def test_parse_requires_kind_and_duration():

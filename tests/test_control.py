@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import Plant
 from paddlesim.control import (ControlMode, ControllerConfig, ReferenceState,
                                desaturate_reference, desaturated_torque,
                                limit_cycle_torque, outer_loop_reference,
                                resonant_beta, wrap_override, wrap_to_pi)
-from paddlesim.dynamics import INNER_DT, BoatParams, SimState, rk4_step
+from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
 
 
 def test_wrap_to_pi_examples():
@@ -122,13 +123,15 @@ def _mean_top_rate_change(jump_sign):
     params = BoatParams()
     cfg = ControllerConfig()
     dt = 1.0 / 250.0
-    state = SimState(theta=0.0, phi_dot=5.0)  # reaction mass already spinning
+    t = 0.0
+    state = Plant(phi_dot=5.0)  # reaction mass already spinning
     theta_r = jump_sign * math.tau
     rates = []
     for i in range(round(8.0 / dt)):
-        tau = desaturated_torque(cfg, state.t, state.theta, theta_r)
-        state = rk4_step(params, state, tau, 0.0, dt)
-        rates.append(state.top_rate)
+        tau = desaturated_torque(cfg, t, state.theta, theta_r)
+        state = Plant(*rk4_step(params, *state, tau, 0.0, dt))
+        t += dt
+        rates.append(state.theta_dot + state.phi_dot)
     settled = np.mean(rates[-250:])
     return settled - 5.0
 

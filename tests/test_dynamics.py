@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import pendulum_reference, rk4_step_controlled
+from helpers import Plant, pendulum_reference, rk4_step_controlled
 from paddlesim.control import ControlMode, ControllerConfig, limit_cycle_torque
-from paddlesim.dynamics import BoatParams, SimState, orientation_accel, rk4_step
+from paddlesim.dynamics import BoatParams, orientation_accel, rk4_step
 from paddlesim.mission import MissionKind, MissionSpec, run_mission
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
@@ -49,60 +49,56 @@ def test_heading_step_travel_lags_command():
     p = BoatParams()
     thrust = p.k_thrust * 15.0
     v_ss = math.sqrt(thrust / p.C_v)
-    state = SimState(vel=(v_ss, 0.0))
+    state = Plant(vx=v_ss)
     dt = 1e-4  # fine-step reference on the point-mass ODE
     heading = math.pi / 2
     for _ in range(20000):  # 2 s
-        state = rk4_step(p, state, 0.0, heading, dt, thrust)
-        travel = math.atan2(state.vel[1], state.vel[0])
+        state = Plant(*rk4_step(p, *state, 0.0, heading, dt, thrust))
+        travel = math.atan2(state.vy, state.vx)
         assert travel - heading < 0.0
     # and it converges toward the command eventually
-    assert heading - math.atan2(state.vel[1], state.vel[0]) < 0.4 * heading
+    assert heading - math.atan2(state.vy, state.vx) < 0.4 * heading
 
 
 def test_rk4_step_rest_is_fixed_point():
     p = BoatParams()
-    s0 = SimState(t=1.0, theta=0.3, pos=(2.0, -1.0))
-    s1 = rk4_step(p, s0, 0.0, 0.0, 0.004)
-    assert s1.t == pytest.approx(1.004)
-    assert s1.theta == s0.theta and s1.theta_dot == 0.0
-    assert s1.pos == s0.pos and s1.vel == (0.0, 0.0)
-    assert s1.phi == 0.0 and s1.phi_dot == 0.0
+    s0 = Plant(theta=0.3, x=2.0, y=-1.0)
+    assert rk4_step(p, *s0, 0.0, 0.0, 0.004) == s0
 
 
 def test_rk4_step_constant_motor_accel_is_exact():
     p = BoatParams(C_f=0.0, C_r=0.0)
     c = 3.7
-    state = SimState()
+    state = Plant()
     dt = 0.01
     for _ in range(100):
-        state = rk4_step(p, state, c, 0.0, dt)
-    t = state.t
+        state = Plant(*rk4_step(p, *state, c, 0.0, dt))
+    t = 100 * dt
     assert state.phi_dot == pytest.approx(c * t, rel=1e-12)
     assert state.phi == pytest.approx(0.5 * c * t * t, rel=1e-12)
 
 
 def test_rk4_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        rk4_step(BoatParams(), SimState(), 0.0, 0.0, 0.0)
+        rk4_step(BoatParams(), *Plant(), 0.0, 0.0, 0.0)
 
 
 def test_free_spin_momentum_conserved_without_drag():
     # zero drag, zero torque: total angular momentum is constant
     p = BoatParams(C_f=0.0, C_r=0.0)
-    state = SimState(theta_dot=2.5, phi_dot=-1.0)
+    state = Plant(theta_dot=2.5, phi_dot=-1.0)
     h0 = (p.I_b + p.I_t) * state.theta_dot
     for _ in range(2500):
-        state = rk4_step(p, state, 0.0, 0.0, 1.0 / 250.0)
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 1.0 / 250.0))
     assert (p.I_b + p.I_t) * state.theta_dot == pytest.approx(h0, abs=1e-12)
 
 
 def test_hull_rate_decays_with_drag_and_no_torque():
     p = BoatParams()
-    state = SimState(theta_dot=3.0)
+    state = Plant(theta_dot=3.0)
     prev = abs(state.theta_dot)
     for _ in range(1000):
-        state = rk4_step(p, state, 0.0, 0.0, 1.0 / 250.0)
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 1.0 / 250.0))
         cur = abs(state.theta_dot)
         assert cur < prev
         prev = cur
@@ -119,13 +115,14 @@ def test_closed_loop_matches_pendulum_form():
     dt = 1.0 / 250.0
     n = 2500  # 10 s
 
-    state = SimState(theta=psi0)
+    t, theta, theta_dot = 0.0, psi0, 0.0
     full = np.empty(n + 1)
-    full[0] = state.theta
+    full[0] = theta
     torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, theta_r)
     for i in range(n):
-        state = rk4_step_controlled(params, state, torque, dt)
-        full[i + 1] = state.theta
+        theta, theta_dot = rk4_step_controlled(params, t, theta, theta_dot, torque, dt)
+        t += dt
+        full[i + 1] = theta
 
     pend = pendulum_reference(params, cfg, psi0, dt, n)
     ref = pendulum_reference(params, cfg, psi0, dt / 16.0, n * 16)[::16]
@@ -141,11 +138,13 @@ def test_rk4_global_error_is_fourth_order():
     horizon = 2.0
 
     def endpoint(dt):
-        state = SimState(theta=-math.pi / 2)
+        t, theta, theta_dot = 0.0, -math.pi / 2, 0.0
         torque = lambda t, th, td: limit_cycle_torque(cfg, t, th, 0.0)
         for _ in range(round(horizon / dt)):
-            state = rk4_step_controlled(params, state, torque, dt)
-        return state.theta
+            theta, theta_dot = rk4_step_controlled(params, t, theta, theta_dot,
+                                                   torque, dt)
+            t += dt
+        return theta
 
     ref = endpoint(1.0 / 16000.0)
     e1 = abs(endpoint(1.0 / 250.0) - ref)

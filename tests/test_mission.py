@@ -10,10 +10,10 @@ import pytest
 from conftest import SLOW_WATER
 from helpers import run_step_test
 from paddlesim.control import ControlMode, ControllerConfig
-from paddlesim.dynamics import BoatParams, SimState
+from paddlesim.dynamics import INNER_DT, BoatParams
 from paddlesim.mission import (MAX_POSITION, TELEMETRY_COLUMNS, ConfigError,
-                               MissionKind, MissionSpec, _OUTER_GAPS, apply_disturbance,
-                               run_mission, waypoint_heading)
+                               MissionKind, MissionSpec, _OUTER_GAPS, run_mission,
+                               waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -80,34 +80,25 @@ def test_torque_follows_inner_rate():
 def test_waypoint_heading_examples():
     spec = MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0,
                        waypoints=((1.0, 0.0), (1.0, 1.0)), tolerance_radius=0.1)
-    heading, idx = waypoint_heading(SimState(pos=(0.0, 0.0)), spec, 0)
+    heading, idx = waypoint_heading(0.0, 0.0, spec, 0)
     assert heading == pytest.approx(0.0) and idx == 0
     # inside the tolerance of the active waypoint: advance and aim at the next
-    heading, idx = waypoint_heading(SimState(pos=(0.95, 0.0)), spec, 0)
+    heading, idx = waypoint_heading(0.95, 0.0, spec, 0)
     assert idx == 1
     assert heading == pytest.approx(math.atan2(1.0, 0.05))
     # diagonal target
     spec2 = MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0,
                         waypoints=((1.0, 1.0),))
-    heading, idx = waypoint_heading(SimState(pos=(0.0, 0.0)), spec2, 0)
+    heading, idx = waypoint_heading(0.0, 0.0, spec2, 0)
     assert heading == pytest.approx(math.pi / 4)
     # terminal waypoint is held forever
-    heading, idx = waypoint_heading(SimState(pos=(0.99, 0.99)), spec2, 0)
+    heading, idx = waypoint_heading(0.99, 0.99, spec2, 0)
     assert idx == 0
 
 
 def test_waypoint_index_monotonic(square_log):
     assert np.all(np.diff(square_log.waypoint_index) >= 0)
     assert square_log.waypoint_index[-1] == 3
-
-
-def test_apply_disturbance():
-    s = SimState(vel=(0.1, 0.0), pos=(3.0, 4.0), theta=0.5)
-    out = apply_disturbance(s, (0.0, 0.0))
-    assert out.vel == s.vel and out.pos == s.pos
-    out = apply_disturbance(s, (0.0, 0.1))
-    assert out.vel == pytest.approx((0.1, 0.1))
-    assert out.pos == s.pos and out.theta == s.theta and out.t == s.t
 
 
 def test_disturbance_applied_at_scheduled_tick():
@@ -281,8 +272,9 @@ def test_wrapped_names_see_every_call(monkeypatch):
     from paddlesim.estimation import TravelEstimator
     cfg, spec = LOOP_PATHS["desaturated_disturbances"]
     plain = run_mission(BoatParams(), cfg, spec)
-    calls = dict.fromkeys(("rk4_step", "desaturated_torque", "desaturate_reference",
-                           "add_pose", "travel_direction"), 0)
+    mission_names = ("rk4_step", "desaturated_torque", "desaturate_reference",
+                     "waypoint_heading")
+    calls = dict.fromkeys((*mission_names, "add_pose", "travel_direction"), 0)
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -292,7 +284,7 @@ def test_wrapped_names_see_every_call(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("rk4_step", "desaturated_torque", "desaturate_reference"):
+    for name in mission_names:
         counted(mission, name)
     for name in ("add_pose", "travel_direction"):
         counted(TravelEstimator, name)
@@ -301,7 +293,44 @@ def test_wrapped_names_see_every_call(monkeypatch):
     n_steps = round(250 * spec.duration)
     n_outer = len(outer_tick_indices(n_steps + 1))
     assert calls == {"rk4_step": n_steps, "desaturated_torque": n_steps + 1,
-                     "desaturate_reference": n_outer, "add_pose": n_outer,
-                     "travel_direction": n_outer}
+                     "desaturate_reference": n_outer, "waypoint_heading": n_outer,
+                     "add_pose": n_outer, "travel_direction": n_outer}
     for name in TELEMETRY_COLUMNS:
         assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), name
+
+
+# Whole-run oracles on the loop's plant and impulse paths: a 40 s step mission
+# with two impulses, in each control mode, checked against conservation laws
+# of the model rather than against a second integrator.
+_ORACLE_SPEC = MissionSpec(kind=MissionKind.STEP_TEST, duration=40.0, heading=0.3,
+                           step_schedule=((12.0, 1.2), (26.0, -2.0)),
+                           disturbances=((7.0, (0.04, -0.03)), (19.0, (-0.05, 0.02))))
+
+
+@pytest.mark.parametrize("mode", list(ControlMode), ids=lambda m: m.value)
+def test_drag_free_run_conserves_angular_momentum(mode):
+    # with no rotational drag the motor only trades momentum between the
+    # hull and the reaction mass, and the impulses act on translation alone
+    p = BoatParams(C_f=0.0, C_r=0.0)
+    log = run_mission(p, ControllerConfig(mode=mode), _ORACLE_SPEC)
+    h = (p.I_b + p.I_t) * log.theta_dot + p.I_t * log.phi_dot
+    assert np.max(np.abs(h - h[0])) < 1e-15
+    assert np.ptp(log.phi_dot) > 1.0  # the motor does work
+
+
+@pytest.mark.parametrize("mode", list(ControlMode), ids=lambda m: m.value)
+def test_drag_free_run_integrates_thrust_and_impulses(mode):
+    # with no translational drag each tick adds the held thrust's push and
+    # each disturbance its kick; the loop's sum may drift from the exact one
+    # by rounding alone, at most an ulp of the velocity per tick (under a
+    # constant heading it drifts 1.6e-13, one push is 2e-4)
+    p = BoatParams(C_v=0.0)
+    cfg = ControllerConfig(mode=mode)
+    log = run_mission(p, cfg, _ORACLE_SPEC)
+    thrust = p.k_thrust * cfg.K
+    for axis, vel, trig in ((0, log.vx, math.cos), (1, log.vy, math.sin)):
+        pushes = [thrust * trig(heading) * INNER_DT / p.mass
+                  for heading in log.theta_r[:-1].tolist()]
+        kicks = [kick[axis] for _, kick in _ORACLE_SPEC.disturbances]
+        rounding = len(pushes) * math.ulp(float(np.max(np.abs(vel))))
+        assert abs(vel[-1] - math.fsum(pushes + kicks)) <= rounding

@@ -9,13 +9,13 @@ from dataclasses import fields, replace
 from enum import Enum, EnumMeta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import rk4_step_reference
+from helpers import Plant, cap_scenarios, rk4_step_reference
 from paddlesim.cli import _SECTIONS, main, parse_scenario
 from paddlesim.control import ControllerConfig, wrap_to_pi
-from paddlesim.dynamics import BoatParams, ConfigError, SimState, rk4_step
+from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import TravelEstimator
 from paddlesim.mission import MissionKind, MissionSpec
 
@@ -33,15 +33,14 @@ _PARAMS = st.builds(
     C_f=st.just(0.0) | st.floats(0.0, 1e-2), C_r=st.just(0.0) | st.floats(0.0, 1e-2),
     mass=st.floats(0.05, 20.0), C_v=st.just(0.0) | st.floats(0.0, 50.0))
 _STATES = st.builds(
-    SimState, t=st.floats(0.0, 1e4), theta=_signed(100.0), theta_dot=_signed(50.0),
-    phi=_signed(1e3), phi_dot=_signed(200.0), pos=st.tuples(_signed(10.0), _signed(10.0)),
+    lambda vel, **rest: Plant(**rest, vx=vel[0], vy=vel[1]),
+    theta=_signed(100.0), theta_dot=_signed(50.0), phi=_signed(1e3),
+    phi_dot=_signed(200.0), x=_signed(10.0), y=_signed(10.0),
     vel=st.just((0.0, 0.0)) | st.tuples(_signed(2.0), _signed(2.0)))
 
 
-def _hex_fields(state):
-    return [state.t.hex(), state.theta.hex(), state.theta_dot.hex(),
-            state.phi.hex(), state.phi_dot.hex(),
-            *(v.hex() for v in state.pos), *(v.hex() for v in state.vel)]
+def _hex_fields(values):
+    return [v.hex() for v in values]
 
 
 @settings(max_examples=300)
@@ -51,8 +50,8 @@ def _hex_fields(state):
 def test_rk4_step_equals_stagewise_reference_bit_for_bit(params, state, torque,
                                                          heading, dt, thrust):
     # float.hex tells -0.0 from 0.0, which == would not
-    fast = rk4_step(params, state, torque, heading, dt, thrust)
-    ref = rk4_step_reference(params, state, torque, heading, dt, thrust)
+    fast = rk4_step(params, *state, torque, heading, dt, thrust)
+    ref = rk4_step_reference(params, *state, torque, heading, dt, thrust)
     assert _hex_fields(fast) == _hex_fields(ref)
 
 
@@ -64,16 +63,14 @@ def test_rk4_step_equals_stagewise_reference_on_seeded_states():
     for _ in range(20_000):
         params = BoatParams(I_b=u(1e-6, 1e-4), I_t=u(1e-4, 1e-2), C_f=u(0.0, 1e-3),
                             C_r=u(0.0, 1e-3), mass=u(0.1, 5.0), C_v=u(0.0, 10.0))
-        state = SimState(t=u(0.0, 100.0), theta=u(-10.0, 10.0),
-                         theta_dot=u(-20.0, 20.0), phi=u(-100.0, 100.0),
-                         phi_dot=u(-50.0, 50.0), pos=(u(-5.0, 5.0), u(-5.0, 5.0)),
-                         vel=(u(-0.5, 0.5), u(-0.5, 0.5)))
-        args = (params, state, u(-100.0, 100.0), u(-10.0, 10.0), 1.0 / 250.0,
+        args = (params, u(-10.0, 10.0), u(-20.0, 20.0), u(-100.0, 100.0),
+                u(-50.0, 50.0), u(-5.0, 5.0), u(-5.0, 5.0), u(-0.5, 0.5),
+                u(-0.5, 0.5), u(-100.0, 100.0), u(-10.0, 10.0), 1.0 / 250.0,
                 u(0.0, 0.1))
         assert _hex_fields(rk4_step(*args)) == _hex_fields(rk4_step_reference(*args))
 
 
-# gaps in periods: mostly short and irregular, some past the 2.5-period pose
+# gaps in periods: mostly short and irregular, some past the one-period
 # horizon so that one arrival trims several samples at once
 _GAPS = st.lists(st.one_of(st.floats(0.02, 0.6), st.floats(2.6, 4.0)),
                  min_size=10, max_size=120)
@@ -98,10 +95,10 @@ def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, headi
         est.add_pose(t, x0 + vx * (t - t0), y0 + vy * (t - t0))
         if first_heading_t is None and t - t0 >= period - 1e-12:
             first_heading_t = t
-        # the pose buffer holds nothing older than the last sample a query
-        # one period back can interpolate from
-        assert len(est._pt) == 1 or est._pt[1] > t - 2.5 * period
-        assert len(est._ht) <= 1 or est._ht[1] > t - 1.5 * period
+        # each buffer holds nothing older than the last sample a query one
+        # period back can interpolate from
+        assert len(est._pt) == 1 or est._pt[1] > t - period
+        assert len(est._ht) <= 1 or est._ht[1] > t - period
         if first_heading_t is not None and t - period >= first_heading_t:
             err = wrap_to_pi(est.travel_direction() - heading)
             assert err == pytest.approx(0.0, abs=1e-9)
@@ -261,8 +258,17 @@ def _configs(draw):
     return "\n".join(lines) + "\n"
 
 
+def _with_cap_examples(test):
+    """Add each scenario at, just under and just over a CLI cap as an
+    explicit example; none of them runs more than a tick or 0.1 s."""
+    for text in cap_scenarios().values():
+        test = example(text=text, strict=False)(test)
+    return test
+
+
 @settings(max_examples=200)
 @given(text=_configs(), strict=st.booleans())
+@_with_cap_examples
 def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
     root = tmp_path_factory.mktemp("fuzz")
     cfg_path, out = root / "fuzz.cfg", root / "out"
