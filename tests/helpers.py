@@ -164,8 +164,9 @@ def run_step_test(params, cfg, delta, initial_leg=15.0, second_leg=15.0):
 
 def cap_scenarios():
     """Scenario configs at, just under and just over each scenario-wide cap
-    of the CLI, keyed by (cap, side) with cap one of "points", "ticks" and
-    "name" and side one of "at", "under" and "over".
+    of the CLI, keyed by (cap, side) with cap one of "points", "ticks",
+    "points-repeats", "ticks-repeats" and "name" and side one of "at",
+    "under" and "over".  The "-repeats" caps are met through batch.repeats.
 
     The point and tick cases set a thrust so large that every point diverges
     on its first tick, so running an accepted one costs a tick.  The name
@@ -189,7 +190,17 @@ def cap_scenarios():
                 f"output.basename = {stem}\n")
 
     points = wild + "mission.duration = 1\nsweep.control.K = {}\nsweep.boat.mass = {}\n"
+    # points x repeats and ticks x repeats: 100 x 100, 101 x 99, 73 x 137;
+    # 1,000,000 x 100, 1,010,101 x 99 and 5,882,353 x 17
+    repeats = wild + "mission.duration = 1\nsweep.control.K = {}\nbatch.repeats = {}\n"
+    long = wild + "mission.duration = {}\nbatch.repeats = {}\n"
     return {
+        ("points-repeats", "at"): repeats.format(values(100), 100),
+        ("points-repeats", "under"): repeats.format(values(101), 99),
+        ("points-repeats", "over"): repeats.format(values(73), 137),
+        ("ticks-repeats", "at"): long.format(4000, 100),
+        ("ticks-repeats", "under"): long.format(4040.404, 99),
+        ("ticks-repeats", "over"): long.format(23529.412, 17),
         ("points", "at"): points.format(values(100), values(100)),
         ("points", "under"): points.format(values(99), values(101)),
         ("points", "over"): points.format(values(73), values(137)),

@@ -9,8 +9,8 @@ import pytest
 
 import paddlesim
 from helpers import cap_scenarios, make_log
-from paddlesim.cli import (CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS, MAX_TOTAL_TICKS,
-                           load_preset, main, parse_scenario,
+from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
+                           MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
                            preset_names, report_metrics, render_report_dat,
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode
@@ -111,6 +111,9 @@ def test_parse_full_config():
      "waypoints coordinates must be at most 1e+06 m"),
     ("mission.start = -2e6 0", "start coordinates must be at most 1e+06 m"),
     ("boat.body_radius = 0.075", "unknown key"),
+    ("output.basename = a\0b", "NUL byte"),
+    ("output.dir = a\0b", "NUL byte"),
+    ("batch.repeats = 100000000000000000000", "more than 10000"),
 ])
 def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
@@ -170,6 +173,9 @@ def test_parse_sweep_supplies_a_required_key():
         "mission.kind = station_keep\nmission.duration = 1\n"
         "mission.waypoints = 1e-300 1e-300; 1e-300 1e308",
         "boat.body_radius = 0.075",
+        "output.basename = a\0b",
+        "output.dir = a\0b",
+        "batch.repeats = 100000000000000000000",
     )
 ])
 def test_bad_config_exits_2_and_writes_nothing(tmp_path, lines):
@@ -253,10 +259,12 @@ def test_scenario_caps_are_inclusive(cap, side):
             parse_scenario(text)
         return
     cfg = parse_scenario(text)
-    limit = {"points": MAX_POINTS, "ticks": MAX_TOTAL_TICKS, "name": MAX_NAME_BYTES}[cap]
-    size = {"points": len(cfg.points),
-            "ticks": sum(round(m.duration * 250) for *_, m in cfg.points),
-            "name": len(f"{cfg.basename}_metrics.txt".encode())}[cap]
+    # the point and tick caps count every repeat
+    kind = cap.partition("-")[0]
+    limit = {"points": MAX_POINTS, "ticks": MAX_TOTAL_TICKS, "name": MAX_NAME_BYTES}[kind]
+    size = {"points": len(cfg.points) * cfg.repeats,
+            "ticks": sum(round(m.duration * 250) for *_, m in cfg.points) * cfg.repeats,
+            "name": len(f"{cfg.basename}_metrics.txt".encode())}[kind]
     assert size == (limit if side == "at" else limit - 1)
 
 
@@ -273,11 +281,15 @@ def test_long_output_name_exits_2_before_any_point_runs(tmp_path, capsys):
 
 
 def test_run_indices_count_toward_the_name_limit():
-    # from a million repeats on, the last CSV's name outgrows the reports'
-    head = MINIMAL + "batch.repeats = 1000001\noutput.basename = "
-    parse_scenario(head + "b" * 242 + "\n")  # run_r1000000.csv: 255 bytes
-    with pytest.raises(ConfigError, match=r"_r1000000\.csv' has 256 bytes"):
-        parse_scenario(head + "b" * 243 + "\n")
+    # at the most repeats the run cap allows, the last CSV's name,
+    # <stem>_r9999.csv, is still shorter than the reports', which meet the
+    # name limit first
+    head = MINIMAL + f"batch.repeats = {MAX_POINTS}\noutput.basename = "
+    parse_scenario(head + "b" * 243 + "\n")  # run_metrics.txt: 255 bytes
+    with pytest.raises(ConfigError, match=r"_metrics\.txt' has 256 bytes"):
+        parse_scenario(head + "b" * 244 + "\n")
+    with pytest.raises(ConfigError, match="more than 10000"):
+        parse_scenario(MINIMAL + f"batch.repeats = {MAX_POINTS + 1}\n")
 
 
 def test_parse_requires_kind_and_duration():
@@ -342,7 +354,8 @@ EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                math.nan, math.inf, -math.inf, 1.0 / 3.0, 123456789.5, 1e-300)
 
 
-@pytest.mark.parametrize("n_rows", [1, 4096, 4097, 8193])
+@pytest.mark.parametrize("n_rows", [1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                                    2 * _CSV_CHUNK_ROWS + 1])
 def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     # row counts straddle the writer's chunk edges
     rng = np.random.default_rng(n_rows)
@@ -358,6 +371,21 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     path = tmp_path / "edge.csv"
     write_telemetry_csv(log, path)
     assert path.read_bytes() == reference_csv(log).encode()
+
+
+def test_csv_index_fallback_in_one_chunk_only(tmp_path):
+    # only the first chunk holds indices past the 0..9999 lookup table
+    n_rows = 2 * _CSV_CHUNK_ROWS
+    idx = np.arange(n_rows) % 10_000
+    idx[[0, _CSV_CHUNK_ROWS - 1]] = (-1, 10_000)
+    log = dataclasses.replace(make_log(np.linspace(0.0, 8.0, n_rows)),
+                              waypoint_index=idx)
+    path = tmp_path / "index.csv"
+    write_telemetry_csv(log, path)
+    assert path.read_bytes() == reference_csv(log).encode()
+    lines = path.read_text().splitlines()
+    assert (lines[1].endswith(",-1") and lines[_CSV_CHUNK_ROWS].endswith(",10000")
+            and lines[-1].endswith(",2047"))
 
 
 def test_run_command_end_to_end(tmp_path):

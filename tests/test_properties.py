@@ -1,5 +1,6 @@
 """Property tests: the plant step, the estimator's trimmed history, angle
-wrapping, float parsing, the settings' finite check and whole configs."""
+wrapping, float parsing, the settings' finite check, whole configs and the
+CSV number text."""
 
 import contextlib
 import io
@@ -8,12 +9,13 @@ import random
 from dataclasses import fields, replace
 from enum import Enum, EnumMeta
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import Plant, cap_scenarios, rk4_step_reference
-from paddlesim.cli import _SECTIONS, main, parse_scenario
+from paddlesim.cli import _SECTIONS, _csv_rows, main, parse_scenario
 from paddlesim.control import ControllerConfig, wrap_to_pi
 from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import TravelEstimator
@@ -290,3 +292,31 @@ def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
                if name.endswith("_metrics.dat")}
     assert csvs == reports
     assert set(root.iterdir()) <= {cfg_path, out}
+
+
+def _nudged(x):
+    """x and its two neighbouring floats."""
+    return st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+
+
+_TEXT_FLOATS = (
+    st.floats()
+    # decimal ties at 10 digits, which must round half to even on the exact
+    # binary value
+    | st.builds(lambda digits, k: float(f"{digits // 10 * 10 + 5}e{k}"),
+                st.integers(10**9, 10**10 - 1), st.integers(-120, 120))
+    | st.integers(-323, 308).flatmap(lambda k: _nudged(float(f"1e{k}")))
+    # the values that round up to the next power of ten
+    | st.integers(-300, 298).flatmap(lambda k: _nudged(float(f"9.999999995e{k}")))
+    | st.sampled_from([1e-99, 1e99]).flatmap(_nudged))
+
+
+@settings(max_examples=400)
+@given(values=st.lists(st.tuples(_TEXT_FLOATS, st.integers(-2**63, 2**63 - 1)),
+                       min_size=1, max_size=40))
+def test_csv_text_is_printf_g9_and_d(values):
+    # each row holds one value in every float column, so every slot sees it
+    floats = np.repeat([[x] for x, _ in values], 14, axis=1)
+    rows = _csv_rows(floats, np.array([i for _, i in values], dtype=np.int64))
+    assert rows.decode().splitlines() == [
+        ",".join(["%.9g" % x] * 14 + ["%d" % i]) for x, i in values]
