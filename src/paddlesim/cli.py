@@ -67,6 +67,15 @@ def _parse_dir(text: str) -> str:
     return text
 
 
+def _path_arg(text: str) -> str:
+    """A path from the command line, held to _parse_dir's rule; argparse
+    turns the error into exit code 2 before anything runs."""
+    try:
+        return _parse_dir(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_basename(text: str) -> str:
     """A plain file-name stem: output files must land in the output directory."""
     if text in ("", ".", "..") or "/" in text or os.sep in text:
@@ -200,153 +209,16 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
 
 def write_telemetry_csv(log: TelemetryLog, path) -> None:
     """Write the fixed-header CSV: each float as '%.9g', the index as '%d'."""
+    # imported here, so a run that writes no CSV never builds its tables
+    from .csvtext import csv_rows
     floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
     index = log.column(TELEMETRY_COLUMNS[-1])
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(log), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            fh.write(_csv_rows(np.stack([col[start:stop] for col in floats], axis=1,
-                                        dtype=np.float64), index[start:stop]))
-
-
-# The rows are formatted as whole arrays.  Each float's text is laid out in a
-# 16-byte slot of two 64-bit words, byte k of a word being bits 8k..8k+7:
-# the sign and any leading "0.000", then the 9 significant digits with their
-# point and trailing zeros cut, "e+XX" at bytes 11..14 in exponent form, and
-# ',' at byte 15.  A row is 14 such slots and one word for the index and
-# '\n'; the NUL bytes left between are dropped.  Values outside the proven
-# range get a 0x01 marker, which is replaced by their '%.9g' or '%d' text.
-
-_U = np.uint64
-# the fast path: 1e-99 <= |x| < 1e99 and zero, so every exponent has 2 digits
-_FAST_MIN, _FAST_MAX, _X_MIN, _X_MAX = 1e-99, 1e99, -99, 99
-# correctly rounded 10**k for |k| <= 110, at index k + 110
-_POW10_MID = 110
-_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_MID, _POW10_MID + 1)])
-# the scaled value p = |x| * 10**(8 - X) is off by at most 2.3e-7 (two
-# roundings of 2**-53 relative, at p below about 1e9), so a p this close to
-# a rounding tie is left to '%.9g'
-_TIE_MARGIN = 1e-6
-
-
-def _words(chars) -> np.ndarray:
-    """Rows of byte values (0 for none) as one little-endian word each."""
-    chars = np.asarray(chars)
-    shifts = _U(8) * np.arange(chars.shape[-1], dtype=_U)
-    return np.bitwise_or.reduce(chars.astype(_U) << shifts, axis=-1)
-
-
-_v = np.arange(10_000)
-_pairs = _words(np.stack([48 + _v[:100] // 10, 48 + _v[:100] % 10], axis=1))
-# each of 0000..9999 as four ASCII digits, and the count up to its last
-# nonzero digit (0 for 0000)
-_DIGITS4 = _pairs[_v // 100] | _pairs[_v % 100] << _U(16)
-_SIGNIFICANT4 = sum((_v % k != 0).astype(int) for k in (10, 100, 1000, 10_000))
-# each index 0..9999 in '%d' form, leading zeros cut, then '\n' at byte 7
-_zeros = _U(8) * sum((_v < k).astype(_U) for k in (10, 100, 1000))
-_INDEX_TEXT = _DIGITS4 >> _zeros << _zeros | _U(10 << 56)
-
-# per decimal exponent X of the rounded value, at row X + 99: the digit
-# after which the point goes (9: none, the point is in the leading "0."),
-# the digits always shown, "e+XX," and the leading text per sign
-_X = np.arange(_X_MIN, _X_MAX + 1)
-_fixed, _small = (_X >= 0) & (_X <= 8), (_X >= -4) & (_X < 0)
-_POINT_AFTER = np.where(_fixed, _X, np.where(_small, 9, 0))
-_MIN_DIGITS = np.where(_fixed, _X + 1, 1)
-_exp = np.zeros((len(_X), 7), int)
-_exp[:, 3:] = np.stack([np.full_like(_X, 101), np.where(_X < 0, 45, 43),
-                        48 + abs(_X) // 10, 48 + abs(_X) % 10], axis=1)
-_EXP_WORD = np.where(_fixed | _small, _U(0), _words(_exp)) | _U(44 << 56)
-_lead_len = np.where(_small, 1 - _X, 0)
-_lead = np.where(np.arange(5) < _lead_len[:, None],
-                 np.where(np.arange(5) == 1, 46, 48), 0)
-# at index 2 row + negative
-_LEAD_WORD = np.stack([_words(_lead), _words(np.pad(_lead, ((0, 0), (1, 0)),
-                                                    constant_values=45))], axis=1).ravel()
-_LEAD_BITS = (_U(8) * (_lead_len[:, None] + np.arange(2))).astype(_U).ravel()
-
-# the 9 digits are bytes 0..7 of word a and byte 0 of word b, 16 bytes in
-# all; masks keeping the first k = 0..9 of them
-_k = np.arange(10)[:, None]
-_byte = np.arange(16)
-_keep = np.where(_byte < _k, 0xFF, 0)
-_KEEP_A, _KEEP_B = _words(_keep[:, :8]), _words(_keep[:, 8:])
-# a point after digit k = 0..7 keeps bytes 0..k and moves the rest one byte
-# up; k = 9 puts none
-_POINT_LOW = _words(np.where(_byte[:8] <= _k, 0xFF, 0))
-_point = np.where((_byte == _k + 1) & (_k <= 7), 46, 0)
-_POINT_A, _POINT_B = _words(_point[:, :8]), _words(_point[:, 8:])
-_POINT_BITS = np.where(_k[:, 0] <= 7, _U(8), _U(0))
-
-
-def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two words of each float's slot, and where '%.9g' must write it."""
-    mag = np.abs(x)
-    fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
-    zero = x == 0.0  # formatted as 1, then its digit is made '0'
-    mag = np.where(fast, mag, 1.0)
-    # the exponent from log10, corrected once so that p lies in [1e8, 1e9)
-    exp10 = np.floor(np.log10(mag)).astype(np.int64)
-    p = mag * _POW10[_POW10_MID + 8 - exp10]
-    exp10 += (p >= 1e9).astype(np.int64) - (p < 1e8)
-    p = mag * _POW10[_POW10_MID + 8 - exp10]
-    m = np.rint(p)
-    slow = (~(fast | zero) | (np.abs(p - m) > 0.5 - _TIE_MARGIN)
-            | (m < 1e8) | (m > 1e9))
-    m = m.astype(np.int64)
-    carry = m == 10**9  # 9.999999995e(X) rounds to 1e(X + 1)
-    m -= carry * (9 * 10**8)
-    row = np.clip(exp10 + carry, _X_MIN, _X_MAX) - _X_MIN  # of the per-X tables
-    first = m // 10**8
-    rest = m - first * 10**8
-    hi = rest // 10_000
-    lo = rest - hi * 10_000
-    digits = np.maximum(np.where(lo != 0, 5 + _SIGNIFICANT4[lo], 1 + _SIGNIFICANT4[hi]),
-                        _MIN_DIGITS[row])
-    point = _POINT_AFTER[row]
-    point = np.where(digits > point + 1, point, 9)
-    lo_text = _DIGITS4[lo]
-    a = (((48 + first - zero).astype(_U) | _DIGITS4[hi] << _U(8) | lo_text << _U(40))
-         & _KEEP_A[digits])
-    b = lo_text >> _U(24) & _KEEP_B[digits]
-    low = _POINT_LOW[point]
-    moved = a & ~low
-    a = a & low | moved << _U(8) | _POINT_A[point]
-    b = b << _POINT_BITS[point] | moved >> _U(56) | _POINT_B[point]
-    # the sign and leading text shift the text up to 6 bytes, partly into
-    # word 1; in two shifts, so that none reaches 64 bits
-    lead = 2 * row + np.signbit(x)
-    bits = _LEAD_BITS[lead]
-    return (a << bits | _LEAD_WORD[lead],
-            b << bits | a >> (_U(63) - bits) >> _U(1) | _EXP_WORD[row], slow)
-
-
-def _csv_rows(floats: np.ndarray, index: np.ndarray) -> bytes:
-    """The CSV text of rows of 14 floats and a waypoint index."""
-    n, n_floats = floats.shape
-    words = np.empty((n, 2 * n_floats + 1), _U)
-    slot_0, slot_1, slow = _float_slots(floats.reshape(-1))
-    words[:, 0:-1:2] = slot_0.reshape(n, n_floats)
-    words[:, 1:-1:2] = slot_1.reshape(n, n_floats)
-    slow_index = (index < 0) | (index >= 10_000)
-    words[:, -1] = _INDEX_TEXT[np.where(slow_index, 0, index)]
-    slow = np.concatenate([slow.reshape(n, n_floats), slow_index[:, None]], axis=1)
-    any_slow = slow.any()
-    if any_slow:
-        words[:, 0:-1:2][slow[:, :-1]] = 1
-        words[:, 1:-1:2][slow[:, :-1]] = 44 << 56
-        words[slow_index, -1] = 1 | 10 << 56
-    text = words.astype("<u8", copy=False).view(np.uint8).reshape(-1)
-    text = text[text != 0].tobytes()
-    if not any_slow:
-        return text
-    rows, cols = np.nonzero(slow)
-    parts = [None] * (2 * len(rows) + 1)
-    parts[0::2] = text.split(b"\x01")
-    parts[1::2] = [(b"%d" % index[r] if c == n_floats else b"%.9g" % floats[r, c])
-                   for r, c in zip(rows.tolist(), cols.tolist())]
-    return b"".join(parts)
+            fh.write(csv_rows(np.stack([col[start:stop] for col in floats], axis=1,
+                                       dtype=np.float64), index[start:stop]))
 
 
 # -------------------------------------------------------------------- metrics
@@ -391,12 +263,13 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
 
     if spec.kind is MissionKind.WAYPOINTS:
         idx = log.waypoint_index
+        # the index only advances, so waypoint k's rows are bounds[k]:bounds[k + 1]
+        bounds = np.searchsorted(idx, np.arange(int(idx.max()) + 1)).tolist()
         rms, peak = [], []
-        for k in range(int(idx.max())):
-            mask = idx == k
-            if not np.any(mask):
+        for k, (first, end) in enumerate(zip(bounds, bounds[1:])):
+            if first == end:
                 continue
-            t0, t1 = float(log.t[mask][0]), float(log.t[mask][-1])
+            t0, t1 = float(log.t[first]), float(log.t[end - 1])
             p0 = spec.waypoints[k - 1] if k > 0 else (float(log.x[0]), float(log.y[0]))
             seg = rms_perpendicular_error(log, (p0, spec.waypoints[k]), (t0, t1))
             rms.append(seg.rms_perp)
@@ -404,9 +277,8 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         if rms:
             vals["rms_perp_m"] = rms
             vals["max_perp_m"] = peak
-        arrived = np.nonzero(idx == len(spec.waypoints) - 1)[0]
-        if len(arrived):
-            vals["completion_time_s"] = [float(log.t[arrived[0]])]
+        if idx[-1] == len(spec.waypoints) - 1:  # bounds[-1] is the arrival row
+            vals["completion_time_s"] = [float(log.t[bounds[-1]])]
 
     if spec.kind is MissionKind.STATION_KEEP:
         window = min(30.0, 0.5 * span) if span > 0 else 0.0
@@ -542,13 +414,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--out-dir", default=None,
+        p.add_argument("--out-dir", default=None, type=_path_arg,
                        help="output directory (overrides output.dir)")
         p.add_argument("--strict-settle", action="store_true",
                        help="treat an unsettled rise-time as a fatal error")
 
     p_run = sub.add_parser("run", help="run a scenario config")
-    p_run.add_argument("config")
+    p_run.add_argument("config", type=_path_arg)
     add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 

@@ -62,6 +62,9 @@ class ReferenceState:
 
 def wrap_to_pi(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
+    if -3.0 < angle < 3.0:
+        # floor((angle + pi) / tau) is 0 here, so the formula gives angle back
+        return angle
     wrapped = angle - math.tau * math.floor((angle + math.pi) / math.tau)
     if wrapped <= -math.pi:  # floor maps +pi to -pi; the boundary belongs at +pi
         wrapped += math.tau

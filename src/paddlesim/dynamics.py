@@ -7,7 +7,7 @@ follows a damped rotational ODE; planar translation is approximated as a
 point mass pushed along the commanded heading against quadratic drag.
 """
 
-from math import cos, hypot, sin
+from math import hypot
 from dataclasses import dataclass, fields
 from sys import float_info
 
@@ -79,12 +79,13 @@ def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> 
 
 def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
              phi_dot: float, x: float, y: float, vx: float, vy: float,
-             control_torque: float, thrust_heading: float, dt: float,
-             thrust_mag: float = 0.0) -> tuple[float, ...]:
+             control_torque: float, thrust_x: float, thrust_y: float,
+             dt: float) -> tuple[float, ...]:
     """Advance the hull angle and rate (theta unwrapped), the motor angle and
     rate, the position and the velocity by one classical fourth-order step,
-    returning the eight new values in that order.  The motor acceleration and
-    the thrust vector are held over the step; the caller advances time by dt.
+    returning the eight new values in that order.  The motor acceleration
+    and the thrust vector (thrust_x, thrust_y), in N, are held over the step;
+    the caller advances time by dt.
 
     The stages are written out over local constants because this runs on
     every tick; each repeats orientation_accel's arithmetic for the rotation
@@ -110,9 +111,8 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
     s4 = w + dt * k3
     k4 = -(C_f * s4 * abs(s4) + C_r * s4 + motor) / inertia
 
-    # translational stages under a thrust vector held over the step
-    tx = thrust_mag * cos(thrust_heading)
-    ty = thrust_mag * sin(thrust_heading)
+    # translational stages under the held thrust vector
+    tx, ty = thrust_x, thrust_y
     cd = C_v * hypot(vx, vy)
     ax1, ay1 = (tx - cd * vx) / mass, (ty - cd * vy) / mass
     ux2, uy2 = vx + half * ax1, vy + half * ay1

@@ -132,19 +132,21 @@ def rms_perpendicular_error(log: TelemetryLog,
                             segment: tuple[tuple[float, float], tuple[float, float]],
                             time_window: tuple[float, float] | None = None) -> SegmentError:
     """RMS and max perpendicular distance to the infinite line through the
-    segment endpoints, over the samples inside the time window."""
+    segment endpoints, over the samples inside the time window (its edges
+    widened by 1e-12 s; the log's times increase)."""
     (x0, y0), (x1, y1) = segment
     if coincident(*segment):
         raise DegenerateSegment("segment endpoints coincide")
     dx, dy = x1 - x0, y1 - y0
     length = math.hypot(dx, dy)
-    if time_window is None:
-        mask = np.ones(len(log.t), dtype=bool)
-    else:
-        mask = (log.t >= time_window[0] - 1e-12) & (log.t <= time_window[1] + 1e-12)
-    if not np.any(mask):
+    rows = slice(None)
+    if time_window is not None:
+        rows = slice(int(np.searchsorted(log.t, time_window[0] - 1e-12, side="left")),
+                     int(np.searchsorted(log.t, time_window[1] + 1e-12, side="right")))
+    x, y = log.x[rows], log.y[rows]
+    if not len(x):
         raise ValueError("time window contains no samples")
-    perp = np.abs(dx * (log.y[mask] - y0) - dy * (log.x[mask] - x0)) / length
+    perp = np.abs(dx * (y - y0) - dy * (x - x0)) / length
     return SegmentError(rms_perp=float(np.sqrt(np.mean(perp * perp))),
                         max_perp=float(np.max(perp)))
 

@@ -9,6 +9,7 @@ identical inputs produce bit-identical telemetry.
 """
 
 import math
+import struct
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import cycle
@@ -125,6 +126,8 @@ class TelemetryLog:
 # the per-tick columns, in field order; period and body_length are metadata
 TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
                           if f.name not in ("period", "body_length"))
+# one row of the float columns, all but the last, in that order
+_ROW = struct.Struct(f"{len(TELEMETRY_COLUMNS) - 1}d")
 
 
 def waypoint_heading(px: float, py: float, spec: MissionSpec,
@@ -174,7 +177,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     n_steps = round(spec.duration * INNER_RATE)
     period = cfg.period
     thrust = params.k_thrust * cfg.K
-    isfinite = math.isfinite
+    cos, sin, isfinite = math.cos, math.sin, math.isfinite
+    pack_row, row_size = _ROW.pack_into, _ROW.size
     # resolved per run from this module, so wrappers installed on it apply;
     # rk4_step, desaturate_reference and waypoint_heading are looked up on
     # every call for the same reason
@@ -192,16 +196,18 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     theta_dot = phi = phi_dot = vx = vy = 0.0
     x, y = spec.start
     theta_r = theta_des
-    last_desat_time = -math.inf
+    # updated in place each outer tick; an unwind returns a new one
+    ref = ReferenceState(theta_r)
     est = TravelEstimator(period, theta_des_fallback=theta_des)
 
-    # preallocated columns in TELEMETRY_COLUMNS order, written through
-    # memoryviews, which take and give plain Python floats
-    columns = [np.empty(n_steps + 1) for _ in TELEMETRY_COLUMNS[:-1]]
-    columns.append(np.empty(n_steps + 1, dtype=np.int64))  # waypoint_index
-    (t_col, theta_col, theta_dot_col, phi_col, phi_dot_col, rate_col, x_col,
-     y_col, vx_col, vy_col, theta_r_col, theta_des_col, psi_hat_col, tau_col,
-     idx_col) = map(memoryview, columns)
+    # the float columns as one preallocated block, a packed row per tick;
+    # the waypoint index is its own column.  Memoryviews take and give plain
+    # Python floats and ints.
+    block = np.empty((n_steps + 1, len(TELEMETRY_COLUMNS) - 1))
+    index = np.empty(n_steps + 1, dtype=np.int64)
+    t_col = memoryview(block[:, 0])
+    rate_col = memoryview(block[:, TELEMETRY_COLUMNS.index("theta_t_dot")])
+    idx_col = memoryview(index)
 
     # trailing one-period boxcar of the reaction-mass rate over rows lo..i
     rate_sum = 0.0
@@ -215,12 +221,10 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
         # an overflowing plant goes non-finite here before any law reads it
         if not isfinite(x + y + theta_dot):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
-        t_col[i] = t
-        theta_col[i] = theta
-        rate_col[i] = rate = theta_dot + phi_dot
+        rate = theta_dot + phi_dot
         rate_sum += rate
         floor = t - period
-        while t_col[lo] <= floor:
+        while lo < i and t_col[lo] <= floor:  # rows before i are written
             rate_sum -= rate_col[lo]
             lo += 1
 
@@ -240,32 +244,26 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 pending = wrap_to_pi(target - theta_r)
                 theta_r += pending
                 if desaturated:
-                    mean_rate = rate_sum / (i + 1 - lo)
-                    ref = desaturate_reference(
-                        ReferenceState(theta_r, last_desat_time), mean_rate, t,
-                        cfg, pending)
-                    theta_r, last_desat_time = ref.theta_r, ref.last_desat_time
+                    ref.theta_r = theta_r
+                    ref = desaturate_reference(ref, rate_sum / (i + 1 - lo), t,
+                                               cfg, pending)
+                    theta_r = ref.theta_r
+            # the thrust vector, held until the next outer tick
+            thrust_x = thrust * cos(theta_r)
+            thrust_y = thrust * sin(theta_r)
 
         tau = torque_law(cfg, t, theta, theta_r)
 
-        theta_dot_col[i] = theta_dot
-        phi_col[i] = phi
-        phi_dot_col[i] = phi_dot
-        x_col[i] = x
-        y_col[i] = y
-        vx_col[i] = vx
-        vy_col[i] = vy
-        theta_r_col[i] = theta_r
-        theta_des_col[i] = theta_des
-        psi_hat_col[i] = psi_hat
-        tau_col[i] = tau
+        pack_row(block, row_size * i, t, theta, theta_dot, phi, phi_dot, rate, x, y,
+                 vx, vy, theta_r, theta_des, psi_hat, tau)
         idx_col[i] = active_idx
 
         if i == n_steps:
             break
         theta, theta_dot, phi, phi_dot, x, y, vx, vy = rk4_step(
-            params, theta, theta_dot, phi, phi_dot, x, y, vx, vy, tau, theta_r,
-            dt, thrust)
+            params, theta, theta_dot, phi, phi_dot, x, y, vx, vy, tau, thrust_x,
+            thrust_y, dt)
         t += dt
 
-    return TelemetryLog(*columns, period=period, body_length=params.body_length)
+    # block.T yields the float columns as views of the block
+    return TelemetryLog(*block.T, index, period=period, body_length=params.body_length)

@@ -79,14 +79,12 @@ def _planar_accel(params, vx, vy, tx, ty):
     return (tx - cd * vx) / params.mass, (ty - cd * vy) / params.mass
 
 
-def _translational_rk4(params, x, y, vx, vy, thrust_heading, thrust_mag, dt):
+def _translational_rk4(params, x, y, vx, vy, tx, ty, dt):
     """Classical fourth-order stages of the point-mass translation.
 
-    The thrust vector is held constant across the step; returns the new
-    (x, y, vx, vy).
+    The thrust vector (tx, ty) is held constant across the step; returns the
+    new (x, y, vx, vy).
     """
-    tx = thrust_mag * math.cos(thrust_heading)
-    ty = thrust_mag * math.sin(thrust_heading)
     half = 0.5 * dt
     ax1, ay1 = _planar_accel(params, vx, vy, tx, ty)
     ux2, uy2 = vx + half * ax1, vy + half * ay1
@@ -102,7 +100,7 @@ def _translational_rk4(params, x, y, vx, vy, thrust_heading, thrust_mag, dt):
 
 
 def rk4_step_reference(params, theta, w, phi, phi_dot, x, y, vx, vy,
-                       control_torque, thrust_heading, dt, thrust_mag=0.0):
+                       control_torque, thrust_x, thrust_y, dt):
     """rk4_step written stage by stage through orientation_accel and a
     point-mass helper, in the same operation order, so the two must agree
     bit for bit."""
@@ -118,7 +116,24 @@ def rk4_step_reference(params, theta, w, phi, phi_dot, x, y, vx, vy,
     return (theta + dt / 6.0 * (w + 2.0 * s2 + 2.0 * s3 + s4),
             w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
             phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
-            *_translational_rk4(params, x, y, vx, vy, thrust_heading, thrust_mag, dt))
+            *_translational_rk4(params, x, y, vx, vy, thrust_x, thrust_y, dt))
+
+
+def within_ulps(x, n):
+    """x and the n floats on each side of it, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def wrap_to_pi_formula(angle):
+    """wrap_to_pi as the full floor formula, with no in-range shortcut."""
+    wrapped = angle - math.tau * math.floor((angle + math.pi) / math.tau)
+    if wrapped <= -math.pi:
+        wrapped += math.tau
+    return wrapped
 
 
 def pendulum_reference(params, cfg, psi0, dt, n):

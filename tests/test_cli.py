@@ -541,3 +541,34 @@ def test_runtime_imports_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_csv_tables_are_built_on_the_first_write(tmp_path):
+    # importing the CLI does not build the formatter's tables, so a library
+    # run that only reports metrics never pays for them
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL)
+    code = ("import sys, paddlesim.cli as cli; "
+            "print('paddlesim.csvtext' in sys.modules); "
+            f"cli.main(['run', {str(cfg_path)!r}, '--out-dir', {str(tmp_path)!r}]); "
+            "print('paddlesim.csvtext' in sys.modules)")
+    src = str(Path(paddlesim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split()[0] == "False" and out.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "ok.cfg", "--out-dir", "x\0y"],
+    ["run", "a\0b"],
+    ["presets", "run", "defaults", "--out-dir", "x\0y"],
+], ids=["run-out-dir", "run-config", "presets-out-dir"])
+def test_nul_byte_in_argv_path_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                          capsys, argv):
+    # a shell cannot pass a NUL in argv, but a library caller of main can
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text("mission.kind = converge\nmission.duration = 0.1\n")
+    assert main(argv) == 2
+    assert "NUL byte" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg_path]

@@ -129,7 +129,7 @@ def _mean_top_rate_change(jump_sign):
     rates = []
     for i in range(round(8.0 / dt)):
         tau = desaturated_torque(cfg, t, state.theta, theta_r)
-        state = Plant(*rk4_step(params, *state, tau, 0.0, dt))
+        state = Plant(*rk4_step(params, *state, tau, 0.0, 0.0, dt))
         t += dt
         rates.append(state.theta_dot + state.phi_dot)
     settled = np.mean(rates[-250:])

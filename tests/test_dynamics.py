@@ -53,7 +53,8 @@ def test_heading_step_travel_lags_command():
     dt = 1e-4  # fine-step reference on the point-mass ODE
     heading = math.pi / 2
     for _ in range(20000):  # 2 s
-        state = Plant(*rk4_step(p, *state, 0.0, heading, dt, thrust))
+        state = Plant(*rk4_step(p, *state, 0.0, thrust * math.cos(heading),
+                                thrust * math.sin(heading), dt))
         travel = math.atan2(state.vy, state.vx)
         assert travel - heading < 0.0
     # and it converges toward the command eventually
@@ -63,7 +64,7 @@ def test_heading_step_travel_lags_command():
 def test_rk4_step_rest_is_fixed_point():
     p = BoatParams()
     s0 = Plant(theta=0.3, x=2.0, y=-1.0)
-    assert rk4_step(p, *s0, 0.0, 0.0, 0.004) == s0
+    assert rk4_step(p, *s0, 0.0, 0.0, 0.0, 0.004) == s0
 
 
 def test_rk4_step_constant_motor_accel_is_exact():
@@ -72,7 +73,7 @@ def test_rk4_step_constant_motor_accel_is_exact():
     state = Plant()
     dt = 0.01
     for _ in range(100):
-        state = Plant(*rk4_step(p, *state, c, 0.0, dt))
+        state = Plant(*rk4_step(p, *state, c, 0.0, 0.0, dt))
     t = 100 * dt
     assert state.phi_dot == pytest.approx(c * t, rel=1e-12)
     assert state.phi == pytest.approx(0.5 * c * t * t, rel=1e-12)
@@ -80,7 +81,7 @@ def test_rk4_step_constant_motor_accel_is_exact():
 
 def test_rk4_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        rk4_step(BoatParams(), *Plant(), 0.0, 0.0, 0.0)
+        rk4_step(BoatParams(), *Plant(), 0.0, 0.0, 0.0, 0.0)
 
 
 def test_free_spin_momentum_conserved_without_drag():
@@ -89,7 +90,7 @@ def test_free_spin_momentum_conserved_without_drag():
     state = Plant(theta_dot=2.5, phi_dot=-1.0)
     h0 = (p.I_b + p.I_t) * state.theta_dot
     for _ in range(2500):
-        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 1.0 / 250.0))
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0, 1.0 / 250.0))
     assert (p.I_b + p.I_t) * state.theta_dot == pytest.approx(h0, abs=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_hull_rate_decays_with_drag_and_no_torque():
     state = Plant(theta_dot=3.0)
     prev = abs(state.theta_dot)
     for _ in range(1000):
-        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 1.0 / 250.0))
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0, 1.0 / 250.0))
         cur = abs(state.theta_dot)
         assert cur < prev
         prev = cur

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import make_log, rolling_mean
+from helpers import make_log, rolling_mean, within_ulps
 from paddlesim.metrics import (DegenerateSegment, NotSettled, measure_turn,
                                orbit_radius, quartiles, rise_time,
                                rms_perpendicular_error, travel_during_turn)
@@ -140,6 +141,36 @@ def test_rms_perp_matches_brute_force_oracle():
         rms = math.sqrt(sum(d * d for d in dists) / n)
         assert seg.rms_perp == pytest.approx(rms, rel=1e-12)
         assert seg.max_perp == pytest.approx(max(dists), rel=1e-12)
+
+
+def test_rms_perp_window_edges_pick_the_masked_rows():
+    # the window is one searchsorted slice of the increasing t; it must pick
+    # the rows the two masks t >= t0 - 1e-12 and t <= t1 + 1e-12 pick, also
+    # when an edge sits within a few ulps of a sample plus or minus 1e-12
+    t = np.empty(500)
+    now = 0.0
+    for i in range(len(t)):  # accumulated as run_mission does
+        t[i] = now
+        now += DT
+    rng = np.random.default_rng(7)
+    log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)))
+    (x0, y0), (x1, y1) = segment = ((0.1, -0.2), (1.0, 0.3))
+    length = math.hypot(x1 - x0, y1 - y0)
+    for k0, k1 in ((0, 499), (17, 18), (123, 321), (250, 250)):
+        for e0, e1 in itertools.product(_near_edges(t[k0]), _near_edges(t[k1])):
+            mask = (t >= e0 - 1e-12) & (t <= e1 + 1e-12)
+            if not np.any(mask):
+                continue
+            perp = np.abs((x1 - x0) * (log.y[mask] - y0)
+                          - (y1 - y0) * (log.x[mask] - x0)) / length
+            seg = rms_perpendicular_error(log, segment, (e0, e1))
+            assert seg.rms_perp == float(np.sqrt(np.mean(perp * perp)))
+            assert seg.max_perp == float(np.max(perp))
+
+
+def _near_edges(x):
+    """x, x - 1e-12 and x + 1e-12, each with the floats up to 3 ulps away."""
+    return [y for c in (x - 1e-12, x, x + 1e-12) for y in within_ulps(c, 3)]
 
 
 def test_rms_perp_endpoint_swap_invariant():

@@ -299,6 +299,26 @@ def test_wrapped_names_see_every_call(monkeypatch):
         assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), name
 
 
+def test_unwind_count_matches_telemetry(monkeypatch):
+    # The benchmark counts an unwind when desaturate_reference returns a
+    # theta_r other than the one it was passed.  A loop that mutated the
+    # reference and handed the same object back would read as no unwinds.
+    from paddlesim import mission
+    desaturate = mission.desaturate_reference
+    unwinds = 0
+
+    def counted(ref, *args, **kwargs):
+        nonlocal unwinds
+        out = desaturate(ref, *args, **kwargs)
+        unwinds += out.theta_r != ref.theta_r
+        return out
+    monkeypatch.setattr(mission, "desaturate_reference", counted)
+    cfg, spec = LOOP_PATHS["desaturated_disturbances"]
+    log = run_mission(BoatParams(), cfg, spec)
+    # an unwind is the only way theta_r moves more than a half turn in a tick
+    assert unwinds == np.sum(np.abs(np.diff(log.theta_r)) > np.pi) >= 1
+
+
 # Whole-run oracles on the loop's plant and impulse paths: a 40 s step mission
 # with two impulses, in each control mode, checked against conservation laws
 # of the model rather than against a second integrator.

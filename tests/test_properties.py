@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import Plant, cap_scenarios, rk4_step_reference
-from paddlesim.cli import _SECTIONS, _csv_rows, main, parse_scenario
+from helpers import (Plant, cap_scenarios, rk4_step_reference, within_ulps,
+                     wrap_to_pi_formula)
+from paddlesim.cli import _SECTIONS, main, parse_scenario
 from paddlesim.control import ControllerConfig, wrap_to_pi
+from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import TravelEstimator
 from paddlesim.mission import MissionKind, MissionSpec
@@ -52,8 +54,9 @@ def _hex_fields(values):
 def test_rk4_step_equals_stagewise_reference_bit_for_bit(params, state, torque,
                                                          heading, dt, thrust):
     # float.hex tells -0.0 from 0.0, which == would not
-    fast = rk4_step(params, *state, torque, heading, dt, thrust)
-    ref = rk4_step_reference(params, *state, torque, heading, dt, thrust)
+    thrust_x, thrust_y = thrust * math.cos(heading), thrust * math.sin(heading)
+    fast = rk4_step(params, *state, torque, thrust_x, thrust_y, dt)
+    ref = rk4_step_reference(params, *state, torque, thrust_x, thrust_y, dt)
     assert _hex_fields(fast) == _hex_fields(ref)
 
 
@@ -67,8 +70,9 @@ def test_rk4_step_equals_stagewise_reference_on_seeded_states():
                             C_r=u(0.0, 1e-3), mass=u(0.1, 5.0), C_v=u(0.0, 10.0))
         args = (params, u(-10.0, 10.0), u(-20.0, 20.0), u(-100.0, 100.0),
                 u(-50.0, 50.0), u(-5.0, 5.0), u(-5.0, 5.0), u(-0.5, 0.5),
-                u(-0.5, 0.5), u(-100.0, 100.0), u(-10.0, 10.0), 1.0 / 250.0,
-                u(0.0, 0.1))
+                u(-0.5, 0.5), u(-100.0, 100.0))
+        heading, thrust = u(-10.0, 10.0), u(0.0, 0.1)
+        args += (thrust * math.cos(heading), thrust * math.sin(heading), 1.0 / 250.0)
         assert _hex_fields(rk4_step(*args)) == _hex_fields(rk4_step_reference(*args))
 
 
@@ -124,6 +128,29 @@ def test_wrap_to_pi_range_and_congruence(angle):
     assert -math.pi < wrapped <= math.pi
     turns = (angle - wrapped) / math.tau
     assert turns == pytest.approx(round(turns), abs=1e-9)
+
+
+def _wrap_outcome(fn, angle):
+    """fn(angle) as float.hex, which tells -0.0 from 0.0, or the error type."""
+    try:
+        return fn(angle).hex()
+    except OverflowError:  # floor of an infinity
+        return OverflowError
+
+
+@settings(max_examples=500)
+@given(st.floats(allow_nan=False))
+def test_wrap_to_pi_equals_floor_formula_bit_for_bit(angle):
+    assert _wrap_outcome(wrap_to_pi, angle) == _wrap_outcome(wrap_to_pi_formula, angle)
+
+
+def test_wrap_to_pi_equals_floor_formula_at_edges():
+    # the in-range shortcut's bounds, the wrapped interval's ends, a turn
+    # out, and both zeros
+    edges = [x for c in (3.0, math.pi, math.tau) for sign in (1.0, -1.0)
+             for x in within_ulps(sign * c, 4)] + [0.0, -0.0]
+    for angle in edges:
+        assert wrap_to_pi(angle).hex() == wrap_to_pi_formula(angle).hex(), angle
 
 
 _CONVERGE = "mission.kind = converge\nmission.duration = 1\n"
@@ -317,6 +344,6 @@ _TEXT_FLOATS = (
 def test_csv_text_is_printf_g9_and_d(values):
     # each row holds one value in every float column, so every slot sees it
     floats = np.repeat([[x] for x, _ in values], 14, axis=1)
-    rows = _csv_rows(floats, np.array([i for _, i in values], dtype=np.int64))
+    rows = csv_rows(floats, np.array([i for _, i in values], dtype=np.int64))
     assert rows.decode().splitlines() == [
         ",".join(["%.9g" % x] * 14 + ["%d" % i]) for x, i in values]
