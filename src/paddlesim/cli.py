@@ -330,11 +330,10 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str) -> str:
-    root = resources.files("paddlesim.presets")
-    candidate = root / f"{name}.cfg"
-    if not candidate.is_file():
+    # a name, never a path: "../x" must not reach a .cfg outside the package
+    if name not in preset_names():
         raise ConfigError(f"unknown preset {name!r}; see 'presets list'")
-    return candidate.read_text()
+    return (resources.files("paddlesim.presets") / f"{name}.cfg").read_text()
 
 
 def _preset_summary(text: str) -> str:

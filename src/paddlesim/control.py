@@ -99,8 +99,10 @@ def wrap_override(theta: float, theta_r: float) -> int:
 def desaturated_torque(cfg: ControllerConfig, t: float, theta: float,
                        theta_r: float) -> float:
     """Wrap-aware torque command; equals limit_cycle_torque inside +/- pi."""
-    xi = wrap_override(theta, theta_r)
-    return -cfg.K * math.sin(cfg.omega * t) - cfg.beta * (math.sin(theta_r - theta) + xi)
+    diff = theta_r - theta
+    # wrap_to_pi returns an error in (-3, 3) unchanged, so no unwind drives it
+    xi = 0 if -3.0 < diff < 3.0 else wrap_override(theta, theta_r)
+    return -cfg.K * math.sin(cfg.omega * t) - cfg.beta * (math.sin(diff) + xi)
 
 
 def desaturate_reference(ref: ReferenceState, mean_top_velocity: float, t: float,

@@ -65,6 +65,12 @@ class BoatParams:
     def __post_init__(self):
         check_fields(self, positive=("I_b", "I_t", "mass", "body_length"),
                      non_negative=("C_f", "C_r", "C_v", "k_thrust"))
+        # what rk4_step reads on every call, built once; not a field, so it
+        # is no config key and equality and hashing ignore it.  replace()
+        # rebuilds it, and copies and pickles carry it with the fields.
+        object.__setattr__(self, "_step_constants",
+                           (self.C_f, self.C_r, self.C_v, self.mass, self.I_t,
+                            self.I_b + self.I_t))
 
 
 def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> float:
@@ -87,16 +93,15 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
     and the thrust vector (thrust_x, thrust_y), in N, are held over the step;
     the caller advances time by dt.
 
-    The stages are written out over local constants because this runs on
-    every tick; each repeats orientation_accel's arithmetic for the rotation
-    and a point mass under quadratic drag for the translation.
+    The stages are written out over local constants, unpacked from the
+    tuple BoatParams builds once, because this runs on every tick; each
+    repeats orientation_accel's arithmetic for the rotation and a point mass
+    under quadratic drag for the translation.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     a = control_torque  # motor acceleration, constant over the step
-    C_f, C_r, C_v, mass = params.C_f, params.C_r, params.C_v, params.mass
-    I_t = params.I_t
-    inertia = params.I_b + I_t
+    C_f, C_r, C_v, mass, I_t, inertia = params._step_constants
     motor = I_t * a
     w = theta_dot
     half = 0.5 * dt

@@ -241,7 +241,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 theta_r = theta_des
             else:
                 target = outer_loop_reference(cfg, theta_des, psi_hat)
-                pending = wrap_to_pi(target - theta_r)
+                pending = target - theta_r
+                if not -3.0 < pending < 3.0:  # wrap_to_pi's own shortcut
+                    pending = wrap_to_pi(pending)
                 theta_r += pending
                 if desaturated:
                     ref.theta_r = theta_r

@@ -1,11 +1,14 @@
 """Small builders and reference integrators shared by the test modules."""
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
+from paddlesim.control import wrap_to_pi
 from paddlesim.dynamics import orientation_accel
+from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import settled_step_changes
 from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
 
@@ -117,6 +120,91 @@ def rk4_step_reference(params, theta, w, phi, phi_dot, x, y, vx, vy,
             w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
             phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
             *_translational_rk4(params, x, y, vx, vy, thrust_x, thrust_y, dt))
+
+
+class TravelEstimatorReference:
+    """TravelEstimator as it was before its cursors: each query bisects its
+    buffers, and each pose deletes from their fronts every sample that a
+    query one period back no longer reaches.  The same arithmetic in the
+    same order, so the two must answer bit for bit."""
+
+    def __init__(self, period, theta_des_fallback=0.0):
+        if period <= 0.0:
+            raise ValueError("period must be positive")
+        self.period = period
+        self.theta_des_fallback = theta_des_fallback
+        self._pt, self._px, self._py = [], [], []
+        self._ht, self._hu, self._hc = [], [], []
+
+    def add_pose(self, t, x, y):
+        pt, px, py = self._pt, self._px, self._py
+        if pt and t <= pt[-1]:
+            raise ValueError("pose timestamps must be strictly increasing")
+        pt.append(t)
+        px.append(x)
+        py.append(y)
+        period = self.period
+        ht, hu, hc = self._ht, self._hu, self._hc
+        if t - pt[0] >= period - _TIME_SLACK:
+            x0, y0 = self._interp_pose(t - period)
+            vx, vy = (x - x0) / period, (y - y0) / period
+            if math.hypot(vx, vy) < _SPEED_FLOOR:
+                if hu:
+                    unwrapped = hu[-1]
+                else:
+                    unwrapped = wrap_to_pi(self.theta_des_fallback)
+            else:
+                raw = math.atan2(vy, vx)
+                if hu:
+                    unwrapped = hu[-1] + wrap_to_pi(raw - hu[-1])
+                else:
+                    unwrapped = raw
+            if ht:
+                cum = hc[-1] + 0.5 * (unwrapped + hu[-1]) * (t - ht[-1])
+            else:
+                cum = 0.0
+            ht.append(t)
+            hu.append(unwrapped)
+            hc.append(cum)
+        floor = t - period
+        while len(pt) > 1 and pt[1] <= floor:
+            del pt[0], px[0], py[0]
+        while len(ht) > 1 and ht[1] <= floor:
+            del ht[0], hu[0], hc[0]
+
+    def _interp_pose(self, q):
+        pt = self._pt
+        if q <= pt[0]:
+            return self._px[0], self._py[0]
+        i = bisect_right(pt, q) - 1
+        f = (q - pt[i]) / (pt[i + 1] - pt[i])
+        return (self._px[i] + f * (self._px[i + 1] - self._px[i]),
+                self._py[i] + f * (self._py[i + 1] - self._py[i]))
+
+    def _heading_cumint(self, x):
+        ht = self._ht
+        if x <= ht[0]:
+            return self._hc[0]
+        i = bisect_right(ht, x) - 1
+        f = (x - ht[i]) / (ht[i + 1] - ht[i])
+        v = self._hu[i] + f * (self._hu[i + 1] - self._hu[i])
+        return self._hc[i] + 0.5 * (self._hu[i] + v) * (x - ht[i])
+
+    def travel_direction(self):
+        ht, hc = self._ht, self._hc
+        if not ht:
+            return wrap_to_pi(self.theta_des_fallback)
+        a = ht[-1] - self.period
+        first = ht[0]
+        if a < first - _TIME_SLACK:
+            anchor = self._hu[0]
+            pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
+            total = pad_val * (first - a)
+            if len(ht) > 1:
+                total += hc[-1] - hc[0]
+        else:
+            total = hc[-1] - self._heading_cumint(a)
+        return wrap_to_pi(total / self.period)
 
 
 def within_ulps(x, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,21 @@ def test_presets_ship_and_validate():
 
 def test_presets_run_unknown_name():
     assert main(["presets", "run", "no-such-preset"]) == 2
+
+
+def test_preset_name_that_is_a_path_exits_2_and_writes_nothing(tmp_path):
+    # a valid config outside the package, named relative to the presets
+    # directory; it must not run as a preset or validate as one
+    (tmp_path / "evil.cfg").write_text(
+        "mission.kind = converge\nmission.duration = 0.1\noutput.basename = evil\n")
+    presets_dir = Path(paddlesim.__file__).parent / "presets"
+    name = os.path.relpath(tmp_path / "evil", presets_dir)
+    out = tmp_path / "out"
+    assert main(["presets", "run", name, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert main(["validate", name]) == 2
+    with pytest.raises(ConfigError, match="unknown preset"):
+        load_preset(name)
 
 
 def test_repeats_and_degenerate_iqr(tmp_path):

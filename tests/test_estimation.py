@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import TravelEstimatorReference
 from paddlesim.control import wrap_to_pi
-from paddlesim.estimation import TravelEstimator
+from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
 
 RATE = 80.0
 DT = 1.0 / RATE
@@ -222,34 +223,21 @@ def test_smoothing_beats_raw_heading(square_log):
     assert np.var(psi_steps) * 2.0 <= np.var(raw_steps)
 
 
-class _Untrimmed(TravelEstimator):
-    """The estimator with every sample add_pose drops put back, so that its
-    buffers hold the whole history."""
-
-    def add_pose(self, t, x, y):
-        buffers = (self._pt, self._px, self._py, self._ht, self._hu, self._hc)
-        before = [list(buf) for buf in buffers]
-        super().add_pose(t, x, y)
-        # trimming drops a prefix of the old samples plus the appended one
-        appended = [1] * 3 + [int(bool(self._ht) and self._ht[-1] == t)] * 3
-        for buf, old, n_new in zip(buffers, before, appended):
-            buf[:0] = old[:len(old) + n_new - len(buf)]
-
-
-def test_buffers_hold_one_period_and_answer_as_untrimmed():
+def test_buffers_hold_one_period_and_answer_as_reference():
     # 2,000 poses at the loop's 120 Hz with a 1 s period: a wavy swim that
     # turns, then a stop that holds the last heading
     def fn(t):
         s = min(t, 12.0)
         return 0.1 * s + 0.02 * math.sin(math.tau * s), 0.3 * math.sin(0.4 * s)
 
-    trimmed = TravelEstimator(1.0, theta_des_fallback=0.4)
-    full = _Untrimmed(1.0, theta_des_fallback=0.4)
+    est = TravelEstimator(1.0, theta_des_fallback=0.4)
+    ref = TravelEstimatorReference(1.0, theta_des_fallback=0.4)
     for i in range(2000):
         t = i / 120.0
-        trimmed.add_pose(t, *fn(t))
-        full.add_pose(t, *fn(t))
-        assert trimmed.travel_direction().hex() == full.travel_direction().hex()
-    assert len(full._pt) == 2000 and len(full._ht) == 2000 - 120
-    # one period of samples at 120 Hz plus the one at or before its start
-    assert len(trimmed._pt) <= 122 and len(trimmed._ht) <= 122
+        est.add_pose(t, *fn(t))
+        ref.add_pose(t, *fn(t))
+        assert est.travel_direction().hex() == ref.travel_direction().hex()
+    # one period of samples at 120 Hz plus the one at or before its start,
+    # and fewer older ones than a compaction drops at once
+    assert len(ref._pt) <= 122 and len(ref._ht) <= 122
+    assert len(est._pt) < 122 + _COMPACT_EVERY and len(est._ht) < 122 + _COMPACT_EVERY

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -264,39 +265,63 @@ def test_uncovered_loop_paths_bit_identical(case):
     assert column_digests(log) == LOOP_PATH_SHA256[case]
 
 
+def _spanned_names():
+    """(owner, name) of every function the benchmark times, as
+    perfbench/tracer.py lists them in SPANNED; the file is read, not
+    changed, and perfbench is no package, so it is loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(owner, name) for _, owner, name in tracer.SPANNED]
+
+
 def test_wrapped_names_see_every_call(monkeypatch):
-    # The benchmark times the plant, the torque law and the estimator by
-    # wrapping these names from outside; a loop that went round them would
-    # read as zero calls there.  Wrapping must not change a bit either.
-    from paddlesim import mission
+    # The benchmark times the plant, the torque laws, the outer loop and the
+    # estimator by wrapping the names in its SPANNED list from outside; a
+    # renamed function would not be found there, and a loop that went round
+    # one would read as zero calls.  Each control mode calls a different
+    # set.  Wrapping must not change a bit either.
+    from paddlesim import cli, mission
     from paddlesim.estimation import TravelEstimator
-    cfg, spec = LOOP_PATHS["desaturated_disturbances"]
-    plain = run_mission(BoatParams(), cfg, spec)
-    mission_names = ("rk4_step", "desaturated_torque", "desaturate_reference",
-                     "waypoint_heading")
-    calls = dict.fromkeys((*mission_names, "add_pose", "travel_direction"), 0)
-
-    def counted(owner, name):
-        fn = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in mission_names:
-        counted(mission, name)
-    for name in ("add_pose", "travel_direction"):
-        counted(TravelEstimator, name)
-    wrapped = run_mission(BoatParams(), cfg, spec)
-
+    owners = {"mission": mission, "cli": cli, "TravelEstimator": TravelEstimator}
+    # the benchmark also counts waypoint arrivals through waypoint_heading
+    names = [*_spanned_names(), ("mission", "waypoint_heading")]
+    _, spec = LOOP_PATHS["desaturated_disturbances"]
     n_steps = round(250 * spec.duration)
     n_outer = len(outer_tick_indices(n_steps + 1))
-    assert calls == {"rk4_step": n_steps, "desaturated_torque": n_steps + 1,
-                     "desaturate_reference": n_outer, "waypoint_heading": n_outer,
-                     "add_pose": n_outer, "travel_direction": n_outer}
-    for name in TELEMETRY_COLUMNS:
-        assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), name
+    laws = {  # each mode's torque law and outer-loop calls
+        ControlMode.LIMIT_CYCLE_ONLY: {"desaturated_torque": n_steps + 1},
+        ControlMode.THRUST_DIRECTION: {"limit_cycle_torque": n_steps + 1,
+                                       "outer_loop_reference": n_outer},
+        _DESAT: {"desaturated_torque": n_steps + 1, "outer_loop_reference": n_outer,
+                 "desaturate_reference": n_outer},
+    }
+    for mode, law_calls in laws.items():
+        cfg = ControllerConfig(mode=mode)
+        plain = run_mission(BoatParams(), cfg, spec)
+        calls = dict.fromkeys((name for _, name in names), 0)
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for owner, name in names:
+                fn = getattr(owners[owner], name)
+                patch.setattr(owners[owner], name, counted(fn, name))
+            wrapped = mission.run_mission(BoatParams(), cfg, spec)
+
+        expected = dict.fromkeys(calls, 0)
+        expected.update(run_mission=1, rk4_step=n_steps, add_pose=n_outer,
+                        travel_direction=n_outer, waypoint_heading=n_outer,
+                        **law_calls)
+        assert calls == expected, mode
+        for name in TELEMETRY_COLUMNS:
+            assert wrapped.column(name).tobytes() == plain.column(name).tobytes(), \
+                (mode, name)
 
 
 def test_unwind_count_matches_telemetry(monkeypatch):

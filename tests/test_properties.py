@@ -3,8 +3,10 @@ wrapping, float parsing, the settings' finite check, whole configs and the
 CSV number text."""
 
 import contextlib
+import copy
 import io
 import math
+import pickle
 import random
 from dataclasses import fields, replace
 from enum import Enum, EnumMeta
@@ -14,13 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (Plant, cap_scenarios, rk4_step_reference, within_ulps,
-                     wrap_to_pi_formula)
+from helpers import (Plant, TravelEstimatorReference, cap_scenarios,
+                     rk4_step_reference, within_ulps, wrap_to_pi_formula)
 from paddlesim.cli import _SECTIONS, main, parse_scenario
 from paddlesim.control import ControllerConfig, wrap_to_pi
 from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
-from paddlesim.estimation import TravelEstimator
+from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
 from paddlesim.mission import MissionKind, MissionSpec
 
 # bounded; the conftest profile makes every run draw the same examples
@@ -47,13 +49,27 @@ def _hex_fields(values):
     return [v.hex() for v in values]
 
 
+# BoatParams rk4_step is handed: as built, or made again from the same fields
+# through replace() on other values, a shallow copy or a pickle round trip;
+# the constants the step reads must follow the fields each way
+_REMADE = {
+    "built": lambda p: p,
+    "replace": lambda p: replace(BoatParams(I_b=1.0, I_t=2.0, C_f=3.0, C_r=4.0,
+                                            mass=5.0, C_v=6.0),
+                                 **{f.name: getattr(p, f.name) for f in fields(p)}),
+    "copy": copy.copy,
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+}
+
+
 @settings(max_examples=300)
 @given(params=_PARAMS, state=_STATES, torque=_signed(1e3),
        heading=_signed(20.0), dt=st.sampled_from([1.0 / 250.0, 1e-3, 0.05]),
-       thrust=st.just(0.0) | st.floats(0.0, 1.0))
+       thrust=st.just(0.0) | st.floats(0.0, 1.0), remade=st.sampled_from(sorted(_REMADE)))
 def test_rk4_step_equals_stagewise_reference_bit_for_bit(params, state, torque,
-                                                         heading, dt, thrust):
+                                                         heading, dt, thrust, remade):
     # float.hex tells -0.0 from 0.0, which == would not
+    params = _REMADE[remade](params)
     thrust_x, thrust_y = thrust * math.cos(heading), thrust * math.sin(heading)
     fast = rk4_step(params, *state, torque, thrust_x, thrust_y, dt)
     ref = rk4_step_reference(params, *state, torque, thrust_x, thrust_y, dt)
@@ -65,9 +81,11 @@ def test_rk4_step_equals_stagewise_reference_on_seeded_states():
     # under 1% of states, so volume matters more than edge cases here.
     rng = random.Random(0)
     u = rng.uniform
-    for _ in range(20_000):
+    remakes = list(_REMADE.values())
+    for k in range(20_000):
         params = BoatParams(I_b=u(1e-6, 1e-4), I_t=u(1e-4, 1e-2), C_f=u(0.0, 1e-3),
                             C_r=u(0.0, 1e-3), mass=u(0.1, 5.0), C_v=u(0.0, 10.0))
+        params = remakes[k % len(remakes)](params)
         args = (params, u(-10.0, 10.0), u(-20.0, 20.0), u(-100.0, 100.0),
                 u(-50.0, 50.0), u(-5.0, 5.0), u(-5.0, 5.0), u(-0.5, 0.5),
                 u(-0.5, 0.5), u(-100.0, 100.0))
@@ -95,16 +113,19 @@ def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, headi
     t = t0
     first_heading_t = None  # the first pose at least one period after t0
     checked = 0
+    times = []
     # a closing stretch of short steps makes sure the heading window fills
     for gap in [0.0] + gaps + [0.1] * 30:
         t += gap * period
+        times.append(t)
         est.add_pose(t, x0 + vx * (t - t0), y0 + vy * (t - t0))
         if first_heading_t is None and t - t0 >= period - 1e-12:
             first_heading_t = t
-        # each buffer holds nothing older than the last sample a query one
-        # period back can interpolate from
-        assert len(est._pt) == 1 or est._pt[1] > t - period
-        assert len(est._ht) <= 1 or est._ht[1] > t - period
+        # each buffer holds the poses of the last period, the one before
+        # them, and fewer older ones than a compaction drops at once
+        window = 1 + sum(s > t - period for s in times)
+        assert len(est._pt) < window + _COMPACT_EVERY
+        assert len(est._ht) < window + _COMPACT_EVERY
         if first_heading_t is not None and t - period >= first_heading_t:
             err = wrap_to_pi(est.travel_direction() - heading)
             assert err == pytest.approx(0.0, abs=1e-9)
@@ -118,6 +139,40 @@ def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, headi
             err = wrap_to_pi(est.travel_direction() - expected)
             assert err == pytest.approx(0.0, abs=1e-9)
     assert checked > 0
+
+
+# straight runs of poses: how many, their spacing in periods (some past the
+# one-period horizon), and a velocity that is zero for a stop
+_RUNS = st.lists(
+    st.tuples(st.integers(1, 80), st.floats(0.01, 0.4) | st.floats(0.9, 4.0),
+              st.just((0.0, 0.0)) | st.tuples(st.floats(-2.0, 2.0),
+                                              st.floats(-2.0, 2.0))),
+    min_size=1, max_size=10)
+
+
+@FAST
+@given(runs=_RUNS, period=st.floats(0.05, 5.0), fallback=st.floats(-20.0, 20.0),
+       t0=st.floats(-100.0, 100.0), x0=st.floats(-10.0, 10.0),
+       y0=st.floats(-10.0, 10.0))
+def test_estimator_answers_as_bisect_reference_bit_for_bit(runs, period, fallback,
+                                                           t0, x0, y0):
+    # the cursors and block compaction must leave every answer as the
+    # bisect-and-trim estimator gives it, -0.0 and all
+    est = TravelEstimator(period, theta_des_fallback=fallback)
+    ref = TravelEstimatorReference(period, theta_des_fallback=fallback)
+    assert est.travel_direction().hex() == ref.travel_direction().hex()
+    t, x, y = t0, x0, y0
+    for n, gap, (vx, vy) in runs:
+        for _ in range(n):
+            est.add_pose(t, x, y)
+            ref.add_pose(t, x, y)
+            assert est.travel_direction().hex() == ref.travel_direction().hex()
+            # the reference holds one period back; compaction adds the slack
+            assert len(est._pt) - len(ref._pt) < _COMPACT_EVERY
+            assert len(est._ht) - len(ref._ht) < _COMPACT_EVERY
+            t += gap * period
+            x += vx * gap * period
+            y += vy * gap * period
 
 
 @FAST
