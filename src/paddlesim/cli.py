@@ -227,7 +227,7 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
                      strict_settle: bool) -> dict[str, list[float]]:
     vals: dict[str, list[float]] = {}
     span = log.t[-1] - log.t[0]
-    tail = log.t >= log.t[0] + 0.75 * span
+    tail = slice(int(np.searchsorted(log.t, log.t[0] + 0.75 * span, side="left")), None)
 
     if spec.kind in (MissionKind.CONVERGE, MissionKind.STEP_TEST):
         speed = np.hypot(log.vx[tail], log.vy[tail])

@@ -8,44 +8,43 @@ exists the estimate warm-starts from the commanded travel direction, which
 is a fair assumption in still water.
 """
 
-from math import atan2, hypot
+from math import atan2, hypot, isfinite
 
 from .control import wrap_to_pi
 
 _SPEED_FLOOR = 1e-6   # m/s below which the heading sample holds its last value
 _TIME_SLACK = 1e-12   # tolerance when testing window coverage, s
-# samples a cursor passes before the lists drop them, in one block
+# rows the cursor passes before the lists drop them, in one block
 _COMPACT_EVERY = 128
 
 
 class TravelEstimator:
-    """Buffers of pose and period-wise heading; travel_direction answers at
-    the latest pose.
+    """A window of pose rows and their period-wise headings;
+    travel_direction answers at the latest pose.
 
-    Poses arrive through add_pose with strictly increasing timestamps; each
-    arrival that is at least one period past the first pose still in the
-    window also appends a period-wise heading sample.  Each buffer has a
-    cursor at the last sample at or before one period back from the latest
-    pose; nothing before it is read again.  The cursors only move forward,
-    and the samples they pass are dropped from the lists every
-    _COMPACT_EVERY samples, so a buffer holds its one-period window plus
-    fewer than that many older samples.
+    Poses arrive through add_pose with strictly increasing timestamps.  The
+    first pose at least one period past the window's first pose, and every
+    pose after it, also appends a period-wise heading, so the heading lists
+    end with the pose lists.  A cursor marks the last pose at or before one
+    period back from the latest; nothing before it is read again.  It only
+    moves forward, and the rows it passes are dropped from every list each
+    _COMPACT_EVERY rows.
     """
 
     def __init__(self, period: float, theta_des_fallback: float = 0.0):
-        if period <= 0.0:
+        if not period > 0.0:
             raise ValueError("period must be positive")
+        if not isfinite(theta_des_fallback):
+            raise ValueError("theta_des_fallback must be finite")
         self.period = period
         self.theta_des_fallback = theta_des_fallback
-        # pose samples, from the cursor _p on
+        # pose rows, from the cursor _p on
         self._p = 0
         self._pt: list[float] = []
         self._px: list[float] = []
         self._py: list[float] = []
-        # heading samples, from the cursor _h on: time, unwrapped value,
-        # running trapezoid integral
-        self._h = 0
-        self._ht: list[float] = []
+        # the unwrapped heading and its running trapezoid integral, one per
+        # pose row from the first heading on, so the lists end together
         self._hu: list[float] = []
         self._hc: list[float] = []
 
@@ -54,14 +53,16 @@ class TravelEstimator:
     def add_pose(self, t: float, x: float, y: float) -> None:
         """Append a pose sample and derive a heading sample once possible."""
         pt, px, py = self._pt, self._px, self._py
-        ht, hu, hc = self._ht, self._hu, self._hc
+        hu, hc = self._hu, self._hc
+        period = self.period
+        floor = t - period
+        if not floor < t:  # also a NaN t, or a period below t's resolution
+            raise ValueError("pose time minus the period must lie before it")
         if pt and t <= pt[-1]:
             raise ValueError("pose timestamps must be strictly increasing")
         pt.append(t)
         px.append(x)
         py.append(y)
-        period = self.period
-        floor = t - period
         p = first = self._p
         t_first = pt[p]
         # move the cursor to the last pose at or before t - period; the
@@ -98,25 +99,16 @@ class TravelEstimator:
                     unwrapped = hu[-1] + turn
                 else:
                     unwrapped = raw
-            if ht:
-                cum = hc[-1] + 0.5 * (unwrapped + hu[-1]) * (t - ht[-1])
+            if hu:  # the previous heading belongs to the previous pose
+                cum = hc[-1] + 0.5 * (unwrapped + hu[-1]) * (t - pt[-2])
             else:
                 cum = 0.0
-            ht.append(t)
             hu.append(unwrapped)
             hc.append(cum)
 
-        # the same for the heading cursor; later windows start after it
-        h = self._h
-        last = len(ht) - 1
-        while h < last and ht[h + 1] <= floor:
-            h += 1
-        if h >= _COMPACT_EVERY:
-            del ht[:h], hu[:h], hc[:h]
-            h = 0
-        self._h = h
         if p >= _COMPACT_EVERY:
-            del pt[:p], px[:p], py[:p]
+            keep = p - len(pt)  # every list keeps its last len(pt) - p rows
+            del pt[:keep], px[:keep], py[:keep], hu[:keep], hc[:keep]
             p = 0
         self._p = p
 
@@ -129,33 +121,35 @@ class TravelEstimator:
         The part of the window before the first heading sample is filled
         with the fallback direction (warm start).
         """
-        ht, hu, hc = self._ht, self._hu, self._hc
-        if not ht:
+        hu, hc = self._hu, self._hc
+        if not hu:
             return wrap_to_pi(self.theta_des_fallback)
+        pt = self._pt
         period = self.period
-        h = self._h
+        # the cursor's row, or the first heading row if that comes later, and
+        # its index d rows lower in the heading lists
+        d = len(pt) - len(hu)
+        i = self._p if self._p > d else d
+        h = i - d
         # once heading samples exist every pose appends one, so the window
-        # ends at the last of them, where the running integral is hc[-1]
-        a = ht[-1] - period
-        first = ht[h]
+        # ends at the latest pose, where the running integral is hc[-1]
+        a = pt[-1] - period
+        first = pt[i]
         if a < first - _TIME_SLACK:
             # pad the missing prefix with the fallback, on the branch nearest
             # the first real sample so the unwrapped average stays coherent
             anchor = hu[h]
             pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
             total = pad_val * (first - a)
-            if h < len(ht) - 1:  # adding 0.0 would turn a -0.0 pad into +0.0
+            if h < len(hu) - 1:  # adding 0.0 would turn a -0.0 pad into +0.0
                 total += hc[-1] - hc[h]
         elif a <= first:
             total = hc[-1] - hc[h]
         else:
-            # the running integral at a, from the last sample at or before it
-            i = h
-            while ht[i + 1] <= a:
-                i += 1
-            t0, u0 = ht[i], hu[i]
-            f = (a - t0) / (ht[i + 1] - t0)
-            v = u0 + f * (hu[i + 1] - u0)
-            total = hc[-1] - (hc[i] + 0.5 * (u0 + v) * (a - t0))
+            # the running integral at a, between the cursor and the next row
+            u0 = hu[h]
+            f = (a - first) / (pt[i + 1] - first)
+            v = u0 + f * (hu[h + 1] - u0)
+            total = hc[-1] - (hc[h] + 0.5 * (u0 + v) * (a - first))
         mean = total / period
         return mean if -3.0 < mean < 3.0 else wrap_to_pi(mean)

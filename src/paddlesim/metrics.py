@@ -85,9 +85,10 @@ def travel_during_turn(log: TelemetryLog, command_time: float,
     """Path length of the position trace between the two times."""
     if settle_time < command_time:
         raise ValueError("settle_time must not precede command_time")
-    mask = (log.t >= command_time - 1e-12) & (log.t <= settle_time + 1e-12)
-    xs = log.x[mask]
-    ys = log.y[mask]
+    rows = slice(int(np.searchsorted(log.t, command_time - 1e-12, side="left")),
+                 int(np.searchsorted(log.t, settle_time + 1e-12, side="right")))
+    xs = log.x[rows]
+    ys = log.y[rows]
     if len(xs) < 2:
         return 0.0
     return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
@@ -114,10 +115,12 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     bounds = [0.0] + [ts for ts, _ in step_schedule] + [float(t[-1])]
     changes = []
     for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
-        before = (t >= start + 0.75 * (ts - start)) & (t < ts)
-        after = (t >= ts + 0.75 * (end - ts)) & (t <= end)
-        if np.any(before) and np.any(after):
-            changes.append(float(np.mean(psi[after]) - np.mean(psi[before])))
+        b0 = np.searchsorted(t, start + 0.75 * (ts - start), side="left")
+        b1 = np.searchsorted(t, ts, side="left")
+        a0 = np.searchsorted(t, ts + 0.75 * (end - ts), side="left")
+        a1 = np.searchsorted(t, end, side="right")
+        if b0 < b1 and a0 < a1:
+            changes.append(float(np.mean(psi[a0:a1]) - np.mean(psi[b0:b1])))
         else:
             changes.append(math.nan)
     return changes
@@ -157,8 +160,8 @@ def orbit_radius(log: TelemetryLog, center: tuple[float, float],
     t_end = log.t[-1]
     if window <= 0.0 or window > t_end - log.t[0] + 1e-9:
         raise ValueError("window must be positive and lie within the log")
-    mask = log.t >= t_end - window - 1e-12
-    return float(np.mean(np.hypot(log.x[mask] - center[0], log.y[mask] - center[1])))
+    rows = slice(int(np.searchsorted(log.t, t_end - window - 1e-12, side="left")), None)
+    return float(np.mean(np.hypot(log.x[rows] - center[0], log.y[rows] - center[1])))
 
 
 def quartiles(values) -> tuple[float, float, float]:

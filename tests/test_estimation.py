@@ -240,4 +240,62 @@ def test_buffers_hold_one_period_and_answer_as_reference():
     # one period of samples at 120 Hz plus the one at or before its start,
     # and fewer older ones than a compaction drops at once
     assert len(ref._pt) <= 122 and len(ref._ht) <= 122
-    assert len(est._pt) < 122 + _COMPACT_EVERY and len(est._ht) < 122 + _COMPACT_EVERY
+    assert len(est._pt) < 122 + _COMPACT_EVERY and len(est._hu) < 122 + _COMPACT_EVERY
+
+
+@pytest.mark.parametrize("per_period", [150, 300, 1000])
+@pytest.mark.parametrize("period, fallback", [(1.0, 0.4), (0.37, -2.9), (2.5, 7.0)])
+def test_dense_poses_answer_as_reference(per_period, period, fallback):
+    # more poses per period than a compaction drops, so the cursor passes
+    # rows before the first heading exists; the swim turns through a half
+    # circle and stops, and every answer must match the reference's bits
+    def fn(t):
+        s = min(t, 3.0 * period)
+        return math.cos(s / period) + 0.05 * math.sin(9.0 * s), math.sin(s / period)
+
+    est = TravelEstimator(period, theta_des_fallback=fallback)
+    ref = TravelEstimatorReference(period, theta_des_fallback=fallback)
+    dt = period / per_period
+    for i in range(4 * per_period + 1):
+        t = 5.0 + i * dt
+        est.add_pose(t, *fn(i * dt))
+        ref.add_pose(t, *fn(i * dt))
+        assert est.travel_direction().hex() == ref.travel_direction().hex()
+        assert len(est._pt) - len(ref._pt) < _COMPACT_EVERY
+        assert len(est._hu) - len(ref._ht) < _COMPACT_EVERY
+
+
+@pytest.mark.parametrize("period, fallback", [
+    (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (-math.inf, 0.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_rejects_a_bad_period_or_fallback(period, fallback):
+    with pytest.raises(ValueError):
+        TravelEstimator(period, theta_des_fallback=fallback)
+
+
+@pytest.mark.parametrize("period, t, later", [
+    (1e-20, 1.0, 1e-10), (1e-300, 1e10, 1e-290), (1.0, math.nan, 3.0), (1.0, math.inf, 3.0)])
+def test_rejects_a_pose_that_one_period_back_cannot_reach(period, t, later):
+    # t - period must lie before t: a period below half an ulp of t rounds
+    # away, and a NaN or infinite time has no earlier one
+    est = TravelEstimator(period)
+    ref = TravelEstimatorReference(period)
+    est.add_pose(0.0, 0.0, 0.0)
+    ref.add_pose(0.0, 0.0, 0.0)
+    rows = [est._pt[:], est._px[:], est._py[:], est._hu[:], est._hc[:]]
+    with pytest.raises(ValueError, match="period"):
+        est.add_pose(t, 1.0, 0.0)
+    # the rejected pose changed nothing, and a later one answers as before
+    assert [est._pt, est._px, est._py, est._hu, est._hc] == rows
+    est.add_pose(later, 1.0, 0.0)
+    ref.add_pose(later, 1.0, 0.0)
+    assert est.travel_direction().hex() == ref.travel_direction().hex()
+
+
+def test_an_infinite_period_answers_the_fallback():
+    # the loop derives an infinite period from a tiny omega; no pose is ever
+    # a period past the first, so the warm start holds
+    est = TravelEstimator(math.inf, theta_des_fallback=0.5)
+    for i in range(300):
+        est.add_pose(i * 0.01, 0.1 * i, 0.0)
+    assert est.travel_direction() == 0.5 and est._hu == []

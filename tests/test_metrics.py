@@ -7,7 +7,8 @@ import pytest
 from helpers import make_log, rolling_mean, within_ulps
 from paddlesim.metrics import (DegenerateSegment, NotSettled, measure_turn,
                                orbit_radius, quartiles, rise_time,
-                               rms_perpendicular_error, travel_during_turn)
+                               rms_perpendicular_error, settled_step_changes,
+                               travel_during_turn)
 
 DT = 1.0 / 250.0
 
@@ -144,21 +145,42 @@ def test_rms_perp_matches_brute_force_oracle():
 
 
 def test_rms_perp_window_edges_pick_the_masked_rows():
-    # the window is one searchsorted slice of the increasing t; it must pick
-    # the rows the two masks t >= t0 - 1e-12 and t <= t1 + 1e-12 pick, also
-    # when an edge sits within a few ulps of a sample plus or minus 1e-12
+    # each window is one searchsorted slice of the increasing t; it must
+    # pick the rows the masks t >= t0 - 1e-12 and t <= t1 + 1e-12 pick (and
+    # t >= start, t < ts, t <= end for the settled step change), also when
+    # an edge sits within a few ulps of a sample plus or minus 1e-12
     t = np.empty(500)
     now = 0.0
     for i in range(len(t)):  # accumulated as run_mission does
         t[i] = now
         now += DT
     rng = np.random.default_rng(7)
-    log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)))
+    log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)),
+                   psi_hat=rng.normal(size=len(t)))
+    psi = np.unwrap(log.psi_hat)
     (x0, y0), (x1, y1) = segment = ((0.1, -0.2), (1.0, 0.3))
     length = math.hypot(x1 - x0, y1 - y0)
     for k0, k1 in ((0, 499), (17, 18), (123, 321), (250, 250)):
         for e0, e1 in itertools.product(_near_edges(t[k0]), _near_edges(t[k1])):
             mask = (t >= e0 - 1e-12) & (t <= e1 + 1e-12)
+            if e0 <= e1:
+                xs, ys = log.x[mask], log.y[mask]
+                path = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
+                assert travel_during_turn(log, e0, e1) == (path if len(xs) > 1 else 0.0)
+            window = t[-1] - e0
+            if 0.0 < window <= t[-1] - t[0] + 1e-9:
+                tail = t >= t[-1] - window - 1e-12
+                assert orbit_radius(log, (x0, y0), window) == float(
+                    np.mean(np.hypot(log.x[tail] - x0, log.y[tail] - y0)))
+            bounds = [0.0, e0, e1, float(t[-1])]
+            changes = []
+            for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
+                before = (t >= start + 0.75 * (ts - start)) & (t < ts)
+                after = (t >= ts + 0.75 * (end - ts)) & (t <= end)
+                changes.append(float(np.mean(psi[after]) - np.mean(psi[before]))
+                               if np.any(before) and np.any(after) else math.nan)
+            got = settled_step_changes(log, [(e0, 0.1), (e1, 0.1)])
+            assert [c.hex() for c in got] == [c.hex() for c in changes]
             if not np.any(mask):
                 continue
             perp = np.abs((x1 - x0) * (log.y[mask] - y0)

@@ -125,7 +125,7 @@ def test_trimmed_estimator_exact_at_constant_velocity(gaps, period, speed, headi
         # them, and fewer older ones than a compaction drops at once
         window = 1 + sum(s > t - period for s in times)
         assert len(est._pt) < window + _COMPACT_EVERY
-        assert len(est._ht) < window + _COMPACT_EVERY
+        assert len(est._hu) < window + _COMPACT_EVERY
         if first_heading_t is not None and t - period >= first_heading_t:
             err = wrap_to_pi(est.travel_direction() - heading)
             assert err == pytest.approx(0.0, abs=1e-9)
@@ -169,7 +169,7 @@ def test_estimator_answers_as_bisect_reference_bit_for_bit(runs, period, fallbac
             assert est.travel_direction().hex() == ref.travel_direction().hex()
             # the reference holds one period back; compaction adds the slack
             assert len(est._pt) - len(ref._pt) < _COMPACT_EVERY
-            assert len(est._ht) - len(ref._ht) < _COMPACT_EVERY
+            assert len(est._hu) - len(ref._ht) < _COMPACT_EVERY
             t += gap * period
             x += vx * gap * period
             y += vy * gap * period
