@@ -32,7 +32,8 @@ _CSV_CHUNK_ROWS = 1024
 # Inclusive caps on a whole scenario, checked before any point runs: UTF-8
 # bytes in an output file name (the usual file-system limit), runs (sweep
 # points times repeats, one CSV file each; a point takes 45 us to build)
-# and ticks of all runs (one CSV row each; 15 min at 8 us a tick)
+# and ticks of all runs (one CSV row each; 15 min at 8 us a tick, a cost
+# that does not grow with the number of steps)
 MAX_NAME_BYTES = 255
 MAX_POINTS = 10_000
 MAX_TOTAL_TICKS = 10**8

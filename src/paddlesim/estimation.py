@@ -60,6 +60,8 @@ class TravelEstimator:
             raise ValueError("pose time minus the period must lie before it")
         if pt and t <= pt[-1]:
             raise ValueError("pose timestamps must be strictly increasing")
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError("pose position must be finite")
         pt.append(t)
         px.append(x)
         py.append(y)

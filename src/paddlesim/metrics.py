@@ -54,15 +54,15 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
     hold = log.period
-    t = log.t
-    base_i = int(np.searchsorted(t, command_time, side="right")) - 1
+    base_i = int(np.searchsorted(log.t, command_time, side="right")) - 1
     if base_i < 0:
         raise ValueError("command_time precedes the log")
-    psi = np.unwrap(log.psi_hat)
-    frac = (psi - psi[base_i]) / delta
+    t = log.t[base_i:]
+    psi = log.psi_unwrapped[base_i:]
+    frac = (psi - psi[0]) / delta
     in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
 
-    j = base_i + 1
+    j = 1
     n = len(t)
     while j < n:
         ahead = np.nonzero(frac[j:] >= RISE_FRACTION)[0]
@@ -111,7 +111,7 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     where either window holds no samples.
     """
     t = log.t
-    psi = np.unwrap(log.psi_hat)
+    psi = log.psi_unwrapped
     bounds = [0.0] + [ts for ts, _ in step_schedule] + [float(t[-1])]
     changes = []
     for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):

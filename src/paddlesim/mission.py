@@ -12,6 +12,7 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import cycle
 
 import numpy as np
@@ -122,6 +123,11 @@ class TelemetryLog:
             raise KeyError(name)
         return getattr(self, name)
 
+    @cached_property
+    def psi_unwrapped(self) -> np.ndarray:
+        """psi_hat unwrapped, computed on first use and kept."""
+        return np.unwrap(self.psi_hat)
+
 
 # the per-tick columns, in field order; period and body_length are metadata
 TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
@@ -146,17 +152,6 @@ def waypoint_heading(px: float, py: float, spec: MissionSpec,
         active_index += 1
         wx, wy = spec.waypoints[active_index]
     return math.atan2(wy - py, wx - px), active_index
-
-
-def _scheduled_heading(spec: MissionSpec, t: float) -> float:
-    """Commanded heading of a converge or step mission at time t."""
-    heading = spec.heading
-    for step_time, delta in spec.step_schedule:
-        if t >= step_time - 1e-12:
-            heading += delta
-        else:
-            break
-    return heading
 
 
 def _initial_desired_heading(spec: MissionSpec) -> float:
@@ -187,6 +182,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     # velocity impulses in time order, then one that never comes
     impulses = iter((*spec.disturbances, (math.inf, None)))
     next_dist_t, kick = next(impulses)
+    # the same for the heading steps, added to theta_des one by one
+    steps = iter((*spec.step_schedule, (math.inf, None)))
+    next_step_t, step = next(steps)
     outer_gaps = cycle(_OUTER_GAPS)
 
     theta_des = _initial_desired_heading(spec)
@@ -219,7 +217,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             vy += kick[1]
             next_dist_t, kick = next(impulses)
         # an overflowing plant goes non-finite here before any law reads it
-        if not isfinite(x + y + theta_dot):
+        if not isfinite(theta + theta_dot + phi + phi_dot + x + y + vx + vy):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
         rate = theta_dot + phi_dot
         rate_sum += rate
@@ -235,7 +233,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             if follows_waypoints:
                 theta_des, active_idx = waypoint_heading(x, y, spec, active_idx)
             else:
-                theta_des = _scheduled_heading(spec, t)
+                while t >= next_step_t - 1e-12:
+                    theta_des += step
+                    next_step_t, step = next(steps)
             if limit_cycle_only:
                 # reference driven directly; unwrapped commands pass through
                 theta_r = theta_des

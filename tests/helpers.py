@@ -9,7 +9,7 @@ import numpy as np
 from paddlesim.control import wrap_to_pi
 from paddlesim.dynamics import orientation_accel
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
-from paddlesim.metrics import settled_step_changes
+from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
 from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
 
 
@@ -205,6 +205,40 @@ class TravelEstimatorReference:
         else:
             total = hc[-1] - self._heading_cumint(a)
         return wrap_to_pi(total / self.period)
+
+
+def rise_time_reference(log, command_time, delta):
+    """metrics.rise_time as it was before the log kept its unwrapped travel
+    direction: it unwraps the whole column and scans from the command with
+    absolute indices.  The same arithmetic, so the two must agree bit for
+    bit, NotSettled included."""
+    if delta == 0.0:
+        raise ValueError("delta must be nonzero")
+    hold = log.period
+    t = log.t
+    base_i = int(np.searchsorted(t, command_time, side="right")) - 1
+    if base_i < 0:
+        raise ValueError("command_time precedes the log")
+    psi = np.unwrap(log.psi_hat)
+    frac = (psi - psi[base_i]) / delta
+    in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
+
+    j = base_i + 1
+    n = len(t)
+    while j < n:
+        ahead = np.nonzero(frac[j:] >= RISE_FRACTION)[0]
+        if len(ahead) == 0:
+            break
+        j += int(ahead[0])
+        if t[j] + hold > t[-1] + 1e-9:
+            break  # cannot verify the hold inside the log
+        k = int(np.searchsorted(t, t[j] + hold, side="right"))
+        bad = np.nonzero(~in_band[j:k])[0]
+        if len(bad) == 0:
+            return float(t[j] - command_time)
+        j += int(bad[0]) + 1
+    raise NotSettled(
+        f"travel direction never held {RISE_FRACTION:.0%} of {delta:.4g} rad")
 
 
 def within_ulps(x, n):

@@ -215,6 +215,22 @@ def test_diverging_run_exits_2_without_its_csv(tmp_path, capsys, lines):
     assert list(out.iterdir()) == []
 
 
+def test_overflowing_hull_angle_exits_2_without_a_traceback(tmp_path, capsys):
+    # with no thrust and no rotational drag the hull angle grows until it
+    # overflows while its rate stays finite; the divergence test must see the
+    # angle itself, or the torque law's sin raises "math domain error"
+    cfg_path = tmp_path / "spin.cfg"
+    cfg_path.write_text("mission.kind = converge\nmission.duration = 320\n"
+                        "control.mode = thrust_direction\ncontrol.omega = 0.01\n"
+                        "control.K = 1e304\nboat.k_thrust = 0\nboat.C_f = 0\n")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "diverged at t = " in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_diverging_sweep_point_keeps_earlier_points(tmp_path):
     cfg_path = tmp_path / "wild.cfg"
     cfg_path.write_text(MINIMAL + "sweep.control.K = 15, 1e300\n")
@@ -521,6 +537,24 @@ def test_report_metrics_empty_and_quartiles():
     assert "m" in text and "2.5" in text
     dat = render_report_dat(report)
     assert "m.q1 = 1.75" in dat and "m.n = 4" in dat
+
+
+def test_report_metrics_unwraps_once_per_log(monkeypatch):
+    # rise_time and settled_step_changes share the log's unwrapped travel
+    # direction, computed on first use; a converge report never needs it
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=24.0,
+                       step_schedule=((4.0, 0.5), (10.0, -0.8), (17.0, 0.3)))
+    log = run_mission(BoatParams(), ControllerConfig(), spec)
+    converge = MissionSpec(kind=MissionKind.CONVERGE, duration=2.0)
+    plain = run_mission(BoatParams(), ControllerConfig(), converge)
+    unwrap, calls = np.unwrap, []
+    monkeypatch.setattr(np, "unwrap", lambda *a, **k: calls.append(1) or unwrap(*a, **k))
+    report = report_metrics([log], spec)
+    assert len(calls) == 1
+    assert report["rise_time_s"]["n"] == report["direction_error_rad"]["n"] == 3
+    assert report_metrics([log], spec) == report and len(calls) == 1
+    report_metrics([plain], converge)
+    assert len(calls) == 1
 
 
 def test_empty_report_exits_nonzero(tmp_path):

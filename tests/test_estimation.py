@@ -292,6 +292,25 @@ def test_rejects_a_pose_that_one_period_back_cannot_reach(period, t, later):
     assert est.travel_direction().hex() == ref.travel_direction().hex()
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                  (0.0, -math.inf)])
+def test_rejects_a_non_finite_position(x, y):
+    # a NaN x once passed and a later pose raised after appending its pose
+    # row but not its heading row, leaving the lists out of line
+    est = TravelEstimator(1.0)
+    ref = TravelEstimatorReference(1.0)
+    for i in range(300):
+        if i == 5:
+            rows = [est._pt[:], est._px[:], est._py[:], est._hu[:], est._hc[:]]
+            with pytest.raises(ValueError, match="finite"):
+                est.add_pose(i / 120, x, y)
+            assert [est._pt, est._px, est._py, est._hu, est._hc] == rows
+            continue
+        est.add_pose(i / 120, i / 120, 0.0)
+        ref.add_pose(i / 120, i / 120, 0.0)
+        assert est.travel_direction().hex() == ref.travel_direction().hex()
+
+
 def test_an_infinite_period_answers_the_fallback():
     # the loop derives an infinite period from a tiny omega; no pose is ever
     # a period past the first, so the warm start holds

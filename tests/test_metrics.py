@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_log, rolling_mean, within_ulps
-from paddlesim.metrics import (DegenerateSegment, NotSettled, measure_turn,
+from helpers import make_log, rise_time_reference, rolling_mean, within_ulps
+from paddlesim.metrics import (RISE_FRACTION, DegenerateSegment, NotSettled, measure_turn,
                                orbit_radius, quartiles, rise_time,
                                rms_perpendicular_error, settled_step_changes,
                                travel_during_turn)
@@ -66,6 +66,74 @@ def test_rise_time_hold_requirement_rejects_blip():
     log = make_log(t, psi_hat=psi)
     rt = rise_time(log, 0.0, 1.0)
     assert 2.9 < rt < 3.1
+
+
+def _rise_outcome(rise, log, command_time, delta):
+    try:
+        return rise(log, command_time, delta).hex()
+    except NotSettled:
+        return "not settled"
+
+
+def _frac_trace(rng, kind, t, t_c):
+    """A response from t_c on as a share of the commanded change, of one of
+    four kinds."""
+    n = len(t)
+    if kind == "step":
+        return np.where(t > t_c, 1.0, 0.0) + rng.normal(0.0, rng.uniform(0.0, 0.04), n)
+    if kind == "plateau":  # a first-order rise onto a noisy plateau
+        rise = 1.0 - np.exp(-np.clip(t - t_c, 0.0, None) / rng.uniform(0.05, 1.0))
+        return rise + rng.normal(0.0, rng.uniform(0.005, 0.04), n)
+    if kind == "walk":  # drifting up to three times the change
+        return np.cumsum(rng.normal(rng.uniform(0.0, 3.0) / n, rng.uniform(0.003, 0.03), n))
+    # kind == "crossing": ringing about the target that enters and leaves
+    # the band and the threshold many times before it decays, if it does
+    ring = rng.uniform(0.05, 0.4) * np.exp(-np.clip(t - t_c, 0.0, None)
+                                           / rng.uniform(0.2, 5.0))
+    return np.where(t > t_c, 1.0 + ring * np.sin(t * rng.uniform(5.0, 40.0)), 0.0)
+
+
+def test_rise_time_answers_as_the_reference_loop():
+    # the rise search runs on the rows from the command on and reads the
+    # log's kept unwrap; the reference unwraps the whole column and scans
+    # with absolute indices, so every answer and every NotSettled must agree
+    rng = np.random.default_rng(2024)
+    kinds = ("step", "plateau", "walk", "crossing")
+    outcomes = {kind: [] for kind in kinds}
+    rescans = 0
+    for trial in range(400):
+        kind = kinds[trial % 4]
+        t = np.cumsum(np.full(int(rng.integers(200, 1500)), DT)) - DT
+        t_c = rng.uniform(0.0, 0.3 * t[-1])
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)
+        # wrapped as psi_hat is, so the unwrap matters
+        psi = rng.uniform(-np.pi, np.pi) + delta * _frac_trace(rng, kind, t, t_c)
+        log = make_log(t, psi_hat=np.angle(np.exp(1j * psi)),
+                       period=rng.uniform(0.05, 1.0))
+        for command_time in (t[0], t[int(rng.integers(np.searchsorted(t, t_c) + 1))],
+                             rng.uniform(t[0], t_c)):
+            got = _rise_outcome(rise_time, log, command_time, delta)
+            assert got == _rise_outcome(rise_time_reference, log, command_time, delta)
+            outcomes[kind].append(got)
+            if got != "not settled":  # settled later than its first candidate
+                base = np.searchsorted(t, command_time, side="right") - 1
+                frac = (log.psi_unwrapped - log.psi_unwrapped[base]) / delta
+                first = base + 1 + np.argmax(frac[base + 1:] >= RISE_FRACTION)
+                rescans += float.fromhex(got) > t[first] - command_time
+    # holds that end within a few 1e-9 s of the log's end, where the search
+    # stops for want of rows
+    t = grid(3.0)
+    log = make_log(t, psi_hat=np.where(t > 1.0, 0.5, 0.0))
+    for off in (-3e-9, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, 3e-9):
+        log.period = t[-1] - t[251] + off
+        got = _rise_outcome(rise_time, log, 1.0, 0.5)
+        assert got == _rise_outcome(rise_time_reference, log, 1.0, 0.5)
+        outcomes["step"].append(got)
+    # every kind both settles and does not, and many answers come from a
+    # later candidate than the first
+    for kind, got in outcomes.items():
+        assert 0 < sum(o != "not settled" for o in got) < len(got), kind
+    assert rescans >= 100
 
 
 def test_travel_during_turn_stationary():

@@ -126,6 +126,32 @@ def test_step_test_positive_delta_undershoots():
     assert observed - commanded < -0.05
 
 
+class _CountedSteps(tuple):
+    """A step schedule that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_step_schedule_is_walked_once():
+    # the loop walks the schedule once, with a cursor, so a tick's cost does
+    # not grow with the number of steps that have passed
+    schedule = _CountedSteps((1.0 + k / 160, 0.3 if k % 2 == 0 else -0.3)
+                             for k in range(300))
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=4.0, heading=0.1,
+                       step_schedule=schedule)
+    schedule.iterations = 0  # the spec's checks walk it too
+    log = run_mission(BoatParams(), ControllerConfig(), spec)
+    assert schedule.iterations == 1
+    expected = 0.1
+    for _, delta in schedule:  # every step has passed at the end
+        expected += delta
+    assert log.theta_des[-1] == expected
+
+
 def test_step_test_outer_loop_shrinks_error():
     params = BoatParams(**SLOW_WATER)
     delta = math.pi / 3
@@ -240,6 +266,16 @@ LOOP_PATHS = {
         ControllerConfig(mode=_DESAT),
         MissionSpec(kind=MissionKind.WAYPOINTS, duration=0.0,
                     waypoints=((0.4, 0.0),), disturbances=((0.0, (0.01, 0.0)),))),
+    # recorded before the loop walked the schedule with a cursor: 2,000 steps
+    # 6.25 ms apart, so some outer ticks pass two and every 16th lands on an
+    # outer tick, where t differs from the step time by rounding alone; from
+    # a heading of 0.1 the running sum drifts by rounding, so theta_des pins
+    # the order of the adds
+    "many_steps": (
+        ControllerConfig(),
+        MissionSpec(kind=MissionKind.STEP_TEST, duration=60.0, heading=0.1,
+                    step_schedule=tuple((1.0 + k / 160, 0.3 if k % 2 == 0 else -0.3)
+                                        for k in range(2000)))),
 }
 LOOP_PATH_SHA256 = json.loads(
     (Path(__file__).parent / "loop_path_sha256.json").read_text())
