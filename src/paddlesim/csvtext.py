@@ -35,10 +35,14 @@ def _words(chars) -> np.ndarray:
 
 _v = np.arange(10_000)
 _pairs = _words(np.stack([48 + _v[:100] // 10, 48 + _v[:100] % 10], axis=1))
-# each of 0000..9999 as four ASCII digits, and the count up to its last
-# nonzero digit (0 for 0000)
+# each of 0000..9999 as four ASCII digits
 _DIGITS4 = _pairs[_v // 100] | _pairs[_v % 100] << _U(16)
-_SIGNIFICANT4 = sum((_v % k != 0).astype(int) for k in (10, 100, 1000, 10_000))
+# the digit count up to the last nonzero digit of m, as the larger of two
+# lookups: by its low four digits lo (5 and their count, none for 0000) and
+# by its high four hi (1 and their count)
+_significant4 = sum((_v % k != 0).astype(int) for k in (10, 100, 1000, 10_000))
+_LO_DIGITS = np.where(_v != 0, 5 + _significant4, 0)
+_HI_DIGITS = 1 + _significant4
 # each index 0..9999 in '%d' form, leading zeros cut, then '\n' at byte 7
 _zeros = _U(8) * sum((_v < k).astype(_U) for k in (10, 100, 1000))
 _INDEX_TEXT = _DIGITS4 >> _zeros << _zeros | _U(10 << 56)
@@ -76,55 +80,117 @@ _POINT_A, _POINT_B = _words(_point[:, :8]), _words(_point[:, 8:])
 _POINT_BITS = np.where(_k[:, 0] <= 7, _U(8), _U(0))
 
 
-def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two words of each float's slot, and where '%.9g' must write it."""
+def _scaled(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """mag * 10**(8 - exp10)."""
+    p = _POW10[_POW10_MID + 8 - exp10]
+    p *= mag
+    return p
+
+
+# The three stages below return only what the next one reads, and work in
+# place where they can, so that a chunk's temporaries are freed as soon as
+# they are dead: the writer then reuses the same few pages chunk after chunk.
+
+def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each |x| rounded to 9 significant digits m, 1e8 <= m < 1e9 (0 for a
+    zero), the row of its exponent in the per-X tables, and where '%.9g'
+    must write it."""
     mag = np.abs(x)
     fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
-    zero = x == 0.0  # formatted as 1, then its digit is made '0'
-    mag = np.where(fast, mag, 1.0)
+    zero = x == 0.0  # scaled as 1, then m is made 0, so its digit is "0"
+    mag[~fast] = 1.0
     # the exponent from log10, corrected once so that p lies in [1e8, 1e9)
-    exp10 = np.floor(np.log10(mag)).astype(np.int64)
-    p = mag * _POW10[_POW10_MID + 8 - exp10]
-    exp10 += (p >= 1e9).astype(np.int64) - (p < 1e8)
-    p = mag * _POW10[_POW10_MID + 8 - exp10]
+    exp10 = np.log10(mag)
+    exp10 = np.floor(exp10, out=exp10).astype(np.int64)
+    p = _scaled(mag, exp10)
+    exp10 += p >= 1e9
+    exp10 -= p < 1e8
+    p = _scaled(mag, exp10)
+    del mag
     m = np.rint(p)
-    slow = (~(fast | zero) | (np.abs(p - m) > 0.5 - _TIE_MARGIN)
+    p -= m
+    slow = (~(fast | zero) | (np.abs(p, out=p) > 0.5 - _TIE_MARGIN)
             | (m < 1e8) | (m > 1e9))
+    del p
     m = m.astype(np.int64)
+    m[zero] = 0
     carry = m == 10**9  # 9.999999995e(X) rounds to 1e(X + 1)
-    m -= carry * (9 * 10**8)
-    row = np.clip(exp10 + carry, _X_MIN, _X_MAX) - _X_MIN  # of the per-X tables
-    first = m // 10**8
-    rest = m - first * 10**8
-    hi = rest // 10_000
-    lo = rest - hi * 10_000
-    digits = np.maximum(np.where(lo != 0, 5 + _SIGNIFICANT4[lo], 1 + _SIGNIFICANT4[hi]),
-                        _MIN_DIGITS[row])
+    m[carry] = 10**8
+    exp10 += carry
+    row = np.clip(exp10, _X_MIN, _X_MAX, out=exp10)
+    row -= _X_MIN
+    return m, row, slow
+
+
+def _digit_words(m: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two words of each m's digits with its point, before the sign,
+    leading text and exponent."""
+    first, rest = np.divmod(m, 10**8)
+    hi, lo = np.divmod(rest, 10_000)
+    del rest
+    digits = _LO_DIGITS[lo]
+    np.maximum(digits, _HI_DIGITS[hi], out=digits)
+    np.maximum(digits, _MIN_DIGITS[row], out=digits)
+    a = first.view(_U)
+    a += _U(48)
+    hi_text = _DIGITS4[hi]
+    hi_text <<= _U(8)
+    a |= hi_text
+    del hi, hi_text
+    b = _DIGITS4[lo]
+    del lo
+    a |= b << _U(40)
+    a &= _KEEP_A[digits]
+    b >>= _U(24)
+    b &= _KEEP_B[digits]
     point = _POINT_AFTER[row]
-    point = np.where(digits > point + 1, point, 9)
-    lo_text = _DIGITS4[lo]
-    a = (((48 + first - zero).astype(_U) | _DIGITS4[hi] << _U(8) | lo_text << _U(40))
-         & _KEEP_A[digits])
-    b = lo_text >> _U(24) & _KEEP_B[digits]
+    point[digits <= point + 1] = 9
+    del digits
     low = _POINT_LOW[point]
-    moved = a & ~low
-    a = a & low | moved << _U(8) | _POINT_A[point]
-    b = b << _POINT_BITS[point] | moved >> _U(56) | _POINT_B[point]
+    moved = ~low
+    moved &= a
+    a &= low
+    del low
+    b <<= _POINT_BITS[point]
+    b |= moved >> _U(56)
+    b |= _POINT_B[point]
+    moved <<= _U(8)
+    a |= moved
+    a |= _POINT_A[point]
+    return a, b
+
+
+def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two words of each float's slot, and where '%.9g' must write it."""
+    m, row, slow = _round9(x)
+    a, b = _digit_words(m, row)
+    del m
     # the sign and leading text shift the text up to 6 bytes, partly into
     # word 1; in two shifts, so that none reaches 64 bits
-    lead = 2 * row + np.signbit(x)
+    lead = row * 2
+    lead += np.signbit(x)
     bits = _LEAD_BITS[lead]
-    return (a << bits | _LEAD_WORD[lead],
-            b << bits | a >> (_U(63) - bits) >> _U(1) | _EXP_WORD[row], slow)
+    b <<= bits
+    spill = _U(63) - bits
+    np.right_shift(a, spill, out=spill)
+    spill >>= _U(1)
+    b |= spill
+    del spill
+    b |= _EXP_WORD[row]
+    del row
+    a <<= bits
+    a |= _LEAD_WORD[lead]
+    return a, b, slow
 
 
 def csv_rows(floats: np.ndarray, index: np.ndarray) -> bytes:
     """The CSV text of rows of 14 floats and a waypoint index."""
     n, n_floats = floats.shape
-    words = np.empty((n, 2 * n_floats + 1), _U)
     slot_0, slot_1, slow = _float_slots(floats.reshape(-1))
+    words = np.empty((n, 2 * n_floats + 1), _U)
     words[:, 0:-1:2] = slot_0.reshape(n, n_floats)
     words[:, 1:-1:2] = slot_1.reshape(n, n_floats)
+    del slot_0, slot_1
     slow_index = (index < 0) | (index >= 10_000)
     words[:, -1] = _INDEX_TEXT[np.where(slow_index, 0, index)]
     slow = np.concatenate([slow.reshape(n, n_floats), slow_index[:, None]], axis=1)
@@ -134,7 +200,9 @@ def csv_rows(floats: np.ndarray, index: np.ndarray) -> bytes:
         words[:, 1:-1:2][slow[:, :-1]] = 44 << 56
         words[slow_index, -1] = 1 | 10 << 56
     text = words.astype("<u8", copy=False).view(np.uint8).reshape(-1)
-    text = text[text != 0].tobytes()
+    text = text[text != 0]
+    del words
+    text = text.tobytes()
     if not any_slow:
         return text
     rows, cols = np.nonzero(slow)

@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # mission imports this module
     from .mission import TelemetryLog
 
 RISE_FRACTION = 0.9  # share of the commanded change that ends the rise
+_RISE_WINDOW = 256  # rows in the first window of a rise search
 
 
 class NotSettled(Exception):
@@ -45,6 +46,24 @@ class SegmentError:
     max_perp: float   # m
 
 
+def _first_rise(psi: np.ndarray, delta: float, j: int) -> int:
+    """The first index from j where (psi - psi[0]) / delta reaches
+    RISE_FRACTION, or len(psi).
+
+    Searched in windows that double from j, so a rise costs about its
+    distance from j rather than the rest of the log.
+    """
+    n = len(psi)
+    width = _RISE_WINDOW
+    while j < n:
+        ahead = np.nonzero((psi[j:j + width] - psi[0]) / delta >= RISE_FRACTION)[0]
+        if len(ahead):
+            return j + int(ahead[0])
+        j += width
+        width *= 2
+    return n
+
+
 def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     """Time after the command for the travel-direction change to reach
     RISE_FRACTION * delta and stay within the remaining band for one period.
@@ -59,20 +78,17 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
         raise ValueError("command_time precedes the log")
     t = log.t[base_i:]
     psi = log.psi_unwrapped[base_i:]
-    frac = (psi - psi[0]) / delta
-    in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
 
     j = 1
     n = len(t)
     while j < n:
-        ahead = np.nonzero(frac[j:] >= RISE_FRACTION)[0]
-        if len(ahead) == 0:
-            break
-        j += int(ahead[0])
-        if t[j] + hold > t[-1] + 1e-9:
-            break  # cannot verify the hold inside the log
+        j = _first_rise(psi, delta, j)
+        if j == n or t[j] + hold > t[-1] + 1e-9:
+            break  # no rise, or cannot verify the hold inside the log
         k = int(np.searchsorted(t, t[j] + hold, side="right"))
-        bad = np.nonzero(~in_band[j:k])[0]
+        frac = (psi[j:k] - psi[0]) / delta
+        in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
+        bad = np.nonzero(~in_band)[0]
         if len(bad) == 0:
             return float(t[j] - command_time)
         j += int(bad[0]) + 1
@@ -165,9 +181,28 @@ def orbit_radius(log: TelemetryLog, center: tuple[float, float],
 
 
 def quartiles(values) -> tuple[float, float, float]:
-    """(q1, median, q3) with linear interpolation between order statistics."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    """(q1, median, q3) with linear interpolation between order statistics.
+
+    Bit for bit np.percentile(values, [25, 50, 75], method="linear"), by
+    numpy's own steps but without its np.unique call, which imports numpy.ma.
+    """
+    arr = np.array(values, dtype=float).ravel()  # a copy, partitioned in place
+    n = arr.size
+    if n == 0:
         raise ValueError("no values")
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
-    return float(q1), float(med), float(q3)
+    # the order statistics around each virtual index (n - 1) q; at or past
+    # the last one both are the last (index -1)
+    virtual = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    around = [(math.floor(v), math.floor(v) + 1) if v < n - 1 else (-1, -1)
+              for v in virtual]
+    # numpy's partition points, so that ties such as -0.0 and 0.0 land where
+    # they land there; a NaN sorts last
+    arr.partition(sorted({0, -1, *(k for pair in around for k in pair)}))
+    if math.isnan(arr[-1]):
+        return (float(arr[-1]),) * 3
+    result = []
+    for v, (i, j) in zip(virtual, around):
+        a, b, g = float(arr[i]), float(arr[j]), v - i
+        d = b - a
+        result.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+    return tuple(result)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -402,7 +403,7 @@ def test_csv_index_fallback_in_one_chunk_only(tmp_path):
     assert path.read_bytes() == reference_csv(log).encode()
     lines = path.read_text().splitlines()
     assert (lines[1].endswith(",-1") and lines[_CSV_CHUNK_ROWS].endswith(",10000")
-            and lines[-1].endswith(",2047"))
+            and lines[-1].endswith(f",{n_rows - 1}"))
 
 
 def test_run_command_end_to_end(tmp_path):
@@ -606,6 +607,39 @@ def test_csv_tables_are_built_on_the_first_write(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.split()[0] == "False" and out.split()[-1] == "True"
+
+
+def test_reports_never_import_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma through np.unique; the quartiles of a
+    # report do without it
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL)
+    code = ("import sys, paddlesim.cli as cli; "
+            f"cli.main(['run', {str(cfg_path)!r}, '--out-dir', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(paddlesim.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert (tmp_path / "run_metrics.dat").exists() and out.split()[-1] == "False"
+
+
+def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
+    # the formatter frees each chunk-sized temporary once it is dead; numpy
+    # reports its buffers to tracemalloc, so the peak is exact
+    rng = np.random.default_rng(3)
+    n_rows = 5 * _CSV_CHUNK_ROWS + 7
+    log = make_log(np.arange(n_rows) / 250.0, x=rng.standard_normal(n_rows),
+                   y=rng.standard_normal(n_rows) * 1e-3, theta=rng.uniform(-3, 3, n_rows))
+    log.waypoint_index[:] = np.arange(n_rows) % 7
+    path = tmp_path / "peak.csv"
+    write_telemetry_csv(log, path)  # the formatter's tables, built once
+    tracemalloc.start()
+    try:
+        write_telemetry_csv(log, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * _CSV_CHUNK_ROWS * 14 * 8  # about 8.4 chunks of floats
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import make_log, rise_time_reference, rolling_mean, within_ulps
-from paddlesim.metrics import (RISE_FRACTION, DegenerateSegment, NotSettled, measure_turn,
-                               orbit_radius, quartiles, rise_time,
+from paddlesim.metrics import (_RISE_WINDOW, RISE_FRACTION, DegenerateSegment, NotSettled,
+                               measure_turn, orbit_radius, quartiles, rise_time,
                                rms_perpendicular_error, settled_step_changes,
                                travel_during_turn)
 
@@ -100,7 +100,7 @@ def test_rise_time_answers_as_the_reference_loop():
     rng = np.random.default_rng(2024)
     kinds = ("step", "plateau", "walk", "crossing")
     outcomes = {kind: [] for kind in kinds}
-    rescans = 0
+    rescans = late = 0
     for trial in range(400):
         kind = kinds[trial % 4]
         t = np.cumsum(np.full(int(rng.integers(200, 1500)), DT)) - DT
@@ -120,6 +120,8 @@ def test_rise_time_answers_as_the_reference_loop():
                 frac = (log.psi_unwrapped - log.psi_unwrapped[base]) / delta
                 first = base + 1 + np.argmax(frac[base + 1:] >= RISE_FRACTION)
                 rescans += float.fromhex(got) > t[first] - command_time
+                # found past the search's first window
+                late += command_time + float.fromhex(got) > t[min(base + _RISE_WINDOW, len(t) - 1)]
     # holds that end within a few 1e-9 s of the log's end, where the search
     # stops for want of rows
     t = grid(3.0)
@@ -130,10 +132,10 @@ def test_rise_time_answers_as_the_reference_loop():
         assert got == _rise_outcome(rise_time_reference, log, 1.0, 0.5)
         outcomes["step"].append(got)
     # every kind both settles and does not, and many answers come from a
-    # later candidate than the first
+    # later candidate than the first or a later window than the first
     for kind, got in outcomes.items():
         assert 0 < sum(o != "not settled" for o in got) < len(got), kind
-    assert rescans >= 100
+    assert rescans >= 100 and late >= 100, (rescans, late)
 
 
 def test_travel_during_turn_stationary():
@@ -332,6 +334,29 @@ def test_quartiles_convention():
     assert q1 == med == q3 == 5.0
     with pytest.raises(ValueError):
         quartiles([])
+
+
+def test_quartiles_match_numpy_percentile_bit_for_bit():
+    # numpy's linear percentile is the oracle, down to the sign of a zero
+    # quartile and the bits of a NaN one
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324,
+                         -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    nans, signed_zeros = 0, set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 101))
+        values = np.select(
+            [rng.random(n) < 0.01, rng.random(n) < 0.4, rng.random(n) < 0.5],
+            [rng.choice([math.nan, -math.nan], n), rng.choice(specials, n),
+             rng.uniform(-1.0, 1.0, n)],
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.percentile(values, [25.0, 50.0, 75.0], method="linear")
+        got = np.array(quartiles(values))
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), values
+        nans += math.isnan(got[0])
+        signed_zeros.update(np.signbit(got[got == 0.0]).tolist())
+    assert nans > 100 and signed_zeros == {False, True}
 
 
 def test_rolling_mean_trailing_boxcar():
