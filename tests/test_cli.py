@@ -372,10 +372,12 @@ EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
                math.nan, math.inf, -math.inf, 1.0 / 3.0, 123456789.5, 1e-300)
 
 
-@pytest.mark.parametrize("n_rows", [1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
-                                    2 * _CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", sorted({1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                                           2 * _CSV_CHUNK_ROWS + 1,
+                                           1024, 1025, 2049}))
 def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
-    # row counts straddle the writer's chunk edges
+    # row counts straddle the writer's chunk edges, both for the current chunk
+    # size and as fixed counts that stay put when the chunk size changes
     rng = np.random.default_rng(n_rows)
     cols = {}
     for k, name in enumerate(TELEMETRY_COLUMNS[:-1]):
