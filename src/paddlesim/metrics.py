@@ -6,16 +6,12 @@ straight-segment cross-track error against the infinite ideal line, and
 mean orbit radius for station-keeping runs.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # mission imports this module
-    from .mission import TelemetryLog
+from .mission import TelemetryLog, coincident
 
 RISE_FRACTION = 0.9  # share of the commanded change that ends the rise
 _RISE_WINDOW = 256  # rows in the first window of a rise search
@@ -46,29 +42,14 @@ class SegmentError:
     max_perp: float   # m
 
 
-def _first_rise(psi: np.ndarray, delta: float, j: int) -> int:
-    """The first index from j where (psi - psi[0]) / delta reaches
-    RISE_FRACTION, or len(psi).
-
-    Searched in windows that double from j, so a rise costs about its
-    distance from j rather than the rest of the log.
-    """
-    n = len(psi)
-    width = _RISE_WINDOW
-    while j < n:
-        ahead = np.nonzero((psi[j:j + width] - psi[0]) / delta >= RISE_FRACTION)[0]
-        if len(ahead):
-            return j + int(ahead[0])
-        j += width
-        width *= 2
-    return n
-
-
 def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     """Time after the command for the travel-direction change to reach
     RISE_FRACTION * delta and stay within the remaining band for one period.
 
-    Raises NotSettled if that never happens inside the log.
+    Each search for the next row at the threshold runs in windows that
+    double from its start, so a rise costs about its distance from there,
+    and the search ends once no row from there on can reach the threshold.
+    Raises NotSettled if the change never rises and holds inside the log.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
@@ -78,13 +59,22 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
         raise ValueError("command_time precedes the log")
     t = log.t[base_i:]
     psi = log.psi_unwrapped[base_i:]
+    # (v - psi[0]) / delta rounds monotonically in v, so a row from j on
+    # reaches the threshold exactly when the extreme from j on does
+    reach = (log.psi_suffix_max if delta > 0.0 else log.psi_suffix_min)[base_i:]
 
     j = 1
     n = len(t)
-    while j < n:
-        j = _first_rise(psi, delta, j)
-        if j == n or t[j] + hold > t[-1] + 1e-9:
-            break  # no rise, or cannot verify the hold inside the log
+    width = _RISE_WINDOW
+    while j < n and (reach[j] - psi[0]) / delta >= RISE_FRACTION:
+        ahead = np.nonzero((psi[j:j + width] - psi[0]) / delta >= RISE_FRACTION)[0]
+        if not len(ahead):
+            j += width
+            width *= 2
+            continue
+        j += int(ahead[0])
+        if t[j] + hold > t[-1] + 1e-9:
+            break  # cannot verify the hold inside the log
         k = int(np.searchsorted(t, t[j] + hold, side="right"))
         frac = (psi[j:k] - psi[0]) / delta
         in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
@@ -92,6 +82,7 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
         if len(bad) == 0:
             return float(t[j] - command_time)
         j += int(bad[0]) + 1
+        width = _RISE_WINDOW
     raise NotSettled(
         f"travel direction never held {RISE_FRACTION:.0%} of {delta:.4g} rad")
 
@@ -140,11 +131,6 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
         else:
             changes.append(math.nan)
     return changes
-
-
-def coincident(p0: tuple[float, float], p1: tuple[float, float]) -> bool:
-    """True when two points are too close to define a line (under 1e-9 m)."""
-    return math.hypot(p1[0] - p0[0], p1[1] - p0[1]) < 1e-9
 
 
 def rms_perpendicular_error(log: TelemetryLog,

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import cycle
+from itertools import accumulate, cycle
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
 from .dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError, check_fields,
                        rk4_step)
 from .estimation import TravelEstimator
-from .metrics import coincident
 
 # the 120 Hz outer loop: 12 outer ticks per 25 inner ticks; eleven gaps of 2
 # and one of 3
@@ -31,13 +30,20 @@ _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
 # preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB.
 MAX_TICKS = 10**7
-# Largest unwrapped angle accepted (heading, initial_theta, a step change), rad.
-# Real commands are a few turns; near 1e308, sums and means of angles overflow
-# to inf, which wrap_to_pi cannot floor.
+# Largest unwrapped angle accepted (heading, also after each step,
+# initial_theta, a step change), rad.  Real commands are a few turns; near
+# 1e308, sums and means of angles overflow to inf, which wrap_to_pi cannot
+# floor.  A run whose hull or reference angle passes twice this has diverged:
+# an ulp there (4.7e-10) is still under wrap_to_pi's error bound.
 MAX_ANGLE = 1e6
 # Largest waypoint or start coordinate accepted, m.  Distances to points near
 # 1e308 overflow to inf, and the report's quartiles of them to NaN.
 MAX_POSITION = 1e6
+
+
+def coincident(p0: tuple[float, float], p1: tuple[float, float]) -> bool:
+    """True when two points are too close to define a line (under 1e-9 m)."""
+    return math.hypot(p1[0] - p0[0], p1[1] - p0[1]) < 1e-9
 
 
 class MissionKind(Enum):
@@ -68,12 +74,14 @@ class MissionSpec:
         if self.duration * INNER_RATE > MAX_TICKS:  # a float test: 1e308 must not overflow
             raise ConfigError(f"duration must be at most {MAX_TICKS / INNER_RATE:g} s "
                               f"({MAX_TICKS} ticks at {INNER_RATE:g} Hz)")
-        angles = [self.heading, *(delta for _, delta in self.step_schedule)]
+        deltas = [delta for _, delta in self.step_schedule]
+        # the heading before and after each step, summed as run_mission sums it
+        angles = [*accumulate([self.heading, *deltas]), *deltas]
         if self.initial_theta is not None:
             angles.append(self.initial_theta)
         if any(abs(a) > MAX_ANGLE for a in angles):
-            raise ConfigError(f"heading, initial_theta and step changes must be "
-                              f"at most {MAX_ANGLE:g} rad in magnitude")
+            raise ConfigError(f"heading (also after each step), initial_theta and step "
+                              f"changes must be at most {MAX_ANGLE:g} rad in magnitude")
         for name, coords in (("waypoints", [c for p in self.waypoints for c in p]),
                              ("start", self.start)):
             if any(abs(c) > MAX_POSITION for c in coords):
@@ -128,6 +136,16 @@ class TelemetryLog:
         """psi_hat unwrapped, computed on first use and kept."""
         return np.unwrap(self.psi_hat)
 
+    # the largest and smallest psi_unwrapped from each row to the end, NaN
+    # rows skipped, computed on first use and kept
+    @cached_property
+    def psi_suffix_max(self) -> np.ndarray:
+        return np.fmax.accumulate(self.psi_unwrapped[::-1])[::-1]
+
+    @cached_property
+    def psi_suffix_min(self) -> np.ndarray:
+        return np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1]
+
 
 # the per-tick columns, in field order; period and body_length are metadata
 TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
@@ -173,6 +191,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     period = cfg.period
     thrust = params.k_thrust * cfg.K
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
+    angle_cap = 2 * MAX_ANGLE
     pack_row, row_size = _ROW.pack_into, _ROW.size
     # resolved per run from this module, so wrappers installed on it apply;
     # rk4_step, desaturate_reference and waypoint_heading are looked up on
@@ -253,6 +272,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             # the thrust vector, held until the next outer tick
             thrust_x = thrust * cos(theta_r)
             thrust_y = thrust * sin(theta_r)
+            if abs(theta) > angle_cap or abs(theta_r) > angle_cap:
+                raise ConfigError(f"the simulated state diverged at t = {t:g} s")
 
         tau = torque_law(cfg, t, theta, theta_r)
 
@@ -267,5 +288,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             thrust_y, dt)
         t += dt
 
+    if abs(theta) > angle_cap:  # the last row, which may fall between outer ticks
+        raise ConfigError(f"the simulated state diverged at t = {t:g} s")
     # block.T yields the float columns as views of the block
     return TelemetryLog(*block.T, index, period=period, body_length=params.body_length)

@@ -207,11 +207,12 @@ class TravelEstimatorReference:
         return wrap_to_pi(total / self.period)
 
 
-def rise_time_reference(log, command_time, delta):
+def rise_time_reference(log, command_time, delta, psi=None):
     """metrics.rise_time as it was before the log kept its unwrapped travel
-    direction: it unwraps the whole column and scans from the command with
-    absolute indices.  The same arithmetic, so the two must agree bit for
-    bit, NotSettled included."""
+    direction: it unwraps the whole column (or takes psi, an unwrapped column
+    given in its place) and scans from the command to the end of the log
+    with absolute indices.  The same arithmetic, so the two must agree bit
+    for bit, NotSettled included."""
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
     hold = log.period
@@ -219,7 +220,8 @@ def rise_time_reference(log, command_time, delta):
     base_i = int(np.searchsorted(t, command_time, side="right")) - 1
     if base_i < 0:
         raise ValueError("command_time precedes the log")
-    psi = np.unwrap(log.psi_hat)
+    if psi is None:
+        psi = np.unwrap(log.psi_hat)
     frac = (psi - psi[base_i]) / delta
     in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
 

@@ -108,6 +108,10 @@ def test_parse_full_config():
     ("mission.initial_theta = 1e308", "at most 1e+06 rad"),
     ("mission.kind = step\nmission.duration = 2\nmission.step_schedule = 1 -1e7",
      "at most 1e+06 rad"),
+    # each value is in range, but the commanded heading leaves it after the
+    # second step
+    ("mission.kind = step\nmission.duration = 2\nmission.heading = 1e6\n"
+     "mission.step_schedule = 0.5 -1e6; 1 1e6; 1.5 1e6", "at most 1e+06 rad"),
     ("mission.kind = station_keep\nmission.duration = 1\n"
      "mission.waypoints = 1e-300 1e-300; 1e-300 1e308",
      "waypoints coordinates must be at most 1e+06 m"),
@@ -204,15 +208,20 @@ def test_repeats_flag_is_rejected(tmp_path):
     "control.K = 1e300",
     "boat.mass = 1e-300",
     "control.mode = desaturated\ncontrol.beta = 1e300",
+    # finite throughout, but the hull angle runs past where wrap_to_pi is
+    # exact, and the wrapped heading error read 3.7e283
+    "boat.C_f = 0\nboat.mass = 1e300\ncontrol.K = 1e300",
 ])
 def test_diverging_run_exits_2_without_its_csv(tmp_path, capsys, lines):
-    # the values are finite and parse, but the plant overflows within a few ticks
+    # the values are finite and parse, but the plant overflows or runs away
+    # within a few ticks
     cfg_path = tmp_path / "wild.cfg"
     cfg_path.write_text(MINIMAL + lines + "\n")
     out = tmp_path / "out"
     assert main(["validate", str(cfg_path)]) == 0
     assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
-    assert "diverged at t = " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged at t = " in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import make_log, rise_time_reference, rolling_mean, within_ulps
+from paddlesim import metrics
 from paddlesim.metrics import (_RISE_WINDOW, RISE_FRACTION, DegenerateSegment, NotSettled,
                                measure_turn, orbit_radius, quartiles, rise_time,
                                rms_perpendicular_error, settled_step_changes,
@@ -136,6 +138,83 @@ def test_rise_time_answers_as_the_reference_loop():
     for kind, got in outcomes.items():
         assert 0 < sum(o != "not settled" for o in got) < len(got), kind
     assert rescans >= 100 and late >= 100, (rescans, late)
+
+
+def test_rise_time_answers_as_the_reference_loop_on_nan_and_inf_rows():
+    # the search stops once the extreme from a row on cannot reach the
+    # threshold; NaN rows are skipped by that extreme and fail every compare
+    # in the scan, and +-inf rows pass or fail it as the scan's rows do, so
+    # the answers and every NotSettled must still agree.  The log keeps the
+    # column given it, and the reference scans that same column.
+    rng = np.random.default_rng(2025)
+    kinds = ("step", "plateau", "walk", "crossing")
+    outcomes = {"scattered": [], "nan tail": [], "both": []}
+    at_nonfinite = 0
+    for trial in range(600):
+        t = np.cumsum(np.full(int(rng.integers(200, 1500)), DT)) - DT
+        n = len(t)
+        t_c = rng.uniform(0.0, 0.3 * t[-1])
+        delta = (-1.0, 1.0)[trial % 2] * rng.uniform(0.05, 3.0)
+        psi = rng.uniform(-np.pi, np.pi) + delta * _frac_trace(rng, kinds[trial % 4], t, t_c)
+        layout = tuple(outcomes)[trial // 2 % 3]
+        if layout != "nan tail":  # a few to a few hundred rows of NaN, inf, -inf
+            rows = rng.choice(n, int(rng.integers(1, n // 4)), replace=False)
+            psi[rows] = rng.choice([np.nan, np.inf, -np.inf], len(rows))
+        if layout != "scattered":
+            psi[int(rng.integers(np.searchsorted(t, t_c), n)):] = np.nan
+        log = make_log(t, period=rng.uniform(0.05, 1.0))
+        log.psi_unwrapped = psi
+        reference = functools.partial(rise_time_reference, psi=log.psi_unwrapped)
+        for command_time in (t[0], t[int(rng.integers(np.searchsorted(t, t_c) + 1))],
+                             rng.uniform(t[0], t_c), t[int(rng.integers(n))]):
+            # inf - inf is NaN in both, with numpy's warning
+            with np.errstate(invalid="ignore"):
+                got = _rise_outcome(rise_time, log, command_time, delta)
+                assert got == _rise_outcome(reference, log, command_time, delta)
+            outcomes[layout].append(got)
+            at_nonfinite += not np.isfinite(psi[np.searchsorted(t, command_time, "right") - 1])
+    # each layout both settles and does not; some commands sit on a
+    # non-finite row
+    for layout, got in outcomes.items():
+        assert 0 < sum(o != "not settled" for o in got) < len(got), layout
+    assert at_nonfinite >= 50, at_nonfinite
+
+
+class _CountingNumpy:
+    """numpy, counting the rows handed to np.nonzero."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def nonzero(self, a):
+        self.rows += len(a)
+        return np.nonzero(a)
+
+
+def test_rise_search_scans_no_row_for_a_step_that_never_rises(monkeypatch):
+    # 200 commands of +-0.3 rad in a 40 s log whose response reaches only
+    # half of each, then a 0.1 rad one that it follows, which no earlier
+    # threshold (0.27 and -0.12 rad) reaches: the unsettled ones must stop
+    # before any window scan, and the last must still be found
+    t = grid(40.0)
+    steps = [(1.0 + 0.1 * k, 0.3 if k % 2 == 0 else -0.3) for k in range(200)]
+    psi = np.zeros_like(t)
+    for ts, delta in steps:
+        psi[t > ts] += 0.5 * delta
+    psi[t > 30.0] += 0.1
+    log = make_log(t, psi_hat=psi)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(metrics, "np", counting)
+    for ts, delta in steps:
+        with pytest.raises(NotSettled):
+            rise_time(log, ts, delta)
+    assert counting.rows == 0
+    assert rise_time(log, 30.0, 0.1) == pytest.approx(DT)
+    # the one window that holds the rise and the hold after it
+    assert 0 < counting.rows <= _RISE_WINDOW + round(log.period / DT) + 1
 
 
 def test_travel_during_turn_stationary():

@@ -207,6 +207,9 @@ def test_controller_mode_override():
          waypoints=((1e-300, 1e-300), (1e-300, 1e308))),
     dict(kind=MissionKind.CONVERGE, duration=1.0, start=(0.0, -2e6)),
     dict(kind=MissionKind.CONVERGE, duration=True),
+    # each angle is in range, but the commanded heading leaves it
+    dict(kind=MissionKind.STEP_TEST, duration=2.0, heading=1e6,
+         step_schedule=tuple((0.1 * k, 1e6) for k in range(1, 11))),
 ])
 def test_invalid_specs_rejected(bad):
     # a spec is checked as it is built, so no invalid one reaches run_mission

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import (Plant, TravelEstimatorReference, cap_scenarios,
                      rk4_step_reference, within_ulps, wrap_to_pi_formula)
 from paddlesim.cli import _SECTIONS, main, parse_scenario
-from paddlesim.control import ControllerConfig, wrap_to_pi
+from paddlesim.control import _WRAP_EPS, ControllerConfig, wrap_to_pi
 from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
@@ -353,6 +353,9 @@ def _with_cap_examples(test):
 @settings(max_examples=200)
 @given(text=_configs(), strict=st.booleans())
 @_with_cap_examples
+# finite throughout, but the hull angle runs past where wrap_to_pi is exact
+@example(text="mission.kind = converge\nmission.duration = 2\nboat.C_f = 0\n"
+              "boat.mass = 1e300\ncontrol.K = 1e300\n", strict=False)
 def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
     root = tmp_path_factory.mktemp("fuzz")
     cfg_path, out = root / "fuzz.cfg", root / "out"
@@ -374,6 +377,13 @@ def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
                if name.endswith("_metrics.dat")}
     assert csvs == reports
     assert set(root.iterdir()) <= {cfg_path, out}
+    if code == 0:  # a valid report: every value finite, the heading error wrapped
+        for dat in out.glob("*_metrics.dat"):
+            for line in dat.read_text().splitlines():
+                key, value = line.split(" = ")
+                assert math.isfinite(float(value)), line
+                if key.startswith("heading_error_rad.") and not key.endswith(".n"):
+                    assert 0.0 <= float(value) <= math.pi + _WRAP_EPS, line
 
 
 def _nudged(x):
