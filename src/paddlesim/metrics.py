@@ -115,7 +115,7 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     The change is the mean unwrapped estimate over the last quarter of the
     span after the step minus that over the last quarter of the span before
     it; spans run between neighbouring steps and the ends of the log.  NaN
-    where either window holds no samples.
+    where a span is under the estimate's one-period window or a window is empty.
     """
     t = log.t
     psi = log.psi_unwrapped
@@ -126,7 +126,7 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
         b1 = np.searchsorted(t, ts, side="left")
         a0 = np.searchsorted(t, ts + 0.75 * (end - ts), side="left")
         a1 = np.searchsorted(t, end, side="right")
-        if b0 < b1 and a0 < a1:
+        if min(ts - start, end - ts) >= log.period and b0 < b1 and a0 < a1:
             changes.append(float(np.mean(psi[a0:a1]) - np.mean(psi[b0:b1])))
         else:
             changes.append(math.nan)

@@ -235,10 +235,10 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             vx += kick[0]
             vy += kick[1]
             next_dist_t, kick = next(impulses)
-        # an overflowing plant goes non-finite here before any law reads it
-        if not isfinite(theta + theta_dot + phi + phi_dot + x + y + vx + vy):
-            raise ConfigError(f"the simulated state diverged at t = {t:g} s")
         rate = theta_dot + phi_dot
+        # a runaway plant fails here before any law reads it (NaN fails the compare)
+        if not (abs(theta) <= angle_cap and isfinite(rate + phi + x + y + vx + vy)):
+            raise ConfigError(f"the simulated state diverged at t = {t:g} s")
         rate_sum += rate
         floor = t - period
         while lo < i and t_col[lo] <= floor:  # rows before i are written
@@ -272,7 +272,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             # the thrust vector, held until the next outer tick
             thrust_x = thrust * cos(theta_r)
             thrust_y = thrust * sin(theta_r)
-            if abs(theta) > angle_cap or abs(theta_r) > angle_cap:
+            if abs(theta_r) > angle_cap:
                 raise ConfigError(f"the simulated state diverged at t = {t:g} s")
 
         tau = torque_law(cfg, t, theta, theta_r)
@@ -288,7 +288,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             thrust_y, dt)
         t += dt
 
-    if abs(theta) > angle_cap:  # the last row, which may fall between outer ticks
+    if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
     # block.T yields the float columns as views of the block
     return TelemetryLog(*block.T, index, period=period, body_length=params.body_length)

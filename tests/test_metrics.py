@@ -296,16 +296,18 @@ def test_rms_perp_matches_brute_force_oracle():
 def test_rms_perp_window_edges_pick_the_masked_rows():
     # each window is one searchsorted slice of the increasing t; it must
     # pick the rows the masks t >= t0 - 1e-12 and t <= t1 + 1e-12 pick (and
-    # t >= start, t < ts, t <= end for the settled step change), also when
-    # an edge sits within a few ulps of a sample plus or minus 1e-12
+    # t >= start, t < ts, t <= end for the settled step change, whose spans
+    # must last a period), also when an edge sits within a few ulps of a
+    # sample plus or minus 1e-12
     t = np.empty(500)
     now = 0.0
     for i in range(len(t)):  # accumulated as run_mission does
         t[i] = now
         now += DT
     rng = np.random.default_rng(7)
+    # a one-tick period, so that spans of a tick or more still reach the windows
     log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)),
-                   psi_hat=rng.normal(size=len(t)))
+                   psi_hat=rng.normal(size=len(t)), period=DT)
     psi = np.unwrap(log.psi_hat)
     (x0, y0), (x1, y1) = segment = ((0.1, -0.2), (1.0, 0.3))
     length = math.hypot(x1 - x0, y1 - y0)
@@ -326,8 +328,10 @@ def test_rms_perp_window_edges_pick_the_masked_rows():
             for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
                 before = (t >= start + 0.75 * (ts - start)) & (t < ts)
                 after = (t >= ts + 0.75 * (end - ts)) & (t <= end)
+                long_enough = min(ts - start, end - ts) >= log.period
                 changes.append(float(np.mean(psi[after]) - np.mean(psi[before]))
-                               if np.any(before) and np.any(after) else math.nan)
+                               if long_enough and np.any(before) and np.any(after)
+                               else math.nan)
             got = settled_step_changes(log, [(e0, 0.1), (e1, 0.1)])
             assert [c.hex() for c in got] == [c.hex() for c in changes]
             if not np.any(mask):

@@ -323,6 +323,11 @@ _SWEEPABLE = [f"{section}.{field}" for section, schema in _SECTIONS.items()
               for field, parser in schema.items() if parser is float]
 
 
+# the report's speeds, distances and times
+_NON_NEGATIVE = {"steady_speed_mps", "travel_m", "travel_bl", "rms_perp_m", "max_perp_m",
+                 "orbit_radius_m", "rise_time_s", "completion_time_s"}
+
+
 @st.composite
 def _configs(draw):
     # a valid kind, a duration of at most 1 s and the waypoints a waypoint
@@ -356,6 +361,10 @@ def _with_cap_examples(test):
 # finite throughout, but the hull angle runs past where wrap_to_pi is exact
 @example(text="mission.kind = converge\nmission.duration = 2\nboat.C_f = 0\n"
               "boat.mass = 1e300\ncontrol.K = 1e300\n", strict=False)
+# finite state on its one row, but the torque recorded there overflows
+@example(text="control.mode = limit_cycle\ncontrol.K = 1e308\ncontrol.beta = 1e308\n"
+              "mission.kind = converge\nmission.duration = 0\n"
+              "mission.initial_theta = -7.853981633974483\n", strict=False)
 def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
     root = tmp_path_factory.mktemp("fuzz")
     cfg_path, out = root / "fuzz.cfg", root / "out"
@@ -377,13 +386,22 @@ def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
                if name.endswith("_metrics.dat")}
     assert csvs == reports
     assert set(root.iterdir()) <= {cfg_path, out}
-    if code == 0:  # a valid report: every value finite, the heading error wrapped
+    # a valid run: finite telemetry, and a report whose values are finite,
+    # whose speeds, distances and times are not negative and whose heading
+    # error is wrapped
+    if code == 0:
+        for csv in out.glob("*.csv"):
+            for line in csv.read_text().splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in line.split(",")), line
         for dat in out.glob("*_metrics.dat"):
             for line in dat.read_text().splitlines():
                 key, value = line.split(" = ")
-                assert math.isfinite(float(value)), line
-                if key.startswith("heading_error_rad.") and not key.endswith(".n"):
-                    assert 0.0 <= float(value) <= math.pi + _WRAP_EPS, line
+                metric, x = key.partition(".")[0], float(value)
+                assert math.isfinite(x), line
+                if metric in _NON_NEGATIVE:
+                    assert x >= 0.0, line
+                if metric == "heading_error_rad" and not key.endswith(".n"):
+                    assert 0.0 <= x <= math.pi + _WRAP_EPS, line
 
 
 def _nudged(x):
