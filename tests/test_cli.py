@@ -63,7 +63,9 @@ def test_parse_full_config():
     assert (cfg.out_dir, cfg.basename, cfg.repeats) == ("out", "sq", 3)
 
 
-@pytest.mark.parametrize("line,fragment", [
+# every config the parser must reject, with a fragment of its message; a row
+# that names neither mission.kind nor mission.duration runs as a 1 s converge
+REJECTED_CONFIGS = [
     ("boat.bogus = 1", "unknown key"),
     ("nonsense = 1", "unknown key"),
     ("mission.kind = quux\nmission.duration = 1", "bad value"),
@@ -124,21 +126,37 @@ def test_parse_full_config():
     ("mission.kind = converge", "mission.kind and mission.duration are required"),
     ("boat.mass = -1", "mass must be positive"),
     ("mission.kind = waypoints\nmission.duration = 1", "needs at least one waypoint"),
-])
-def test_parse_rejects_bad_lines(tmp_path, capsys, line, fragment):
-    text = (f"mission.kind = converge\nmission.duration = 1\n{line}"
-            if "mission.kind" not in line and "mission.duration" not in line else line)
+    ("mission.kind = step\nmission.duration = 6\nmission.step_schedule = -1.0 0.5",
+     "non-negative"),
+    ("mission.kind = waypoints\nmission.duration = 6\n"
+     "mission.waypoints = 0.3 0; 0.3 0; 0.3 0.3", "must not coincide"),
+]
+
+
+def _rejected_config_text(line):
+    if "mission.kind" in line or "mission.duration" in line:
+        return line
+    return f"mission.kind = converge\nmission.duration = 1\n{line}"
+
+
+@pytest.mark.parametrize("line,fragment", REJECTED_CONFIGS)
+def test_parse_rejects_bad_lines(line, fragment):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse_scenario(_rejected_config_text(line))
     assert fragment in str(err.value)
-    # the CLI rejects it the same way, before any file or directory is made
+
+
+@pytest.mark.parametrize("line,fragment", [
+    pytest.param(line, fragment, id=line) for line, fragment in REJECTED_CONFIGS])
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys, line, fragment):
+    # the CLI rejects it as the parser does, before any file or directory is made
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(text + "\n")
+    cfg_path.write_text(_rejected_config_text(line) + "\n")
     out = tmp_path / "out"
     assert main(["validate", str(cfg_path)]) == 2
     assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.count(fragment) == 2
-    assert sorted(tmp_path.iterdir()) == [cfg_path]
+    assert sorted(tmp_path.iterdir()) == [cfg_path]  # nothing escaped it either
 
 
 def test_parse_builds_every_sweep_point():
@@ -385,6 +403,13 @@ def test_validate_command_writes_nothing(tmp_path):
     code = main(["validate", str(cfg_path)])
     assert code == 0
     assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_validate_rejects_bad_config(tmp_path):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("mission.kind = converge\nmission.duration = 1.0\n"
+                        "boat.warp = 9\n")
+    assert main(["validate", str(cfg_path)]) == 2
 
 
 def test_presets_ship_and_validate():
