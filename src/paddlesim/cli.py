@@ -8,6 +8,7 @@ Ships presets mirroring the bench scenarios; see ``paddlesim presets list``.
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -211,18 +212,41 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
 
 # ------------------------------------------------------------------ telemetry
 
+def _row_block(floats: list[np.ndarray]) -> np.ndarray | None:
+    """The float64 block whose column k is floats[k], as run_mission builds
+    it, or None if the columns are not all views of one such block."""
+    block = floats[0].base
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+            and block.shape == (len(floats[0]), len(floats)) and block.strides[1] == 8):
+        return None
+    origin = block.__array_interface__["data"][0]
+    for k, col in enumerate(floats):
+        if not (col.dtype == np.float64 and col.shape == block.shape[:1]
+                and col.strides == block.strides[:1]
+                and col.__array_interface__["data"][0] == origin + 8 * k):
+            return None
+    return block
+
+
 def write_telemetry_csv(log: TelemetryLog, path) -> None:
-    """Write the fixed-header CSV: each float as '%.9g', the index as '%d'."""
+    """Write the fixed-header CSV: each float as '%.9g', the index as '%d'.
+
+    A log from run_mission is formatted straight from its row block; any
+    other log (separate columns, or one rebound) is stacked chunk by chunk.
+    """
     # imported here, so a run that writes no CSV never builds its tables
     from .csvtext import csv_rows
     floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
     index = log.column(TELEMETRY_COLUMNS[-1])
+    block = _row_block(floats)
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(log), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            fh.write(csv_rows(np.stack([col[start:stop] for col in floats], axis=1,
-                                       dtype=np.float64), index[start:stop]))
+            rows = (block[start:stop] if block is not None else
+                    np.stack([col[start:stop] for col in floats], axis=1,
+                             dtype=np.float64))
+            fh.write(csv_rows(rows, index[start:stop]))
 
 
 # -------------------------------------------------------------------- metrics
@@ -410,6 +434,9 @@ def _cmd_presets(args) -> int:
     return _execute(cfg, args.out_dir, args.strict_settle)
 
 
+# built on the first main() call and shared by later ones: parsing reads the
+# parser and never changes it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paddlesim",
@@ -458,6 +485,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -10,10 +10,12 @@ commanding full-turn-offset (congruent) references.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import floor, sin
 
 from .dynamics import INNER_DT, ConfigError, check_fields
 
 _WRAP_EPS = 1e-9  # slack for the wrapped-equality test at the +/- pi boundary
+_TAU, _PI = math.tau, math.pi  # bound once: the wrap and torque laws run every tick
 
 
 class ControlMode(Enum):
@@ -65,16 +67,16 @@ def wrap_to_pi(angle: float) -> float:
     if -3.0 < angle < 3.0:
         # floor((angle + pi) / tau) is 0 here, so the formula gives angle back
         return angle
-    wrapped = angle - math.tau * math.floor((angle + math.pi) / math.tau)
-    if wrapped <= -math.pi:  # floor maps +pi to -pi; the boundary belongs at +pi
-        wrapped += math.tau
+    wrapped = angle - _TAU * floor((angle + _PI) / _TAU)
+    if wrapped <= -_PI:  # floor maps +pi to -pi; the boundary belongs at +pi
+        wrapped += _TAU
     return wrapped
 
 
 def limit_cycle_torque(cfg: ControllerConfig, t: float, theta: float,
                        theta_r: float) -> float:
     """Motor acceleration command: sinusoidal forcing plus convergence term."""
-    return -cfg.K * math.sin(cfg.omega * t) - cfg.beta * math.sin(theta_r - theta)
+    return -cfg.K * sin(cfg.omega * t) - cfg.beta * sin(theta_r - theta)
 
 
 def resonant_beta(cfg_omega: float, I_b: float, I_t: float) -> float:
@@ -102,7 +104,7 @@ def desaturated_torque(cfg: ControllerConfig, t: float, theta: float,
     diff = theta_r - theta
     # wrap_to_pi returns an error in (-3, 3) unchanged, so no unwind drives it
     xi = 0 if -3.0 < diff < 3.0 else wrap_override(theta, theta_r)
-    return -cfg.K * math.sin(cfg.omega * t) - cfg.beta * (math.sin(diff) + xi)
+    return -cfg.K * sin(cfg.omega * t) - cfg.beta * (sin(diff) + xi)
 
 
 def desaturate_reference(ref: ReferenceState, mean_top_velocity: float, t: float,

@@ -11,7 +11,8 @@ import numpy as np
 # the sign and any leading "0.000", then the 9 significant digits with their
 # point and trailing zeros cut, "e+XX" at bytes 11..14 in exponent form, and
 # ',' at byte 15.  A row is 14 such slots and one word for the index and
-# '\n'; the NUL bytes left between are dropped.  Values outside the proven
+# '\n'.  The words are copied out as bytes, and one bytes.translate call
+# drops the NUL bytes left between the texts.  Values outside the proven
 # range get a 0x01 marker, which is replaced by their '%.9g' or '%d' text.
 
 _U = np.uint64
@@ -125,8 +126,13 @@ def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _digit_words(m: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two words of each m's digits with its point, before the sign,
     leading text and exponent."""
-    first, rest = np.divmod(m, 10**8)
-    hi, lo = np.divmod(rest, 10_000)
+    # m >= 0, so floor division and a subtraction split it as divmod would
+    first = m // 10**8
+    rest = first * -10**8
+    rest += m
+    hi = rest // 10_000
+    lo = hi * -10_000
+    lo += rest
     del rest
     digits = _LO_DIGITS[lo]
     np.maximum(digits, _HI_DIGITS[hi], out=digits)
@@ -199,10 +205,9 @@ def csv_rows(floats: np.ndarray, index: np.ndarray) -> bytes:
         words[:, 0:-1:2][slow[:, :-1]] = 1
         words[:, 1:-1:2][slow[:, :-1]] = 44 << 56
         words[slow_index, -1] = 1 | 10 << 56
-    text = words.astype("<u8", copy=False).view(np.uint8).reshape(-1)
-    text = text[text != 0]
+    text = words.astype("<u8", copy=False).tobytes()
     del words
-    text = text.tobytes()
+    text = text.translate(None, b"\0")
     if not any_slow:
         return text
     rows, cols = np.nonzero(slow)

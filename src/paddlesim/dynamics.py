@@ -65,12 +65,13 @@ class BoatParams:
     def __post_init__(self):
         check_fields(self, positive=("I_b", "I_t", "mass", "body_length"),
                      non_negative=("C_f", "C_r", "C_v", "k_thrust"))
-        # what rk4_step reads on every call, built once; not a field, so it
-        # is no config key and equality and hashing ignore it.  replace()
-        # rebuilds it, and copies and pickles carry it with the fields.
+        # what rk4_step reads on every call, built once, the total inertia
+        # negated; not a field, so it is no config key and equality and
+        # hashing ignore it.  replace() rebuilds it, and copies and pickles
+        # carry it with the fields.
         object.__setattr__(self, "_step_constants",
                            (self.C_f, self.C_r, self.C_v, self.mass, self.I_t,
-                            self.I_b + self.I_t))
+                            -(self.I_b + self.I_t)))
 
 
 def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> float:
@@ -94,27 +95,32 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
     the caller advances time by dt.
 
     The stages are written out over local constants, unpacked from the
-    tuple BoatParams builds once, because this runs on every tick; each
-    repeats orientation_accel's arithmetic for the rotation and a point mass
-    under quadratic drag for the translation.
+    tuple BoatParams builds once, because this runs on every tick: a point
+    mass under quadratic drag for the translation and, for the rotation,
+    orientation_accel's result bit for bit, though not op for op.  Two
+    equalities make that so.  x / -y equals -(x / y) exactly, so each stage
+    divides by the negated inertia instead of negating.  (s if s > 0.0 else
+    -s) equals abs(s) except at s = +0.0, where it gives -0.0; the + C_r * s
+    that follows is then +0.0 and restores the sign.  With >= instead, the
+    sum at s = -0.0 would be +0.0 where abs gives -0.0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     a = control_torque  # motor acceleration, constant over the step
-    C_f, C_r, C_v, mass, I_t, inertia = params._step_constants
+    C_f, C_r, C_v, mass, I_t, neg_inertia = params._step_constants
     motor = I_t * a
     w = theta_dot
     half = 0.5 * dt
     sixth = dt / 6.0
 
     # rotational stages: theta's stage derivative is the stage value of theta_dot
-    k1 = -(C_f * w * abs(w) + C_r * w + motor) / inertia
+    k1 = (C_f * w * (w if w > 0.0 else -w) + C_r * w + motor) / neg_inertia
     s2 = w + half * k1
-    k2 = -(C_f * s2 * abs(s2) + C_r * s2 + motor) / inertia
+    k2 = (C_f * s2 * (s2 if s2 > 0.0 else -s2) + C_r * s2 + motor) / neg_inertia
     s3 = w + half * k2
-    k3 = -(C_f * s3 * abs(s3) + C_r * s3 + motor) / inertia
+    k3 = (C_f * s3 * (s3 if s3 > 0.0 else -s3) + C_r * s3 + motor) / neg_inertia
     s4 = w + dt * k3
-    k4 = -(C_f * s4 * abs(s4) + C_r * s4 + motor) / inertia
+    k4 = (C_f * s4 * (s4 if s4 > 0.0 else -s4) + C_r * s4 + motor) / neg_inertia
 
     # translational stages under the held thrust vector
     tx, ty = thrust_x, thrust_y

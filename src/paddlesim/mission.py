@@ -192,6 +192,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     thrust = params.k_thrust * cfg.K
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
     angle_cap = 2 * MAX_ANGLE
+    neg_angle_cap = -angle_cap
     pack_row, row_size = _ROW.pack_into, _ROW.size
     # resolved per run from this module, so wrappers installed on it apply;
     # rk4_step, desaturate_reference and waypoint_heading are looked up on
@@ -226,7 +227,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     rate_col = memoryview(block[:, TELEMETRY_COLUMNS.index("theta_t_dot")])
     idx_col = memoryview(index)
 
-    # trailing one-period boxcar of the reaction-mass rate over rows lo..i
+    # trailing one-period boxcar of the reaction-mass rate over rows lo..i,
+    # kept in desaturated mode only: the unwind test is its only reader
     rate_sum = 0.0
     lo = active_idx = next_outer = 0
 
@@ -237,13 +239,15 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             next_dist_t, kick = next(impulses)
         rate = theta_dot + phi_dot
         # a runaway plant fails here before any law reads it (NaN fails the compare)
-        if not (abs(theta) <= angle_cap and isfinite(rate + phi + x + y + vx + vy)):
+        if not (neg_angle_cap <= theta <= angle_cap
+                and isfinite(rate + phi + x + y + vx + vy)):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
-        rate_sum += rate
-        floor = t - period
-        while lo < i and t_col[lo] <= floor:  # rows before i are written
-            rate_sum -= rate_col[lo]
-            lo += 1
+        if desaturated:
+            rate_sum += rate
+            floor = t - period
+            while lo < i and t_col[lo] <= floor:  # rows before i are written
+                rate_sum -= rate_col[lo]
+                lo += 1
 
         if i == next_outer:
             next_outer += next(outer_gaps)

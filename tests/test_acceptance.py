@@ -18,7 +18,8 @@ from paddlesim.cli import main, preset_names
 from paddlesim.control import (ControlMode, ControllerConfig,
                                limit_cycle_torque, resonant_beta, wrap_to_pi)
 from paddlesim.dynamics import BoatParams
-from paddlesim.metrics import orbit_radius, rise_time, rms_perpendicular_error
+from paddlesim.metrics import (measure_turn, orbit_radius, rise_time,
+                               rms_perpendicular_error)
 from paddlesim.mission import MissionKind, MissionSpec, run_mission
 from helpers import (make_log, pendulum_reference, rk4_step_controlled,
                      rolling_mean, run_step_test)
@@ -307,3 +308,24 @@ def test_criterion_12_preset_determinism_and_runtime(tmp_path):
     assert elapsed < 60.0
     _passline(12, f"{len(names)} presets byte-identical across runs and to the "
                   f"pinned digests, double suite in {elapsed:.1f}s < 60s")
+
+
+def test_criterion_13_thrust_direction_turns_faster_and_tighter():
+    # the paper's headline result: steering the thrust direction turns the
+    # boat faster and in less room than driving the hull reference alone
+    params = BoatParams(**SLOW_WATER)
+    modes = (ControlMode.LIMIT_CYCLE_ONLY, ControlMode.THRUST_DIRECTION)
+    details = []
+    for delta in STEP_DELTAS:
+        spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=60.0, heading=0.0,
+                           step_schedule=((15.0, delta),))
+        inner, outer = (measure_turn(run_mission(params, ControllerConfig(mode=mode),
+                                                 spec), 15.0, delta)
+                        for mode in modes)
+        rise_ratio = outer.rise_time / inner.rise_time
+        travel_ratio = outer.travel_BL / inner.travel_BL
+        assert rise_ratio <= 0.6, f"delta={delta}"
+        assert travel_ratio <= 0.5, f"delta={delta}"
+        details.append(f"{rise_ratio:.2f}/{travel_ratio:.2f}")
+    _passline(13, "thrust-direction / limit-cycle rise / travel: "
+                  + ", ".join(details) + " <= 0.60/0.50")

@@ -11,6 +11,7 @@ import pytest
 
 import paddlesim
 from helpers import cap_scenarios, make_log
+from paddlesim import cli
 from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
                            MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
                            preset_names, report_metrics, render_report_dat,
@@ -367,6 +368,30 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     assert path.read_bytes() == reference_csv(log).encode()
 
 
+def test_csv_from_the_row_block_matches_the_reference_formatter(tmp_path):
+    # a run_mission log is written straight from its row block; a copy gives
+    # the same bytes, and a rebound column sends the writer back to stacking
+    # columns, so a writer that kept slicing a stale block fails here
+    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=5.0, initial_theta=-0.5)
+    log = run_mission(BoatParams(), ControllerConfig(), spec)
+    assert len(log) > 2 * _CSV_CHUNK_ROWS
+    floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
+    assert cli._row_block(floats) is log.t.base
+    path = tmp_path / "block.csv"
+    write_telemetry_csv(log, path)
+    expected = reference_csv(log).encode()
+    assert path.read_bytes() == expected
+    write_telemetry_csv(dataclasses.replace(log), path)
+    assert path.read_bytes() == expected
+
+    log.x = log.x + 1.0
+    floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
+    assert cli._row_block(floats) is None
+    write_telemetry_csv(log, path)
+    moved = reference_csv(log).encode()
+    assert moved != expected and path.read_bytes() == moved
+
+
 def test_csv_index_fallback_in_one_chunk_only(tmp_path):
     # only the first chunk holds indices past the 0..9999 lookup table
     n_rows = 2 * _CSV_CHUNK_ROWS
@@ -410,6 +435,30 @@ def test_validate_rejects_bad_config(tmp_path):
     cfg_path.write_text("mission.kind = converge\nmission.duration = 1.0\n"
                         "boat.warp = 9\n")
     assert main(["validate", str(cfg_path)]) == 2
+
+
+def test_shared_parser_still_runs_after_a_bad_flag_and_help(tmp_path, capsys):
+    # main builds its parser once per process; an error exit and --help
+    # leave it able to parse the next command
+    assert main(["--bogus"]) == 2
+    assert main(["presets", "run", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["run.csv", "run_metrics.dat",
+                                                     "run_metrics.txt"]
+
+
+def test_interrupt_exits_130_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "run_mission", interrupted)
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL)
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"  # one line, no traceback
 
 
 def test_presets_ship_and_validate():
