@@ -10,7 +10,7 @@ identical inputs produce bit-identical telemetry.
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, cycle
@@ -101,30 +101,35 @@ class MissionSpec:
                                   f"non-decreasing and at most duration")
 
 
+# the per-tick columns: 14 floats, then the waypoint index
+TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot", "x",
+                     "y", "vx", "vy", "theta_r", "theta_des", "psi_hat", "tau",
+                     "waypoint_index")
+# one row of the float columns, all but the last, in that order
+_ROW = struct.Struct(f"{len(TELEMETRY_COLUMNS) - 1}d")
+
+
 @dataclass
 class TelemetryLog:
-    """Per-tick record columns, uniformly sampled at the inner rate."""
+    """Per-tick records, uniformly sampled at the inner rate.
 
-    t: np.ndarray
-    theta: np.ndarray
-    theta_dot: np.ndarray
-    phi: np.ndarray
-    phi_dot: np.ndarray
-    theta_t_dot: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    theta_r: np.ndarray
-    theta_des: np.ndarray
-    psi_hat: np.ndarray
-    tau: np.ndarray
-    waypoint_index: np.ndarray
+    `rows` holds the float columns, one row per tick; each float column is a
+    read-only property giving a view of it (`log.x` is `log.rows[:, 6]`).
+    """
+
+    rows: np.ndarray            # (n, 14) float64, columns in TELEMETRY_COLUMNS order
+    waypoint_index: np.ndarray  # n ints
     period: float = 1.0         # controller oscillation period, s
     body_length: float = 0.15   # m, carried along for BL-normalised metrics
 
+    def __post_init__(self):
+        shape = (len(self.waypoint_index), len(TELEMETRY_COLUMNS) - 1)
+        if not (isinstance(self.rows, np.ndarray) and self.rows.dtype == np.float64
+                and self.rows.shape == shape):
+            raise ValueError(f"rows must be a float64 array of shape {shape}")
+
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
         if name not in TELEMETRY_COLUMNS:
@@ -147,11 +152,9 @@ class TelemetryLog:
         return np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1]
 
 
-# the per-tick columns, in field order; period and body_length are metadata
-TELEMETRY_COLUMNS = tuple(f.name for f in fields(TelemetryLog)
-                          if f.name not in ("period", "body_length"))
-# one row of the float columns, all but the last, in that order
-_ROW = struct.Struct(f"{len(TELEMETRY_COLUMNS) - 1}d")
+# each float column as a property without a setter, so none can be rebound
+for _k, _name in enumerate(TELEMETRY_COLUMNS[:-1]):
+    setattr(TelemetryLog, _name, property(lambda log, k=_k: log.rows[:, k]))
 
 
 def waypoint_heading(px: float, py: float, spec: MissionSpec,
@@ -294,5 +297,4 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
-    # block.T yields the float columns as views of the block
-    return TelemetryLog(*block.T, index, period=period, body_length=params.body_length)
+    return TelemetryLog(block, index, period=period, body_length=params.body_length)

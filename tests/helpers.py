@@ -10,25 +10,20 @@ from paddlesim.control import wrap_to_pi
 from paddlesim.dynamics import orientation_accel
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
-from paddlesim.mission import MissionKind, MissionSpec, TelemetryLog, run_mission
+from paddlesim.mission import (TELEMETRY_COLUMNS, MissionKind, MissionSpec, TelemetryLog,
+                               run_mission)
 
 
 def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_t_dot=None,
              theta_r=None, period=1.0, body_length=0.15):
     """Synthetic telemetry with zeros for everything not supplied."""
-    t = np.asarray(t, dtype=float)
+    given = {"t": t, "x": x, "y": y, "psi_hat": psi_hat, "theta": theta,
+             "theta_t_dot": theta_t_dot, "theta_r": theta_r}
     n = len(t)
-
-    def col(v):
-        return np.zeros(n) if v is None else np.asarray(v, dtype=float)
-
-    return TelemetryLog(
-        t=t, theta=col(theta), theta_dot=np.zeros(n), phi=np.zeros(n),
-        phi_dot=np.zeros(n), theta_t_dot=col(theta_t_dot), x=col(x), y=col(y),
-        vx=np.zeros(n), vy=np.zeros(n), theta_r=col(theta_r),
-        theta_des=np.zeros(n), psi_hat=col(psi_hat), tau=np.zeros(n),
-        waypoint_index=np.zeros(n, dtype=np.int64),
-        period=period, body_length=body_length)
+    cols = [np.zeros(n) if given.get(name) is None else np.asarray(given[name], dtype=float)
+            for name in TELEMETRY_COLUMNS[:-1]]
+    return TelemetryLog(np.stack(cols, axis=1), np.zeros(n, dtype=np.int64),
+                        period=period, body_length=body_length)
 
 
 def rolling_mean(t: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POIN
                            preset_names, report_metrics, render_report_dat,
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode
+from paddlesim.metrics import NotSettled
 from paddlesim.mission import (MAX_TICKS, TELEMETRY_COLUMNS, ConfigError,
                                MissionKind, MissionSpec, TelemetryLog,
                                run_mission)
@@ -354,42 +355,36 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     # row counts straddle the writer's chunk edges, both for the current chunk
     # size and as fixed counts that stay put when the chunk size changes
     rng = np.random.default_rng(n_rows)
-    cols = {}
-    for k, name in enumerate(TELEMETRY_COLUMNS[:-1]):
+    cols = []
+    for k in range(len(TELEMETRY_COLUMNS) - 1):
         col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
         col[(np.arange(len(EDGE_VALUES)) * 7 + k) % n_rows] = EDGE_VALUES
-        cols[name] = col
+        cols.append(col)
     idx = rng.integers(0, 50, n_rows)
     idx[-1] = np.iinfo(np.int64).max
     idx[0] = 10**15
-    log = TelemetryLog(**cols, waypoint_index=idx)
+    log = TelemetryLog(np.stack(cols, axis=1), idx)
     path = tmp_path / "edge.csv"
     write_telemetry_csv(log, path)
     assert path.read_bytes() == reference_csv(log).encode()
 
 
-def test_csv_from_the_row_block_matches_the_reference_formatter(tmp_path):
-    # a run_mission log is written straight from its row block; a copy gives
-    # the same bytes, and a rebound column sends the writer back to stacking
-    # columns, so a writer that kept slicing a stale block fails here
+def test_csv_is_written_from_the_log_row_block(tmp_path):
+    # the writer's one row source is log.rows, and no column can be rebound
+    # away from it, so neither the CSV nor the cached psi_unwrapped can go
+    # stale against the columns a metric reads
     spec = MissionSpec(kind=MissionKind.CONVERGE, duration=5.0, initial_theta=-0.5)
     log = run_mission(BoatParams(), ControllerConfig(), spec)
     assert len(log) > 2 * _CSV_CHUNK_ROWS
-    floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
-    assert cli._row_block(floats) is log.t.base
     path = tmp_path / "block.csv"
-    write_telemetry_csv(log, path)
     expected = reference_csv(log).encode()
-    assert path.read_bytes() == expected
-    write_telemetry_csv(dataclasses.replace(log), path)
-    assert path.read_bytes() == expected
-
-    log.x = log.x + 1.0
-    floats = [log.column(name) for name in TELEMETRY_COLUMNS[:-1]]
-    assert cli._row_block(floats) is None
-    write_telemetry_csv(log, path)
-    moved = reference_csv(log).encode()
-    assert moved != expected and path.read_bytes() == moved
+    for written in (log, dataclasses.replace(log)):
+        write_telemetry_csv(written, path)
+        assert path.read_bytes() == expected
+    for name in ("x", "psi_hat"):
+        with pytest.raises(AttributeError):
+            setattr(log, name, log.column(name) + 1.0)
+    assert all(log.column(name).base is log.rows for name in TELEMETRY_COLUMNS[:-1])
 
 
 def test_csv_index_fallback_in_one_chunk_only(tmp_path):
@@ -471,6 +466,35 @@ def test_presets_ship_and_validate():
     # each preset names its own output files
     for name in names:
         assert parse_scenario(load_preset(name)).basename == name
+
+
+def test_every_preset_goes_through_the_names_the_benchmark_counts(tmp_path, monkeypatch):
+    # the benchmark counts CSV writes, rows and NotSettled by wrapping these
+    # names on cli; a CLI that went round one of them would count nothing
+    calls = {"writes": 0, "rows": 0, "reports": 0, "not_settled": 0}
+    write, report, measure = cli.write_telemetry_csv, cli.report_metrics, cli.measure_turn
+
+    def counted_write(log, path):
+        calls["writes"] += 1
+        calls["rows"] += len(log)
+        return write(log, path)
+
+    def counted_report(*args, **kwargs):
+        calls["reports"] += 1
+        return report(*args, **kwargs)
+
+    def counted_measure(*args, **kwargs):
+        try:
+            return measure(*args, **kwargs)
+        except NotSettled:
+            calls["not_settled"] += 1
+            raise
+    monkeypatch.setattr(cli, "write_telemetry_csv", counted_write)
+    monkeypatch.setattr(cli, "report_metrics", counted_report)
+    monkeypatch.setattr(cli, "measure_turn", counted_measure)
+    for name in preset_names():
+        assert main(["presets", "run", name, "--out-dir", str(tmp_path)]) == 0, name
+    assert calls == {"writes": 7, "rows": 82_507, "reports": 7, "not_settled": 2}
 
 
 def test_presets_run_unknown_name():

@@ -13,8 +13,8 @@ from helpers import run_step_test
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import INNER_DT, BoatParams
 from paddlesim.mission import (MAX_POSITION, TELEMETRY_COLUMNS, ConfigError,
-                               MissionKind, MissionSpec, _OUTER_GAPS, run_mission,
-                               waypoint_heading)
+                               MissionKind, MissionSpec, TelemetryLog, _OUTER_GAPS,
+                               run_mission, waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -237,9 +237,21 @@ def test_initial_conditions_default_to_rest():
 def test_telemetry_column_access():
     log = run_mission(BoatParams(), ControllerConfig(),
                       MissionSpec(kind=MissionKind.CONVERGE, duration=0.0))
-    assert log.column("theta") is log.theta
+    # both are views of the row block, so they hold the same values
+    assert log.column("theta").base is log.rows and log.theta.base is log.rows
+    assert np.array_equal(log.column("theta"), log.theta)
     with pytest.raises(KeyError):
         log.column("nope")
+
+
+@pytest.mark.parametrize("rows, index", [
+    (np.zeros((3, 13)), np.zeros(3, dtype=np.int64)),   # a column short
+    (np.zeros((3, 14)), np.zeros(4, dtype=np.int64)),   # one row fewer than the index
+    (np.zeros((3, 14), dtype=np.int64), np.zeros(3, dtype=np.int64)),  # not float64
+], ids=["width", "length", "int-block"])
+def test_telemetry_log_rejects_a_misshapen_row_block(rows, index):
+    with pytest.raises(ValueError, match=r"float64 array of shape \(\d+, 14\)"):
+        TelemetryLog(rows, index)
 
 
 # Loop paths that no shipped preset takes; the preset CSVs pin the rest.
