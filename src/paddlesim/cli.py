@@ -365,6 +365,7 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
             return 1
         paths = [out / _file_names(stem, r, n_runs)[0] for r in range(n_runs)]
         write_telemetry_csv(log, paths[0])
+        del log  # freed before the next point allocates its own: one log at a time
         for path in paths[1:]:
             shutil.copyfile(paths[0], path)
         _, text_name, dat_name = _file_names(stem, 0, n_runs)

@@ -79,6 +79,9 @@ _POINT_LOW = _words(np.where(_byte[:8] <= _k, 0xFF, 0))
 _point = np.where((_byte == _k + 1) & (_k <= 7), 46, 0)
 _POINT_A, _POINT_B = _words(_point[:, :8]), _words(_point[:, 8:])
 _POINT_BITS = np.where(_k[:, 0] <= 7, _U(8), _U(0))
+# the module keeps only the tables the formatter reads
+del (_v, _pairs, _significant4, _zeros, _X, _fixed, _small, _exp, _lead_len, _lead,
+     _k, _byte, _keep, _point)
 
 
 def _scaled(mag: np.ndarray, exp10: np.ndarray) -> np.ndarray:

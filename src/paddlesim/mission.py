@@ -28,7 +28,8 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB.
+# preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB;
+# a sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
 # initial_theta, a step change), rad.  Real commands are a few turns; near
@@ -123,7 +124,11 @@ class TelemetryLog:
     body_length: float = 0.15   # m, carried along for BL-normalised metrics
 
     def __post_init__(self):
-        shape = (len(self.waypoint_index), len(TELEMETRY_COLUMNS) - 1)
+        index = self.waypoint_index
+        if not (isinstance(index, np.ndarray) and index.ndim == 1
+                and np.issubdtype(index.dtype, np.integer)):
+            raise ValueError("waypoint_index must be a 1-D integer array")
+        shape = (len(index), len(TELEMETRY_COLUMNS) - 1)
         if not (isinstance(self.rows, np.ndarray) and self.rows.dtype == np.float64
                 and self.rows.shape == shape):
             raise ValueError(f"rows must be a float64 array of shape {shape}")

@@ -1,6 +1,7 @@
 """Small builders and reference integrators shared by the test modules."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -24,6 +25,18 @@ def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_t_dot=None,
             for name in TELEMETRY_COLUMNS[:-1]]
     return TelemetryLog(np.stack(cols, axis=1), np.zeros(n, dtype=np.int64),
                         period=period, body_length=body_length)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes traced at once while it ran.  numpy
+    reports its buffers to tracemalloc, so an array's bytes count exactly."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def rolling_mean(t: np.ndarray, values: np.ndarray, window: float) -> np.ndarray:

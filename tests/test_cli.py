@@ -3,14 +3,13 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import paddlesim
-from helpers import cap_scenarios, make_log
+from helpers import cap_scenarios, make_log, traced_peak
 from paddlesim import cli
 from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
                            MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
@@ -698,13 +697,26 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
     log.waypoint_index[:] = np.arange(n_rows) % 7
     path = tmp_path / "peak.csv"
     write_telemetry_csv(log, path)  # the formatter's tables, built once
-    tracemalloc.start()
-    try:
-        write_telemetry_csv(log, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_telemetry_csv(log, path))
     assert peak < 12 * _CSV_CHUNK_ROWS * 14 * 8  # about 8.4 chunks of floats
+
+
+def test_sweep_holds_one_point_log_at_a_time(tmp_path):
+    # each point's log is freed before the next point simulates, so the
+    # peak is one log plus the report and CSV-chunk temporaries, about 1.24
+    # logs; with the first log still alive it was 2.03
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"
+                        "mission.duration = 60.0\nsweep.control.K = 10, 15\n")
+    warm_path = tmp_path / "warm.cfg"
+    warm_path.write_text(MINIMAL)
+    # the parser and the formatter's tables, built once
+    assert main(["run", str(warm_path), "--out-dir", str(tmp_path / "warm")]) == 0
+    code, peak = traced_peak(
+        lambda: main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]))
+    assert code == 0 and len(list((tmp_path / "out").glob("*.csv"))) == 2
+    one_log = (round(60.0 * 250) + 1) * len(TELEMETRY_COLUMNS) * 8  # 14 floats, 1 int
+    assert peak < 1.5 * one_log
 
 
 @pytest.mark.parametrize("argv", [

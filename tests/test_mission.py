@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
-from helpers import run_step_test
+from helpers import run_step_test, traced_peak
+from paddlesim.cli import load_preset, parse_scenario
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import INNER_DT, BoatParams
 from paddlesim.mission import (MAX_POSITION, TELEMETRY_COLUMNS, ConfigError,
@@ -244,14 +245,34 @@ def test_telemetry_column_access():
         log.column("nope")
 
 
-@pytest.mark.parametrize("rows, index", [
-    (np.zeros((3, 13)), np.zeros(3, dtype=np.int64)),   # a column short
-    (np.zeros((3, 14)), np.zeros(4, dtype=np.int64)),   # one row fewer than the index
-    (np.zeros((3, 14), dtype=np.int64), np.zeros(3, dtype=np.int64)),  # not float64
-], ids=["width", "length", "int-block"])
-def test_telemetry_log_rejects_a_misshapen_row_block(rows, index):
-    with pytest.raises(ValueError, match=r"float64 array of shape \(\d+, 14\)"):
+_BAD_BLOCK = r"rows must be a float64 array of shape \(\d+, 14\)"
+_BAD_INDEX = "waypoint_index must be a 1-D integer array"
+
+
+# a bad index would otherwise fail only later, inside the CSV writer
+@pytest.mark.parametrize("rows, index, message", [
+    (np.zeros((3, 13)), np.zeros(3, dtype=np.int64), _BAD_BLOCK),   # a column short
+    (np.zeros((3, 14)), np.zeros(4, dtype=np.int64), _BAD_BLOCK),   # one row fewer
+    (np.zeros((3, 14), dtype=np.int64), np.zeros(3, dtype=np.int64), _BAD_BLOCK),
+    (np.zeros((3, 14)), np.zeros(3), _BAD_INDEX),                   # float
+    (np.zeros((3, 14)), [0, 0, 0], _BAD_INDEX),                     # a list
+    (np.zeros((3, 14)), np.zeros((3, 1), dtype=np.int64), _BAD_INDEX),  # not 1-D
+], ids=["width", "length", "int-block", "float-index", "list-index", "column-index"])
+def test_telemetry_log_rejects_a_misshapen_row_block(rows, index, message):
+    with pytest.raises(ValueError, match=message):
         TelemetryLog(rows, index)
+
+
+@pytest.mark.parametrize("preset", ["waypoint-square", "congruent-step"])
+def test_run_mission_peak_memory_is_its_log(preset):
+    # the row block and the index are preallocated and filled in place, and
+    # the rest of the loop's memory does not grow with the run (about 46 KB,
+    # 4% of a 40 s log), so 40 s of each preset show it; tracing slows the
+    # loop about 27 times
+    (_, boat, control, mission), = parse_scenario(load_preset(preset)).points
+    mission = replace(mission, duration=40.0)
+    log, peak = traced_peak(lambda: run_mission(boat, control, mission))
+    assert peak <= 1.1 * (log.rows.nbytes + log.waypoint_index.nbytes)
 
 
 # Loop paths that no shipped preset takes; the preset CSVs pin the rest.
