@@ -114,20 +114,16 @@ _SECTIONS = {
 class ScenarioConfig:
     """One parsed scenario: its run points plus output and batch settings."""
 
-    points: tuple   # (label, boat, control, mission) per run; label "" unswept
+    points: tuple   # (stem, boat, control, mission) per run point
     out_dir: str
-    basename: str
     repeats: int
 
 
-def _stem(basename: str, label: str) -> str:
-    return basename if not label else f"{basename}_{label}"
-
-
-def _file_names(stem: str, run: int, repeats: int) -> tuple[str, str, str]:
-    """A point's CSV name for one run of `repeats`, then its two report names."""
-    csv = f"{stem}_r{run}.csv" if repeats > 1 else f"{stem}.csv"
-    return csv, f"{stem}_metrics.txt", f"{stem}_metrics.dat"
+def _file_names(stem: str, repeats: int) -> list[str]:
+    """Every file a point writes: its CSV, one per run when `repeats` > 1,
+    then its two reports."""
+    csvs = [f"{stem}_r{k}.csv" for k in range(repeats)] if repeats > 1 else [f"{stem}.csv"]
+    return [*csvs, f"{stem}_metrics.txt", f"{stem}_metrics.dat"]
 
 
 def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
@@ -169,14 +165,17 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
                               f"in 6 significant digits, which name their output files")
         axes.append(axis)
 
+    basename = raw["output"].get("basename", "run")
+
     def build(combo):
-        """One labelled point: the parsed keys with the combo's values on top."""
+        """One point, its file stem first: the parsed keys with the combo's values on top."""
         keys = {section: dict(raw[section]) for section in ("boat", "control", "mission")}
         for section, field, value, _ in combo:
             keys[section][field] = value
         label = "_".join(part for *_, part in combo)
+        stem = f"{basename}_{label}" if label else basename
         try:
-            return (label, BoatParams(**keys["boat"]),
+            return (stem, BoatParams(**keys["boat"]),
                     ControllerConfig(**keys["control"]), MissionSpec(**keys["mission"]))
         except TypeError as exc:
             raise ConfigError(f"{name}: mission.kind and mission.duration are "
@@ -198,16 +197,13 @@ def parse_scenario(text: str, name: str = "<config>") -> ScenarioConfig:
     if ticks * repeats > MAX_TOTAL_TICKS:
         raise ConfigError(f"{name}: {ticks} ticks x {repeats} repeat(s) = "
                           f"{ticks * repeats} ticks in all, more than {MAX_TOTAL_TICKS}")
-    basename = raw["output"].get("basename", "run")
-    # the last run's CSV name has the most digits
-    size, longest = max((len(file.encode()), file) for label, *_ in points for file
-                        in _file_names(_stem(basename, label), repeats - 1, repeats))
+    size, longest = max((len(file.encode()), file) for stem, *_ in points
+                        for file in _file_names(stem, repeats))
     if size > MAX_NAME_BYTES:
         raise ConfigError(f"{name}: output file name {longest!r} has {size} bytes, "
                           f"more than {MAX_NAME_BYTES}")
-    return ScenarioConfig(points=points,
-                          out_dir=raw["output"].get("dir", "runs"),
-                          basename=basename, repeats=repeats)
+    return ScenarioConfig(points=points, out_dir=raw["output"].get("dir", "runs"),
+                          repeats=repeats)
 
 
 # ------------------------------------------------------------------ telemetry
@@ -279,7 +275,9 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         if rms:
             vals["rms_perp_m"] = rms
             vals["max_perp_m"] = peak
-        if idx[-1] == len(spec.waypoints) - 1:  # bounds[-1] is the arrival row
+        # bounds[-1] is the row that made the last waypoint the target, on
+        # arrival at the one before it; a one-waypoint mission has no such row
+        if 0 < idx[-1] == len(spec.waypoints) - 1:
             vals["completion_time_s"] = [float(log.t[bounds[-1]])]
 
     if spec.kind is MissionKind.STATION_KEEP:
@@ -351,8 +349,7 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
     n_runs = cfg.repeats
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for label, boat, control, mission in cfg.points:
-        stem = _stem(cfg.basename, label)
+    for stem, boat, control, mission in cfg.points:
         # runs are bit-deterministic: simulate and write once, copy per repeat
         try:
             log = run_mission(boat, control, mission)
@@ -363,12 +360,11 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
         if not report:
             print(f"error: no metrics produced for {stem}", file=sys.stderr)
             return 1
-        paths = [out / _file_names(stem, r, n_runs)[0] for r in range(n_runs)]
-        write_telemetry_csv(log, paths[0])
+        first, *copies, text_name, dat_name = _file_names(stem, n_runs)
+        write_telemetry_csv(log, out / first)
         del log  # freed before the next point allocates its own: one log at a time
-        for path in paths[1:]:
-            shutil.copyfile(paths[0], path)
-        _, text_name, dat_name = _file_names(stem, 0, n_runs)
+        for copy in copies:
+            shutil.copyfile(out / first, out / copy)
         (out / text_name).write_text(render_report_text(report))
         (out / dat_name).write_text(render_report_dat(report))
         print(f"{stem}: {n_runs} run(s), {len(report)} metric(s) -> {out}")
@@ -392,9 +388,11 @@ def _cmd_validate(args) -> int:
     path = Path(args.config)
     if path.is_file():
         parse_scenario(_read_config(path), name=str(path))
-    else:
-        # also accept a preset name for dry-run validation
+    elif args.config in preset_names():  # also a preset, for dry-run validation
         parse_scenario(load_preset(args.config), name=f"preset:{args.config}")
+    else:
+        raise ConfigError(f"no config file or preset named {args.config!r}; "
+                          f"see 'presets list'")
     print(f"{args.config}: ok")
     return 0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import paddlesim
+from conftest import SLOW_WATER
 from helpers import cap_scenarios, make_log, traced_peak
 from paddlesim import cli
 from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
@@ -32,11 +34,11 @@ mission.duration = 1.0
 
 def test_parse_minimal_config():
     cfg = parse_scenario(MINIMAL)
-    (label, _, _, mission), = cfg.points
-    assert label == ""
+    (stem, _, _, mission), = cfg.points
+    assert stem == "run"
     assert mission.kind is MissionKind.CONVERGE
     assert mission.duration == 1.0
-    assert cfg.repeats == 1 and cfg.basename == "run"
+    assert cfg.repeats == 1
 
 
 def test_parse_full_config():
@@ -55,13 +57,13 @@ def test_parse_full_config():
     batch.repeats = 3
     """
     cfg = parse_scenario(text)
-    (_, boat, control, mission), = cfg.points
+    (stem, boat, control, mission), = cfg.points
     assert boat.I_t == 2.0e-3 and boat.C_v == 1.4
     assert control.K == 10.0
     assert control.mode is ControlMode.DESATURATED_THRUST_DIRECTION
     assert mission.waypoints == ((0.5, 0.0), (0.5, 0.5))
     assert mission.start == (0.1, -0.1)
-    assert (cfg.out_dir, cfg.basename, cfg.repeats) == ("out", "sq", 3)
+    assert (cfg.out_dir, stem, cfg.repeats) == ("out", "sq", 3)
 
 
 # every config the parser must reject, with a fragment of its message; a row
@@ -164,8 +166,8 @@ def test_parse_builds_every_sweep_point():
     cfg = parse_scenario(MINIMAL + "mission.waypoints = 1 0; 1 1\n"
                          "mission.disturbances = 0.5 0 0.1\n"
                          f"sweep.control.omega = {math.tau!r}, {2 * math.tau!r}\n")
-    labels = [label for label, *_ in cfg.points]
-    assert labels == ["omega=6.28319", "omega=12.5664"]
+    stems = [stem for stem, *_ in cfg.points]
+    assert stems == ["run_omega=6.28319", "run_omega=12.5664"]
     for *_, mission in cfg.points:
         assert mission.waypoints == ((1.0, 0.0), (1.0, 1.0))
         assert mission.disturbances == ((0.5, (0.0, 0.1)),)
@@ -178,8 +180,8 @@ def test_parse_sweep_supplies_a_required_key():
     # valid run of their own
     cfg = parse_scenario("mission.kind = converge\n"
                          "sweep.mission.duration = 10, 20\n")
-    assert [(label, mission.duration) for label, _, _, mission in cfg.points] == [
-        ("duration=10", 10.0), ("duration=20", 20.0)]
+    assert [(stem, mission.duration) for stem, _, _, mission in cfg.points] == [
+        ("run_duration=10", 10.0), ("run_duration=20", 20.0)]
 
 
 def test_repeats_flag_is_rejected(tmp_path):
@@ -234,7 +236,7 @@ def test_settings_are_frozen():
     cfg = parse_scenario(MINIMAL)
     (_, boat, control, mission), = cfg.points
     for settings, field in ((boat, "mass"), (control, "omega"),
-                            (mission, "duration"), (cfg, "basename")):
+                            (mission, "duration"), (cfg, "out_dir")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(settings, field, getattr(settings, field))
 
@@ -271,7 +273,7 @@ def test_scenario_caps_are_inclusive(cap, side):
     limit = {"points": MAX_POINTS, "ticks": MAX_TOTAL_TICKS, "name": MAX_NAME_BYTES}[kind]
     size = {"points": len(cfg.points) * cfg.repeats,
             "ticks": sum(round(m.duration * 250) for *_, m in cfg.points) * cfg.repeats,
-            "name": len(f"{cfg.basename}_metrics.txt".encode())}[kind]
+            "name": max(len(f"{stem}_metrics.txt".encode()) for stem, *_ in cfg.points)}[kind]
     assert size == (limit if side == "at" else limit - 1)
 
 
@@ -431,6 +433,17 @@ def test_validate_rejects_bad_config(tmp_path):
     assert main(["validate", str(cfg_path)]) == 2
 
 
+def test_validate_names_a_missing_config_file(tmp_path, capsys):
+    # neither a file nor a preset: the message names both, not a preset alone
+    missing = tmp_path / "missing.cfg"
+    assert main(["validate", str(missing)]) == 2
+    assert main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    for target in (missing, tmp_path):
+        assert f"no config file or preset named {str(target)!r}" in err
+    assert "unknown preset" not in err
+
+
 def test_shared_parser_still_runs_after_a_bad_flag_and_help(tmp_path, capsys):
     # main builds its parser once per process; an error exit and --help
     # leave it able to parse the next command
@@ -464,7 +477,7 @@ def test_presets_ship_and_validate():
     assert main(["validate", "not-a-preset"]) == 2
     # each preset names its own output files
     for name in names:
-        assert parse_scenario(load_preset(name)).basename == name
+        assert [stem for stem, *_ in parse_scenario(load_preset(name)).points] == [name]
 
 
 def test_every_preset_goes_through_the_names_the_benchmark_counts(tmp_path, monkeypatch):
@@ -632,6 +645,39 @@ def test_empty_report_exits_nonzero(tmp_path):
     out = tmp_path / "x"
     assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
     assert not (out / "run.csv").exists()  # a failed point writes nothing
+
+
+def test_one_waypoint_mission_reports_no_completion_time(tmp_path, capsys):
+    # its one waypoint is the target from the first row, so no row marks an
+    # arrival at the one before it; the boat never reaches it in 5 s
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text("control.mode = desaturated\nmission.kind = waypoints\n"
+                        "mission.duration = 5\nmission.waypoints = 3 0\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "no metrics produced for run" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# sha256 of the _metrics.dat report of criterion 13's pi/2 step in each mode:
+# no preset's step settles, so these pin the bytes of the rise-time and
+# travel path (limit_cycle rises in 16.5 s over 9.52 BL, thrust_direction in
+# 8.16 s over 3.54 BL)
+SETTLED_STEP_SHA256 = {
+    "limit_cycle": "8cf63a6f5cedf5e03ac38b588cb94f55edf2e7046cc319a86fecc613c882af0b",
+    "thrust_direction": "0c85ee51951838724557c51925117c942b7187477a3ab62fcba9a41c9b61e87a",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SETTLED_STEP_SHA256))
+def test_settled_step_report_bytes(mode):
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=60.0, heading=0.0,
+                       step_schedule=((15.0, math.pi / 2),))
+    log = run_mission(BoatParams(**SLOW_WATER), ControllerConfig(mode=ControlMode(mode)),
+                      spec)
+    dat = render_report_dat(report_metrics([log], spec, strict_settle=True))
+    assert "rise_time_s.median" in dat and "travel_bl.median" in dat
+    assert hashlib.sha256(dat.encode()).hexdigest() == SETTLED_STEP_SHA256[mode], dat
 
 
 def test_missing_config_file_is_io_error():
