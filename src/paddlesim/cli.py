@@ -212,11 +212,14 @@ def write_telemetry_csv(log: TelemetryLog, path) -> None:
     """Write the fixed-header CSV: each float as '%.9g', the index as '%d'."""
     # imported here, so a run that writes no CSV never builds its tables
     from .csvtext import csv_rows
+    # one chunk of the float columns, refilled for every chunk
+    chunk = np.empty((_CSV_CHUNK_ROWS, len(TELEMETRY_COLUMNS) - 1))
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(log), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            fh.write(csv_rows(log.rows[start:stop], log.waypoint_index[start:stop]))
+            stop = min(start + _CSV_CHUNK_ROWS, len(log))
+            fh.write(csv_rows(log.float_rows(start, stop, chunk),
+                              log.index_rows(start, stop)))
 
 
 # -------------------------------------------------------------------- metrics
@@ -260,13 +263,10 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
             vals["direction_error_rad"] = errs
 
     if spec.kind is MissionKind.WAYPOINTS:
-        idx = log.waypoint_index
-        # the index only advances, so waypoint k's rows are bounds[k]:bounds[k + 1]
-        bounds = np.searchsorted(idx, np.arange(int(idx.max()) + 1)).tolist()
+        steps = log.waypoint_steps.tolist()
+        # waypoint k is the target from the row of its step to the next step
         rms, peak = [], []
-        for k, (first, end) in enumerate(zip(bounds, bounds[1:])):
-            if first == end:
-                continue
+        for (first, k), (end, _) in zip(steps, steps[1:]):
             t0, t1 = float(log.t[first]), float(log.t[end - 1])
             p0 = spec.waypoints[k - 1] if k > 0 else (float(log.x[0]), float(log.y[0]))
             seg = rms_perpendicular_error(log, (p0, spec.waypoints[k]), (t0, t1))
@@ -275,10 +275,11 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         if rms:
             vals["rms_perp_m"] = rms
             vals["max_perp_m"] = peak
-        # bounds[-1] is the row that made the last waypoint the target, on
-        # arrival at the one before it; a one-waypoint mission has no such row
-        if 0 < idx[-1] == len(spec.waypoints) - 1:
-            vals["completion_time_s"] = [float(log.t[bounds[-1]])]
+        # the last step's row made the last waypoint the target, on arrival
+        # at the one before it; a one-waypoint mission has no such row
+        last_row, last = steps[-1]
+        if 0 < last == len(spec.waypoints) - 1:
+            vals["completion_time_s"] = [float(log.t[last_row])]
 
     if spec.kind is MissionKind.STATION_KEEP:
         window = min(30.0, 0.5 * span) if span > 0 else 0.0

@@ -28,7 +28,7 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 120 B per tick, so this caps a run's columns near 1.2 GB;
+# preallocated at 104 B per tick, so this caps a run's row block near 1.04 GB;
 # a sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
@@ -106,32 +106,50 @@ class MissionSpec:
 TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot", "x",
                      "y", "vx", "vy", "theta_r", "theta_des", "psi_hat", "tau",
                      "waypoint_index")
-# one row of the float columns, all but the last, in that order
-_ROW = struct.Struct(f"{len(TELEMETRY_COLUMNS) - 1}d")
+# the columns a log stores, in row order: the floats but theta_t_dot, which
+# is theta_dot + phi_dot
+STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1] if name != "theta_t_dot")
+_ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
+# theta_t_dot's place among the floats, which the stored columns skip, and
+# the stored columns summed into it
+_RATE = TELEMETRY_COLUMNS.index("theta_t_dot")
+_THETA_DOT, _PHI_DOT = STORED_COLUMNS.index("theta_dot"), STORED_COLUMNS.index("phi_dot")
 
 
 @dataclass
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
-    `rows` holds the float columns, one row per tick; each float column is a
-    read-only property giving a view of it (`log.x` is `log.rows[:, 6]`).
+    `rows` holds the stored float columns, one row per tick; each is a
+    read-only property giving a view of it (`log.x` is `log.rows[:, 5]`).
+    `waypoint_steps` holds one (first row, index) pair per run of rows with
+    the same waypoint index.  `theta_t_dot` and `waypoint_index` are
+    computed from them on each access, as read-only arrays.
     """
 
-    rows: np.ndarray            # (n, 14) float64, columns in TELEMETRY_COLUMNS order
-    waypoint_index: np.ndarray  # n ints
+    rows: np.ndarray            # (n, 13) float64, columns in STORED_COLUMNS order
+    waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
     period: float = 1.0         # controller oscillation period, s
     body_length: float = 0.15   # m, carried along for BL-normalised metrics
 
     def __post_init__(self):
-        index = self.waypoint_index
-        if not (isinstance(index, np.ndarray) and index.ndim == 1
-                and np.issubdtype(index.dtype, np.integer)):
-            raise ValueError("waypoint_index must be a 1-D integer array")
-        shape = (len(index), len(TELEMETRY_COLUMNS) - 1)
+        width = len(STORED_COLUMNS)
         if not (isinstance(self.rows, np.ndarray) and self.rows.dtype == np.float64
-                and self.rows.shape == shape):
-            raise ValueError(f"rows must be a float64 array of shape {shape}")
+                and self.rows.ndim == 2 and self.rows.shape[1] == width):
+            raise ValueError(f"rows must be a float64 array of shape (n, {width})")
+        steps = self.waypoint_steps
+        if not (isinstance(steps, np.ndarray) and steps.dtype == np.int64
+                and steps.ndim == 2 and steps.shape[1] == 2):
+            raise ValueError("waypoint_steps must be an int64 array of shape (k, 2)")
+        starts, index = steps[:, 0], steps[:, 1]
+        n = len(self.rows)
+        # the first step starts at row 0, except in a log without rows, which
+        # has no steps; each later step starts where the index changes
+        if (starts[:1].tolist() != ([0] if n else [])
+                or np.any(starts[1:] <= starts[:-1]) or np.any(starts >= n)
+                or np.any(index[1:] == index[:-1])):
+            raise ValueError("waypoint_steps must start at row 0 and change the "
+                             "index at increasing rows within the log")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -140,6 +158,44 @@ class TelemetryLog:
         if name not in TELEMETRY_COLUMNS:
             raise KeyError(name)
         return getattr(self, name)
+
+    # the two computed columns refuse writes: each access builds a new
+    # array, so a write into one would be lost
+    @property
+    def theta_t_dot(self) -> np.ndarray:
+        """The reaction-mass rate theta_dot + phi_dot, summed as the loop sums it."""
+        rate = self.rows[:, _THETA_DOT] + self.rows[:, _PHI_DOT]
+        rate.flags.writeable = False
+        return rate
+
+    @property
+    def waypoint_index(self) -> np.ndarray:
+        """The active waypoint index at every row, int64."""
+        index = self.index_rows(0, len(self))
+        index.flags.writeable = False
+        return index
+
+    def index_rows(self, start: int, stop: int) -> np.ndarray:
+        """The waypoint index of rows start..stop - 1, int64."""
+        steps = self.waypoint_steps
+        index = np.empty(stop - start, dtype=np.int64)
+        # the steps that reach into the rows: the one holding row start, then
+        # each that starts before stop, each filling the rows up to the next
+        first, last = np.searchsorted(steps[:, 0], (start + 1, stop)).tolist()
+        ends = [*steps[first:last, 0].tolist(), stop]
+        for (row, value), end in zip(steps[first - 1:last].tolist(), ends):
+            index[max(row, start) - start:end - start] = value
+        return index
+
+    def float_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows start..stop - 1 of the 14 float columns in TELEMETRY_COLUMNS
+        order, written into the first stop - start rows of `out`, which are
+        returned."""
+        floats, stored = out[:stop - start], self.rows[start:stop]
+        floats[:, :_RATE] = stored[:, :_RATE]
+        floats[:, _RATE + 1:] = stored[:, _RATE:]
+        np.add(stored[:, _THETA_DOT], stored[:, _PHI_DOT], out=floats[:, _RATE])
+        return floats
 
     @cached_property
     def psi_unwrapped(self) -> np.ndarray:
@@ -157,8 +213,8 @@ class TelemetryLog:
         return np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1]
 
 
-# each float column as a property without a setter, so none can be rebound
-for _k, _name in enumerate(TELEMETRY_COLUMNS[:-1]):
+# each stored column as a property without a setter, so none can be rebound
+for _k, _name in enumerate(STORED_COLUMNS):
     setattr(TelemetryLog, _name, property(lambda log, k=_k: log.rows[:, k]))
 
 
@@ -226,14 +282,13 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     ref = ReferenceState(theta_r)
     est = TravelEstimator(period, theta_des_fallback=theta_des)
 
-    # the float columns as one preallocated block, a packed row per tick;
-    # the waypoint index is its own column.  Memoryviews take and give plain
-    # Python floats and ints.
-    block = np.empty((n_steps + 1, len(TELEMETRY_COLUMNS) - 1))
-    index = np.empty(n_steps + 1, dtype=np.int64)
-    t_col = memoryview(block[:, 0])
-    rate_col = memoryview(block[:, TELEMETRY_COLUMNS.index("theta_t_dot")])
-    idx_col = memoryview(index)
+    # the stored columns as one preallocated block, a packed row per tick;
+    # memoryviews of its columns give plain Python floats.  The waypoint
+    # index is kept as its steps: the first row of each new index.
+    block = np.empty((n_steps + 1, len(STORED_COLUMNS)))
+    t_col, theta_dot_col, phi_dot_col = (memoryview(block[:, k])
+                                         for k in (0, _THETA_DOT, _PHI_DOT))
+    waypoint_steps = [(0, 0)]
 
     # trailing one-period boxcar of the reaction-mass rate over rows lo..i,
     # kept in desaturated mode only: the unwind test is its only reader
@@ -254,7 +309,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             rate_sum += rate
             floor = t - period
             while lo < i and t_col[lo] <= floor:  # rows before i are written
-                rate_sum -= rate_col[lo]
+                rate_sum -= theta_dot_col[lo] + phi_dot_col[lo]
                 lo += 1
 
         if i == next_outer:
@@ -262,7 +317,10 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             est.add_pose(t, x, y)
             psi_hat = est.travel_direction()
             if follows_waypoints:
-                theta_des, active_idx = waypoint_heading(x, y, spec, active_idx)
+                theta_des, next_idx = waypoint_heading(x, y, spec, active_idx)
+                if next_idx != active_idx:
+                    active_idx = next_idx
+                    waypoint_steps.append((i, active_idx))
             else:
                 while t >= next_step_t - 1e-12:
                     theta_des += step
@@ -289,9 +347,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         tau = torque_law(cfg, t, theta, theta_r)
 
-        pack_row(block, row_size * i, t, theta, theta_dot, phi, phi_dot, rate, x, y,
+        pack_row(block, row_size * i, t, theta, theta_dot, phi, phi_dot, x, y,
                  vx, vy, theta_r, theta_des, psi_hat, tau)
-        idx_col[i] = active_idx
 
         if i == n_steps:
             break
@@ -302,4 +359,5 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
-    return TelemetryLog(block, index, period=period, body_length=params.body_length)
+    return TelemetryLog(block, np.array(waypoint_steps, dtype=np.int64),
+                        period=period, body_length=params.body_length)

@@ -11,20 +11,34 @@ from paddlesim.control import wrap_to_pi
 from paddlesim.dynamics import orientation_accel
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
-from paddlesim.mission import (TELEMETRY_COLUMNS, MissionKind, MissionSpec, TelemetryLog,
-                               run_mission)
+from paddlesim.mission import (STORED_COLUMNS, TELEMETRY_COLUMNS, MissionKind,
+                               MissionSpec, TelemetryLog, run_mission)
 
 
-def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_t_dot=None,
-             theta_r=None, period=1.0, body_length=0.15):
+def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
+    """A TelemetryLog from its 14 float columns, an (n, 14) array in
+    TELEMETRY_COLUMNS order, and its waypoint index per row.  The
+    theta_t_dot column is not kept: the log derives it."""
+    floats = np.asarray(floats, dtype=float)
+    index = np.asarray(index, dtype=np.int64)
+    stored = [TELEMETRY_COLUMNS.index(name) for name in STORED_COLUMNS]
+    # a step at row 0 and at every row whose index differs from the row before
+    starts = np.flatnonzero(np.concatenate(([len(index) > 0], index[1:] != index[:-1])))
+    return TelemetryLog(np.ascontiguousarray(floats[:, stored]),
+                        np.stack([starts, index[starts]], axis=1),
+                        period=period, body_length=body_length)
+
+
+def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_r=None, index=None,
+             period=1.0, body_length=0.15):
     """Synthetic telemetry with zeros for everything not supplied."""
     given = {"t": t, "x": x, "y": y, "psi_hat": psi_hat, "theta": theta,
-             "theta_t_dot": theta_t_dot, "theta_r": theta_r}
+             "theta_r": theta_r}
     n = len(t)
     cols = [np.zeros(n) if given.get(name) is None else np.asarray(given[name], dtype=float)
             for name in TELEMETRY_COLUMNS[:-1]]
-    return TelemetryLog(np.stack(cols, axis=1), np.zeros(n, dtype=np.int64),
-                        period=period, body_length=body_length)
+    return telemetry_log(np.stack(cols, axis=1), np.zeros(n) if index is None else index,
+                         period=period, body_length=body_length)
 
 
 def traced_peak(fn):

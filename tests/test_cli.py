@@ -11,7 +11,7 @@ import pytest
 
 import paddlesim
 from conftest import SLOW_WATER
-from helpers import cap_scenarios, make_log, traced_peak
+from helpers import cap_scenarios, make_log, telemetry_log, traced_peak
 from paddlesim import cli
 from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
                            MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
@@ -19,9 +19,8 @@ from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POIN
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode
 from paddlesim.metrics import NotSettled
-from paddlesim.mission import (MAX_TICKS, TELEMETRY_COLUMNS, ConfigError,
-                               MissionKind, MissionSpec, TelemetryLog,
-                               run_mission)
+from paddlesim.mission import (MAX_TICKS, STORED_COLUMNS, TELEMETRY_COLUMNS,
+                               ConfigError, MissionKind, MissionSpec, run_mission)
 from paddlesim.dynamics import BoatParams
 from paddlesim.control import ControllerConfig
 
@@ -364,16 +363,17 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     idx = rng.integers(0, 50, n_rows)
     idx[-1] = np.iinfo(np.int64).max
     idx[0] = 10**15
-    log = TelemetryLog(np.stack(cols, axis=1), idx)
+    log = telemetry_log(np.stack(cols, axis=1), idx)
     path = tmp_path / "edge.csv"
     write_telemetry_csv(log, path)
     assert path.read_bytes() == reference_csv(log).encode()
 
 
 def test_csv_is_written_from_the_log_row_block(tmp_path):
-    # the writer's one row source is log.rows, and no column can be rebound
-    # away from it, so neither the CSV nor the cached psi_unwrapped can go
-    # stale against the columns a metric reads
+    # the writer's one row source is log.rows, with the index from
+    # log.waypoint_steps, and no column can be rebound away from them, so
+    # neither the CSV nor the cached psi_unwrapped can go stale against the
+    # columns a metric reads
     spec = MissionSpec(kind=MissionKind.CONVERGE, duration=5.0, initial_theta=-0.5)
     log = run_mission(BoatParams(), ControllerConfig(), spec)
     assert len(log) > 2 * _CSV_CHUNK_ROWS
@@ -382,10 +382,14 @@ def test_csv_is_written_from_the_log_row_block(tmp_path):
     for written in (log, dataclasses.replace(log)):
         write_telemetry_csv(written, path)
         assert path.read_bytes() == expected
-    for name in ("x", "psi_hat"):
+    for name in ("x", "psi_hat", "theta_t_dot", "waypoint_index"):
         with pytest.raises(AttributeError):
-            setattr(log, name, log.column(name) + 1.0)
-    assert all(log.column(name).base is log.rows for name in TELEMETRY_COLUMNS[:-1])
+            setattr(log, name, log.column(name) + 1)
+    assert all(log.column(name).base is log.rows for name in STORED_COLUMNS)
+    # the two computed columns refuse a write, which would be lost
+    for name in ("theta_t_dot", "waypoint_index"):
+        with pytest.raises(ValueError, match="read-only"):
+            log.column(name)[0] = 1
 
 
 def test_csv_index_fallback_in_one_chunk_only(tmp_path):
@@ -393,8 +397,7 @@ def test_csv_index_fallback_in_one_chunk_only(tmp_path):
     n_rows = 2 * _CSV_CHUNK_ROWS
     idx = np.arange(n_rows) % 10_000
     idx[[0, _CSV_CHUNK_ROWS - 1]] = (-1, 10_000)
-    log = dataclasses.replace(make_log(np.linspace(0.0, 8.0, n_rows)),
-                              waypoint_index=idx)
+    log = make_log(np.linspace(0.0, 8.0, n_rows), index=idx)
     path = tmp_path / "index.csv"
     write_telemetry_csv(log, path)
     assert path.read_bytes() == reference_csv(log).encode()
@@ -739,8 +742,8 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
     rng = np.random.default_rng(3)
     n_rows = 5 * _CSV_CHUNK_ROWS + 7
     log = make_log(np.arange(n_rows) / 250.0, x=rng.standard_normal(n_rows),
-                   y=rng.standard_normal(n_rows) * 1e-3, theta=rng.uniform(-3, 3, n_rows))
-    log.waypoint_index[:] = np.arange(n_rows) % 7
+                   y=rng.standard_normal(n_rows) * 1e-3, theta=rng.uniform(-3, 3, n_rows),
+                   index=np.arange(n_rows) % 7)
     path = tmp_path / "peak.csv"
     write_telemetry_csv(log, path)  # the formatter's tables, built once
     _, peak = traced_peak(lambda: write_telemetry_csv(log, path))
@@ -749,8 +752,8 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
 
 def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     # each point's log is freed before the next point simulates, so the
-    # peak is one log plus the report and CSV-chunk temporaries, about 1.24
-    # logs; with the first log still alive it was 2.03
+    # peak is one log plus the report and CSV-chunk temporaries, about 1.32
+    # logs; with the first log still alive it was about 2.3
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"
                         "mission.duration = 60.0\nsweep.control.K = 10, 15\n")
@@ -761,7 +764,7 @@ def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     code, peak = traced_peak(
         lambda: main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]))
     assert code == 0 and len(list((tmp_path / "out").glob("*.csv"))) == 2
-    one_log = (round(60.0 * 250) + 1) * len(TELEMETRY_COLUMNS) * 8  # 14 floats, 1 int
+    one_log = (round(60.0 * 250) + 1) * len(STORED_COLUMNS) * 8  # 13 floats
     assert peak < 1.5 * one_log
 
 

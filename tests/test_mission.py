@@ -245,34 +245,73 @@ def test_telemetry_column_access():
         log.column("nope")
 
 
-_BAD_BLOCK = r"rows must be a float64 array of shape \(\d+, 14\)"
-_BAD_INDEX = "waypoint_index must be a 1-D integer array"
+_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 13\)"
+_BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
+_BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
+_ONE_STEP = np.zeros((1, 2), dtype=np.int64)
+
+
+def _steps(*pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 # a bad index would otherwise fail only later, inside the CSV writer
-@pytest.mark.parametrize("rows, index, message", [
-    (np.zeros((3, 13)), np.zeros(3, dtype=np.int64), _BAD_BLOCK),   # a column short
-    (np.zeros((3, 14)), np.zeros(4, dtype=np.int64), _BAD_BLOCK),   # one row fewer
-    (np.zeros((3, 14), dtype=np.int64), np.zeros(3, dtype=np.int64), _BAD_BLOCK),
-    (np.zeros((3, 14)), np.zeros(3), _BAD_INDEX),                   # float
-    (np.zeros((3, 14)), [0, 0, 0], _BAD_INDEX),                     # a list
-    (np.zeros((3, 14)), np.zeros((3, 1), dtype=np.int64), _BAD_INDEX),  # not 1-D
-], ids=["width", "length", "int-block", "float-index", "list-index", "column-index"])
-def test_telemetry_log_rejects_a_misshapen_row_block(rows, index, message):
+@pytest.mark.parametrize("rows, steps, message", [
+    (np.zeros((3, 14)), _ONE_STEP, _BAD_BLOCK),                    # theta_t_dot stored
+    (np.zeros((2, 13)), _steps((0, 0), (2, 1)), _BAD_STARTS),      # a step past the end
+    (np.zeros((3, 13), dtype=np.int64), _ONE_STEP, _BAD_BLOCK),
+    (np.zeros(3), _ONE_STEP, _BAD_BLOCK),
+    (np.zeros((3, 13)), np.zeros((1, 2)), _BAD_STEPS),             # float
+    (np.zeros((3, 13)), [[0, 0]], _BAD_STEPS),                     # a list
+    (np.zeros((3, 13)), np.zeros((2, 1), dtype=np.int64), _BAD_STEPS),  # not pairs
+    (np.zeros((3, 13)), np.zeros(2, dtype=np.int64), _BAD_STEPS),
+    (np.zeros((3, 13)), _steps(), _BAD_STARTS),                    # no row 0
+    (np.zeros((3, 13)), _steps((1, 0)), _BAD_STARTS),
+    (np.zeros((3, 13)), _steps((0, 0), (2, 1), (2, 2)), _BAD_STARTS),
+    (np.zeros((3, 13)), _steps((0, 0), (2, 1), (1, 2)), _BAD_STARTS),
+    (np.zeros((0, 13)), _ONE_STEP, _BAD_STARTS),
+    (np.zeros((3, 13)), _steps((0, 4), (2, 4)), _BAD_STARTS),      # index unchanged
+], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
+        "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
+        "decreasing-row", "step-in-empty-log", "unchanged-index"])
+def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, message):
     with pytest.raises(ValueError, match=message):
-        TelemetryLog(rows, index)
+        TelemetryLog(rows, steps)
+
+
+def test_telemetry_log_decodes_its_index_from_the_steps():
+    log = TelemetryLog(np.zeros((6, 13)), _steps((0, 7), (1, -1), (4, 2**62)))
+    assert log.waypoint_index.tolist() == [7, -1, -1, -1, 2**62, 2**62]
+    assert log.waypoint_index.dtype == np.int64
+    for start in range(7):
+        for stop in range(start, 7):
+            assert np.array_equal(log.index_rows(start, stop),
+                                  log.waypoint_index[start:stop])
+    empty = TelemetryLog(np.zeros((0, 13)), _steps())
+    assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
+
+
+def test_telemetry_log_stores_104_bytes_a_tick_and_16_a_step():
+    # 13 float64 columns a tick; the reaction-mass rate is computed on access
+    # and the waypoint index is one (first row, index) pair per change
+    (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
+    log = run_mission(boat, control, replace(mission, duration=40.0))
+    ticks, steps = len(log), len(log.waypoint_steps)
+    assert ticks == round(40.0 * 250) + 1 and steps == 4
+    assert log.rows.nbytes + log.waypoint_steps.nbytes == 104 * ticks + 16 * steps
+    assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
 
 
 @pytest.mark.parametrize("preset", ["waypoint-square", "congruent-step"])
 def test_run_mission_peak_memory_is_its_log(preset):
-    # the row block and the index are preallocated and filled in place, and
-    # the rest of the loop's memory does not grow with the run (about 46 KB,
-    # 4% of a 40 s log), so 40 s of each preset show it; tracing slows the
-    # loop about 27 times
+    # the row block is preallocated and filled in place, and the rest of the
+    # loop's memory does not grow with the run (about 46 KB, 4.5% of a 40 s
+    # log), so 40 s of each preset show it; tracing slows the loop about 27
+    # times
     (_, boat, control, mission), = parse_scenario(load_preset(preset)).points
     mission = replace(mission, duration=40.0)
     log, peak = traced_peak(lambda: run_mission(boat, control, mission))
-    assert peak <= 1.1 * (log.rows.nbytes + log.waypoint_index.nbytes)
+    assert peak <= 1.1 * (log.rows.nbytes + log.waypoint_steps.nbytes)
 
 
 # Loop paths that no shipped preset takes; the preset CSVs pin the rest.
