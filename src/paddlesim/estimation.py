@@ -19,8 +19,8 @@ _COMPACT_EVERY = 128
 
 
 class TravelEstimator:
-    """A window of pose rows and their period-wise headings; add_pose
-    computes the estimate at each new pose and travel_direction returns it.
+    """A window of pose rows and their period-wise headings;
+    travel_direction answers at the latest pose.
 
     Poses arrive through add_pose with strictly increasing timestamps.  The
     first pose at least one period past the window's first pose, and every
@@ -47,14 +47,11 @@ class TravelEstimator:
         # pose row from the first heading on, so the lists end together
         self._hu: list[float] = []
         self._hc: list[float] = []
-        # the estimate at the latest pose
-        self._direction = wrap_to_pi(theta_des_fallback)
 
     # ------------------------------------------------------------------ input
 
     def add_pose(self, t: float, x: float, y: float) -> None:
-        """Append a pose sample, derive a heading sample once possible and
-        compute the estimate at this pose."""
+        """Append a pose sample and derive a heading sample once possible."""
         pt, px, py = self._pt, self._px, self._py
         hu, hc = self._hu, self._hc
         period = self.period
@@ -116,41 +113,45 @@ class TravelEstimator:
             del pt[:keep], px[:keep], py[:keep], hu[:keep], hc[:keep]
             p = 0
         self._p = p
-        if not hu:
-            return
-
-        # the estimate: the mean of the heading over the trailing period
-        # (floor, t].  From the cursor's row, or the first heading row if
-        # that comes later, whose index is d rows lower in the heading lists;
-        # every pose from the first heading on appends one, so the window
-        # ends here, where the running integral is hc[-1]
-        d = len(pt) - len(hu)
-        i = p if p > d else d
-        h = i - d
-        first = pt[i]
-        if floor < first - _TIME_SLACK:
-            # pad the missing prefix with the fallback, on the branch nearest
-            # the first real sample so the unwrapped average stays coherent
-            anchor = hu[h]
-            pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
-            total = pad_val * (first - floor)
-            if h < len(hu) - 1:  # adding 0.0 would turn a -0.0 pad into +0.0
-                total += hc[-1] - hc[h]
-        elif floor <= first:
-            total = hc[-1] - hc[h]
-        else:
-            # the running integral at floor, between the cursor and the next row
-            u0 = hu[h]
-            f = (floor - first) / (pt[i + 1] - first)
-            v = u0 + f * (hu[h + 1] - u0)
-            total = hc[-1] - (hc[h] + 0.5 * (u0 + v) * (floor - first))
-        mean = total / period
-        self._direction = mean if -3.0 < mean < 3.0 else wrap_to_pi(mean)
 
     # ---------------------------------------------------------------- queries
 
     def travel_direction(self) -> float:
         """Smoothed direction of travel at the latest pose: the mean of the
-        heading over the trailing period, or the fallback direction before
-        the first heading sample."""
-        return self._direction
+        heading over the trailing period.
+
+        The part of the window before the first heading sample is filled
+        with the fallback direction (warm start).
+        """
+        hu, hc = self._hu, self._hc
+        if not hu:
+            return wrap_to_pi(self.theta_des_fallback)
+        pt = self._pt
+        period = self.period
+        # the cursor's row, or the first heading row if that comes later, and
+        # its index d rows lower in the heading lists
+        d = len(pt) - len(hu)
+        i = self._p if self._p > d else d
+        h = i - d
+        # once heading samples exist every pose appends one, so the window
+        # ends at the latest pose, where the running integral is hc[-1]
+        a = pt[-1] - period
+        first = pt[i]
+        if a < first - _TIME_SLACK:
+            # pad the missing prefix with the fallback, on the branch nearest
+            # the first real sample so the unwrapped average stays coherent
+            anchor = hu[h]
+            pad_val = anchor + wrap_to_pi(self.theta_des_fallback - anchor)
+            total = pad_val * (first - a)
+            if h < len(hu) - 1:  # adding 0.0 would turn a -0.0 pad into +0.0
+                total += hc[-1] - hc[h]
+        elif a <= first:
+            total = hc[-1] - hc[h]
+        else:
+            # the running integral at a, between the cursor and the next row
+            u0 = hu[h]
+            f = (a - first) / (pt[i + 1] - first)
+            v = u0 + f * (hu[h + 1] - u0)
+            total = hc[-1] - (hc[h] + 0.5 * (u0 + v) * (a - first))
+        mean = total / period
+        return mean if -3.0 < mean < 3.0 else wrap_to_pi(mean)

@@ -177,15 +177,9 @@ class TelemetryLog:
 
     def index_rows(self, start: int, stop: int) -> np.ndarray:
         """The waypoint index of rows start..stop - 1, int64."""
-        steps = self.waypoint_steps
-        index = np.empty(stop - start, dtype=np.int64)
-        # the steps that reach into the rows: the one holding row start, then
-        # each that starts before stop, each filling the rows up to the next
-        first, last = np.searchsorted(steps[:, 0], (start + 1, stop)).tolist()
-        ends = [*steps[first:last, 0].tolist(), stop]
-        for (row, value), end in zip(steps[first - 1:last].tolist(), ends):
-            index[max(row, start) - start:end - start] = value
-        return index
+        # each row's step is the last one starting at or before it
+        starts, index = self.waypoint_steps.T
+        return index[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
     def float_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Rows start..stop - 1 of the 14 float columns in TELEMETRY_COLUMNS
@@ -320,7 +314,10 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 theta_des, next_idx = waypoint_heading(x, y, spec, active_idx)
                 if next_idx != active_idx:
                     active_idx = next_idx
-                    waypoint_steps.append((i, active_idx))
+                    if i:
+                        waypoint_steps.append((i, active_idx))
+                    else:  # a start on waypoints[0] targets the next from row 0
+                        waypoint_steps[0] = (0, active_idx)
             else:
                 while t >= next_step_t - 1e-12:
                     theta_des += step

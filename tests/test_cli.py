@@ -662,6 +662,32 @@ def test_one_waypoint_mission_reports_no_completion_time(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# sha256 of the run.csv and run_metrics.dat of a 40 s desaturated mission that
+# starts on its first waypoint, recorded when the log stored a per-row index
+START_ON_WAYPOINT_SHA256 = {
+    "0 0; 1 0": ("271fc8e25860bafca32fb55e7ea1cda4ad51afe5919b251d00e445bc937ca666",
+                 "e77f6ee8c994bd51e0de5a5c0eeedf80db86c30fc67e57b74e805d436575a130"),
+    "0 0; 1 0.5; 0 1": (
+        "d3d41be755f6709c9953c686fb70e725baa7b36d598c7279d6bc581a669b7009",
+        "18546240b2990313dc0792200c754a15156bc43f950c5065da20bdf511932562"),
+}
+
+
+@pytest.mark.parametrize("waypoints", sorted(START_ON_WAYPOINT_SHA256))
+def test_mission_starting_on_its_first_waypoint(tmp_path, waypoints):
+    # the first outer tick, on row 0, arrives at waypoints[0] and makes the
+    # next one the target, so row 0 already holds index 1
+    cfg_path = tmp_path / "start.cfg"
+    cfg_path.write_text("control.mode = desaturated\nmission.kind = waypoints\n"
+                        f"mission.duration = 40\nmission.waypoints = {waypoints}\n"
+                        "mission.tolerance_radius = 0.1\n")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("run.csv", "run_metrics.dat"))
+    assert digests == START_ON_WAYPOINT_SHA256[waypoints]
+
+
 # sha256 of the _metrics.dat report of criterion 13's pi/2 step in each mode:
 # no preset's step settles, so these pin the bytes of the rise-time and
 # travel path (limit_cycle rises in 16.5 s over 9.52 BL, thrust_direction in
