@@ -40,6 +40,8 @@ class ControllerConfig:
     desat_threshold: float = 3.0  # |mean top rate| that arms an unwind, rad/s
 
     def __post_init__(self):
+        if not isinstance(self.mode, ControlMode):
+            raise ConfigError(f"unknown control mode: {self.mode!r}")
         check_fields(self, positive=("omega", "K", "beta"),
                      non_negative=("K_p", "desat_threshold"))
         if self.omega > math.pi / INNER_DT:
@@ -86,24 +88,20 @@ def resonant_beta(cfg_omega: float, I_b: float, I_t: float) -> float:
     return cfg_omega * cfg_omega * (I_t + I_b) / I_t
 
 
-def wrap_override(theta: float, theta_r: float) -> int:
-    """Unwind drive: +/-1 while the raw heading error lies outside (-pi, pi].
-
-    Returns 0 once theta is within a half turn of the unwrapped reference,
-    at which point the plain convergence term takes over.
-    """
-    diff = theta_r - theta
-    if abs(wrap_to_pi(diff) - diff) < _WRAP_EPS:
-        return 0
-    return 1 if diff > 0.0 else -1
-
-
 def desaturated_torque(cfg: ControllerConfig, t: float, theta: float,
                        theta_r: float) -> float:
-    """Wrap-aware torque command; equals limit_cycle_torque inside +/- pi."""
+    """Wrap-aware torque command; equals limit_cycle_torque inside +/- pi.
+
+    While the raw heading error lies outside (-pi, pi], an unwind drive of
+    +/-1 toward the unwrapped reference joins the convergence term; once
+    theta is within a half turn of the reference, the plain term takes over.
+    """
     diff = theta_r - theta
     # wrap_to_pi returns an error in (-3, 3) unchanged, so no unwind drives it
-    xi = 0 if -3.0 < diff < 3.0 else wrap_override(theta, theta_r)
+    if -3.0 < diff < 3.0 or abs(wrap_to_pi(diff) - diff) < _WRAP_EPS:
+        xi = 0
+    else:
+        xi = 1 if diff > 0.0 else -1
     return -cfg.K * sin(cfg.omega * t) - cfg.beta * (sin(diff) + xi)
 
 

@@ -116,15 +116,23 @@ _RATE = TELEMETRY_COLUMNS.index("theta_t_dot")
 _THETA_DOT, _PHI_DOT = STORED_COLUMNS.index("theta_dot"), STORED_COLUMNS.index("phi_dot")
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, after making it refuse writes."""
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
     `rows` holds the stored float columns, one row per tick; each is a
-    read-only property giving a view of it (`log.x` is `log.rows[:, 5]`).
+    property giving a view of it (`log.x` is `log.rows[:, 5]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index.  `theta_t_dot` and `waypoint_index` are
-    computed from them on each access, as read-only arrays.
+    computed from them on each access.  The log is frozen, and every array
+    it holds or keeps refuses writes, so its columns, and the values it keeps
+    from them, stay true for its lifetime.
     """
 
     rows: np.ndarray            # (n, 13) float64, columns in STORED_COLUMNS order
@@ -150,6 +158,8 @@ class TelemetryLog:
                 or np.any(index[1:] == index[:-1])):
             raise ValueError("waypoint_steps must start at row 0 and change the "
                              "index at increasing rows within the log")
+        _read_only(self.rows)
+        _read_only(steps)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -159,21 +169,15 @@ class TelemetryLog:
             raise KeyError(name)
         return getattr(self, name)
 
-    # the two computed columns refuse writes: each access builds a new
-    # array, so a write into one would be lost
     @property
     def theta_t_dot(self) -> np.ndarray:
         """The reaction-mass rate theta_dot + phi_dot, summed as the loop sums it."""
-        rate = self.rows[:, _THETA_DOT] + self.rows[:, _PHI_DOT]
-        rate.flags.writeable = False
-        return rate
+        return _read_only(self.rows[:, _THETA_DOT] + self.rows[:, _PHI_DOT])
 
     @property
     def waypoint_index(self) -> np.ndarray:
         """The active waypoint index at every row, int64."""
-        index = self.index_rows(0, len(self))
-        index.flags.writeable = False
-        return index
+        return _read_only(self.index_rows(0, len(self)))
 
     def index_rows(self, start: int, stop: int) -> np.ndarray:
         """The waypoint index of rows start..stop - 1, int64."""
@@ -194,20 +198,20 @@ class TelemetryLog:
     @cached_property
     def psi_unwrapped(self) -> np.ndarray:
         """psi_hat unwrapped, computed on first use and kept."""
-        return np.unwrap(self.psi_hat)
+        return _read_only(np.unwrap(self.psi_hat))
 
     # the largest and smallest psi_unwrapped from each row to the end, NaN
     # rows skipped, computed on first use and kept
     @cached_property
     def psi_suffix_max(self) -> np.ndarray:
-        return np.fmax.accumulate(self.psi_unwrapped[::-1])[::-1]
+        return _read_only(np.fmax.accumulate(self.psi_unwrapped[::-1])[::-1])
 
     @cached_property
     def psi_suffix_min(self) -> np.ndarray:
-        return np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1]
+        return _read_only(np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1])
 
 
-# each stored column as a property without a setter, so none can be rebound
+# each stored column as a property without a setter: a read-only view of rows
 for _k, _name in enumerate(STORED_COLUMNS):
     setattr(TelemetryLog, _name, property(lambda log, k=_k: log.rows[:, k]))
 

@@ -329,3 +329,30 @@ def test_criterion_13_thrust_direction_turns_faster_and_tighter():
         details.append(f"{rise_ratio:.2f}/{travel_ratio:.2f}")
     _passline(13, "thrust-direction / limit-cycle rise / travel: "
                   + ", ".join(details) + " <= 0.60/0.50")
+
+
+def test_criterion_14_desaturation_keeps_the_actuator_rate_bounded():
+    # the abstract's third claim as worded: without desaturation the
+    # reaction-mass rate keeps growing while the boat keeps turning, with it
+    # the rate stays bounded.  Eleven +pi/2 steps, one every 10 s; the figure
+    # is the largest |one-period mean rate| in each half of the run.
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=120.0, heading=0.0,
+                       step_schedule=tuple((10.0 * k, math.pi / 2) for k in range(1, 12)))
+    halves, unwinds = {}, {}
+    for mode in (ControlMode.THRUST_DIRECTION, ControlMode.DESATURATED_THRUST_DIRECTION):
+        log = run_mission(BoatParams(), ControllerConfig(mode=mode), spec)
+        mean_rate = np.abs(rolling_mean(log.t, log.theta_t_dot, log.period))
+        second = log.t >= spec.duration / 2
+        halves[mode] = (float(np.max(mean_rate[~second])), float(np.max(mean_rate[second])))
+        unwinds[mode] = int(np.sum(np.abs(np.diff(log.theta_r)) > math.pi))
+    (free_1, free_2), (desat_1, desat_2) = halves.values()
+    # measured 22.6 -> 49.4 and 7.1 -> 6.2 rad/s, with 18 unwinds
+    assert free_2 >= 1.5 * free_1
+    assert desat_2 <= desat_1 and max(desat_1, desat_2) <= 0.5 * free_1
+    assert unwinds[ControlMode.THRUST_DIRECTION] == 0
+    assert unwinds[ControlMode.DESATURATED_THRUST_DIRECTION] >= 1
+    _passline(14, f"max |mean top rate| by half: thrust_direction {free_1:.1f} -> "
+                  f"{free_2:.1f} rad/s (x{free_2 / free_1:.2f} >= 1.5), desaturated "
+                  f"{desat_1:.1f} -> {desat_2:.1f} rad/s (x{desat_2 / desat_1:.2f} <= 1, "
+                  f"<= 0.5 x {free_1:.1f}), "
+                  f"{unwinds[ControlMode.DESATURATED_THRUST_DIRECTION]} unwinds")

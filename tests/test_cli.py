@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -731,6 +732,16 @@ def test_runtime_imports_only_numpy():
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_export_is_documented():
+    # the package exports only what the README names as code, so a new
+    # export fails here until it is documented
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    exported = {name for name, value in vars(paddlesim).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert "run_mission" in exported and "TelemetryLog" in exported
+    assert sorted(name for name in exported if f"`{name}`" not in readme) == []
 
 
 def test_csv_tables_are_built_on_the_first_write(tmp_path):

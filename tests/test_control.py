@@ -8,7 +8,7 @@ from helpers import Plant
 from paddlesim.control import (ControlMode, ControllerConfig, ReferenceState,
                                desaturate_reference, desaturated_torque,
                                limit_cycle_torque, outer_loop_reference,
-                               resonant_beta, wrap_override, wrap_to_pi)
+                               resonant_beta, wrap_to_pi)
 from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
 
 
@@ -53,20 +53,29 @@ def test_resonant_beta_limit_cases():
         resonant_beta(1.0, 0.0, 1.0)
 
 
-def test_wrap_override_examples():
-    assert wrap_override(0.0, math.pi / 4) == 0
-    assert wrap_override(0.0, 3 * math.pi / 2) == 1
-    assert wrap_override(0.0, -3 * math.pi / 2) == -1
-    assert wrap_override(0.0, math.tau) == 1  # full turn still drives
+def _unwind_drive(theta, theta_r):
+    """desaturated_torque's unwind drive xi at t = 0, where the forcing
+    vanishes and the torque is -beta * (sin(theta_r - theta) + xi)."""
+    cfg = ControllerConfig()
+    xi = -desaturated_torque(cfg, 0.0, theta, theta_r) / cfg.beta - math.sin(theta_r - theta)
+    assert xi == pytest.approx(round(xi), abs=1e-9)
+    return round(xi)
 
 
-def test_wrap_override_antisymmetry():
+def test_desaturated_torque_unwind_drive_examples():
+    assert _unwind_drive(0.0, math.pi / 4) == 0
+    assert _unwind_drive(0.0, 3 * math.pi / 2) == 1
+    assert _unwind_drive(0.0, -3 * math.pi / 2) == -1
+    assert _unwind_drive(0.0, math.tau) == 1  # full turn still drives
+
+
+def test_desaturated_torque_unwind_drive_antisymmetry():
     rng = np.random.default_rng(11)
     for diff in rng.uniform(-12.0, 12.0, size=500):
         if abs(abs(wrap_to_pi(diff)) - math.pi) < 1e-6:
             continue  # exclude the boundary where the interval is one-sided
-        assert wrap_override(0.0, float(diff)) == -wrap_override(0.0, float(-diff))
-        assert wrap_override(0.0, float(diff)) in (-1, 0, 1)
+        assert _unwind_drive(0.0, float(diff)) == -_unwind_drive(0.0, float(-diff))
+        assert _unwind_drive(0.0, float(diff)) in (-1, 0, 1)
 
 
 def test_desaturated_torque_examples():
@@ -180,7 +189,7 @@ def test_table_gain_is_near_resonance():
     dict(omega=0.0), dict(K=0.0), dict(beta=-1.0), dict(K_p=-0.1),
     dict(desat_interval=0.5), dict(desat_threshold=-1.0),
     dict(desat_threshold=math.nan), dict(K=math.nan), dict(K_p=math.inf),
-    dict(desat_interval=math.nan),
+    dict(desat_interval=math.nan), dict(mode="desaturated"), dict(mode=None),
 ])
 def test_controller_config_validation(kwargs):
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_rise_time_answers_as_the_reference_loop():
     t = grid(3.0)
     log = make_log(t, psi_hat=np.where(t > 1.0, 0.5, 0.0))
     for off in (-3e-9, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, 3e-9):
-        log.period = t[-1] - t[251] + off
+        log = replace(log, period=t[-1] - t[251] + off)
         got = _rise_outcome(rise_time, log, 1.0, 0.5)
         assert got == _rise_outcome(rise_time_reference, log, 1.0, 0.5)
         outcomes["step"].append(got)
@@ -163,7 +164,9 @@ def test_rise_time_answers_as_the_reference_loop_on_nan_and_inf_rows():
         if layout != "scattered":
             psi[int(rng.integers(np.searchsorted(t, t_c), n)):] = np.nan
         log = make_log(t, period=rng.uniform(0.05, 1.0))
-        log.psi_unwrapped = psi
+        # the kept trace lives in the instance dict, where cached_property
+        # keeps it; the frozen log refuses a plain assignment
+        object.__setattr__(log, "psi_unwrapped", psi)
         reference = functools.partial(rise_time_reference, psi=log.psi_unwrapped)
         for command_time in (t[0], t[int(rng.integers(np.searchsorted(t, t_c) + 1))],
                              rng.uniform(t[0], t_c), t[int(rng.integers(n))]):

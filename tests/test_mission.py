@@ -2,7 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +289,37 @@ def test_telemetry_log_decodes_its_index_from_the_steps():
                                   log.waypoint_index[start:stop])
     empty = TelemetryLog(np.zeros((0, 13)), _steps())
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
+
+
+def test_telemetry_log_is_frozen_and_refuses_writes():
+    # a rebound field or a write through a view would leave the kept unwrap
+    # stale, or break the index decode only at its next use
+    log = run_mission(BoatParams(), ControllerConfig(),
+                      MissionSpec(kind=MissionKind.WAYPOINTS, duration=2.0,
+                                  waypoints=((0.0, 0.0), (0.0, 1.0))))
+    psi = log.psi_unwrapped
+    for name, value in (("rows", np.zeros((3, 13))), ("waypoint_steps", np.zeros(3)),
+                        ("period", 2.0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(log, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        log.x[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        log.rows[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        log.waypoint_steps[0, 1] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        log.psi_unwrapped[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        log.psi_suffix_max[0] = 0.0
+    assert log.waypoint_steps.tolist() == [[0, 1]]  # the start is on waypoints[0]
+    assert np.array_equal(log.psi_unwrapped, np.unwrap(log.psi_hat))
+    # replace builds a new log on the same block, with its own kept unwrap
+    other = replace(log, period=2.0)
+    assert other.rows is log.rows and other.waypoint_steps is log.waypoint_steps
+    assert other.period == 2.0 and log.period == ControllerConfig().period
+    assert "psi_unwrapped" not in vars(other)
+    assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
 def test_telemetry_log_stores_104_bytes_a_tick_and_16_a_step():
