@@ -28,8 +28,8 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 104 B per tick, so this caps a run's row block near 1.04 GB;
-# a sweep holds one such run at a time.
+# preallocated at 80 B per tick and 32 B per outer tick, about 95 B a tick,
+# so this caps a run's log near 0.95 GB; a sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
 # initial_theta, a step change), rad.  Real commands are a few turns; near
@@ -106,20 +106,50 @@ class MissionSpec:
 TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot", "x",
                      "y", "vx", "vy", "theta_r", "theta_des", "psi_hat", "tau",
                      "waypoint_index")
-# the columns a log stores, in row order: the floats but theta_t_dot, which
-# is theta_dot + phi_dot
-STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1] if name != "theta_t_dot")
+# the outer loop's outputs, which change only on outer ticks: a log keeps
+# them once per run of rows, in this order
+HELD_COLUMNS = ("theta_r", "theta_des", "psi_hat")
+# the columns a log stores per row, in row order: the floats but the held
+# ones and theta_t_dot, which is theta_dot + phi_dot
+STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
+                       if name != "theta_t_dot" and name not in HELD_COLUMNS)
 _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
-# theta_t_dot's place among the floats, which the stored columns skip, and
-# the stored columns summed into it
+_HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
+# theta_t_dot's place among the floats, the stored columns summed into it,
+# and the held columns' places, side by side; the stored columns fill the
+# other places in order
 _RATE = TELEMETRY_COLUMNS.index("theta_t_dot")
 _THETA_DOT, _PHI_DOT = STORED_COLUMNS.index("theta_dot"), STORED_COLUMNS.index("phi_dot")
+_HELD_AT = TELEMETRY_COLUMNS.index(HELD_COLUMNS[0])
+_HELD_END = _HELD_AT + len(HELD_COLUMNS)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """array, after making it refuse writes."""
     array.flags.writeable = False
     return array
+
+
+def _valid_starts(starts: np.ndarray, n: int) -> bool:
+    """True when starts, the first rows of runs in a log of n rows, begin at
+    row 0 and increase within the log; a log without rows has none."""
+    return (starts[:1].tolist() == ([0] if n else [])
+            and not np.any(starts[1:] <= starts[:-1]) and not np.any(starts >= n))
+
+
+def _outer_rows(n: int) -> np.ndarray:
+    """The rows of the outer ticks among n rows from row 0, int64."""
+    offsets = np.cumsum((0, *_OUTER_GAPS[:-1]))  # of each tick in a cycle
+    cycle_rows, cycle_ticks = sum(_OUTER_GAPS), len(offsets)
+    cycles, rest = divmod(n, cycle_rows)
+    tail = offsets[offsets < rest]
+    rows = np.empty(cycles * cycle_ticks + len(tail), dtype=np.int64)
+    # a whole cycle's ticks a row, written in place: a temporary the size of
+    # the schedule would stay resident in the allocator beside the log
+    np.add.outer(np.arange(cycles) * cycle_rows, offsets,
+                 out=rows[:cycles * cycle_ticks].reshape(cycles, cycle_ticks))
+    rows[cycles * cycle_ticks:] = cycles * cycle_rows + tail
+    return rows
 
 
 @dataclass(frozen=True)
@@ -129,14 +159,17 @@ class TelemetryLog:
     `rows` holds the stored float columns, one row per tick; each is a
     property giving a view of it (`log.x` is `log.rows[:, 5]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
-    the same waypoint index.  `theta_t_dot` and `waypoint_index` are
-    computed from them on each access.  The log is frozen, and every array
-    it holds or keeps refuses writes, so its columns, and the values it keeps
-    from them, stay true for its lifetime.
+    the same waypoint index, and `held` one row of the HELD_COLUMNS per run
+    of rows starting at `held_starts`.  `theta_t_dot`, `waypoint_index` and
+    the held columns are computed from them on each access.  The log is
+    frozen, and every array it holds or keeps refuses writes; a view of an
+    array taken before the log was built can still write into it.
     """
 
-    rows: np.ndarray            # (n, 13) float64, columns in STORED_COLUMNS order
+    rows: np.ndarray            # (n, 10) float64, columns in STORED_COLUMNS order
     waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
+    held: np.ndarray            # (m, 3) float64, columns in HELD_COLUMNS order
+    held_starts: np.ndarray     # (m,) int64, the first row of each run of held
     period: float = 1.0         # controller oscillation period, s
     body_length: float = 0.15   # m, carried along for BL-normalised metrics
 
@@ -149,17 +182,26 @@ class TelemetryLog:
         if not (isinstance(steps, np.ndarray) and steps.dtype == np.int64
                 and steps.ndim == 2 and steps.shape[1] == 2):
             raise ValueError("waypoint_steps must be an int64 array of shape (k, 2)")
-        starts, index = steps[:, 0], steps[:, 1]
         n = len(self.rows)
-        # the first step starts at row 0, except in a log without rows, which
-        # has no steps; each later step starts where the index changes
-        if (starts[:1].tolist() != ([0] if n else [])
-                or np.any(starts[1:] <= starts[:-1]) or np.any(starts >= n)
-                or np.any(index[1:] == index[:-1])):
+        # each later step starts where the index changes
+        if not _valid_starts(steps[:, 0], n) or np.any(steps[1:, 1] == steps[:-1, 1]):
             raise ValueError("waypoint_steps must start at row 0 and change the "
                              "index at increasing rows within the log")
-        _read_only(self.rows)
-        _read_only(steps)
+        held, starts = self.held, self.held_starts
+        width = len(HELD_COLUMNS)
+        if not (isinstance(held, np.ndarray) and held.dtype == np.float64
+                and held.ndim == 2 and held.shape[1] == width):
+            raise ValueError(f"held must be a float64 array of shape (m, {width})")
+        if not (isinstance(starts, np.ndarray) and starts.dtype == np.int64
+                and starts.shape == held.shape[:1]):
+            raise ValueError("held_starts must be an int64 array of shape (m,), "
+                             "one start per row of held")
+        # a run need not change a value
+        if not _valid_starts(starts, n):
+            raise ValueError("held_starts must start at row 0 and increase "
+                             "within the log")
+        for array in (self.rows, steps, held, starts):
+            _read_only(array)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -191,8 +233,12 @@ class TelemetryLog:
         returned."""
         floats, stored = out[:stop - start], self.rows[start:stop]
         floats[:, :_RATE] = stored[:, :_RATE]
-        floats[:, _RATE + 1:] = stored[:, _RATE:]
         np.add(stored[:, _THETA_DOT], stored[:, _PHI_DOT], out=floats[:, _RATE])
+        floats[:, _RATE + 1:_HELD_AT] = stored[:, _RATE:_HELD_AT - 1]
+        floats[:, _HELD_END:] = stored[:, _HELD_AT - 1:]
+        # each row's run is the last one starting at or before it
+        runs = np.searchsorted(self.held_starts, np.arange(start, stop), side="right") - 1
+        floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
         return floats
 
     @cached_property
@@ -214,6 +260,11 @@ class TelemetryLog:
 # each stored column as a property without a setter: a read-only view of rows
 for _k, _name in enumerate(STORED_COLUMNS):
     setattr(TelemetryLog, _name, property(lambda log, k=_k: log.rows[:, k]))
+# each held column as one: a new array of its runs repeated over their rows,
+# refusing writes
+for _k, _name in enumerate(HELD_COLUMNS):
+    setattr(TelemetryLog, _name, property(lambda log, k=_k: _read_only(
+        np.repeat(log.held[:, k], np.diff(log.held_starts, append=len(log))))))
 
 
 def waypoint_heading(px: float, py: float, spec: MissionSpec,
@@ -256,6 +307,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     angle_cap = 2 * MAX_ANGLE
     neg_angle_cap = -angle_cap
     pack_row, row_size = _ROW.pack_into, _ROW.size
+    pack_held, held_size = _HELD_ROW.pack_into, _HELD_ROW.size
     # resolved per run from this module, so wrappers installed on it apply;
     # rk4_step, desaturate_reference and waypoint_heading are looked up on
     # every call for the same reason
@@ -280,6 +332,10 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     ref = ReferenceState(theta_r)
     est = TravelEstimator(period, theta_des_fallback=theta_des)
 
+    # the outer loop's outputs, a packed row per outer tick, each held from
+    # its outer tick's row to the next one's
+    held_starts = _outer_rows(n_steps + 1)
+    held = np.empty((len(held_starts), len(HELD_COLUMNS)))
     # the stored columns as one preallocated block, a packed row per tick;
     # memoryviews of its columns give plain Python floats.  The waypoint
     # index is kept as its steps: the first row of each new index.
@@ -291,7 +347,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     # trailing one-period boxcar of the reaction-mass rate over rows lo..i,
     # kept in desaturated mode only: the unwind test is its only reader
     rate_sum = 0.0
-    lo = active_idx = next_outer = 0
+    lo = active_idx = next_outer = held_at = 0
 
     for i in range(n_steps + 1):
         while next_dist_t <= t + 1e-12:
@@ -345,11 +401,13 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             thrust_y = thrust * sin(theta_r)
             if abs(theta_r) > angle_cap:
                 raise ConfigError(f"the simulated state diverged at t = {t:g} s")
+            pack_held(held, held_at, theta_r, theta_des, psi_hat)
+            held_at += held_size
 
         tau = torque_law(cfg, t, theta, theta_r)
 
         pack_row(block, row_size * i, t, theta, theta_dot, phi, phi_dot, x, y,
-                 vx, vy, theta_r, theta_des, psi_hat, tau)
+                 vx, vy, tau)
 
         if i == n_steps:
             break
@@ -360,5 +418,5 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
-    return TelemetryLog(block, np.array(waypoint_steps, dtype=np.int64),
-                        period=period, body_length=params.body_length)
+    return TelemetryLog(block, np.array(waypoint_steps, dtype=np.int64), held,
+                        held_starts, period=period, body_length=params.body_length)

@@ -7,25 +7,39 @@ from typing import NamedTuple
 
 import numpy as np
 
-from paddlesim.control import wrap_to_pi
-from paddlesim.dynamics import orientation_accel
+from paddlesim.control import (ControlMode, ReferenceState, desaturate_reference,
+                               desaturated_torque, limit_cycle_torque,
+                               outer_loop_reference, wrap_to_pi)
+from paddlesim.dynamics import INNER_DT, INNER_RATE, ConfigError, orientation_accel
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
-from paddlesim.mission import (STORED_COLUMNS, TELEMETRY_COLUMNS, MissionKind,
-                               MissionSpec, TelemetryLog, run_mission)
+from paddlesim.mission import (HELD_COLUMNS, MAX_ANGLE, STORED_COLUMNS,
+                               TELEMETRY_COLUMNS, MissionKind, MissionSpec, TelemetryLog,
+                               run_mission, waypoint_heading)
+
+
+def run_starts(values):
+    """Row 0 and every row of values, (n,) or (n, m), that differs from the
+    row before, int64."""
+    changed = values[1:] != values[:-1]
+    if changed.ndim > 1:
+        changed = changed.any(axis=1)
+    return np.flatnonzero(np.concatenate(([len(values) > 0], changed)))
 
 
 def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     """A TelemetryLog from its 14 float columns, an (n, 14) array in
     TELEMETRY_COLUMNS order, and its waypoint index per row.  The
-    theta_t_dot column is not kept: the log derives it."""
+    theta_t_dot column is not kept: the log derives it.  A run of the held
+    columns starts wherever one of them changes its bits, so -0.0 and every
+    NaN payload come back as given."""
     floats = np.asarray(floats, dtype=float)
     index = np.asarray(index, dtype=np.int64)
     stored = [TELEMETRY_COLUMNS.index(name) for name in STORED_COLUMNS]
-    # a step at row 0 and at every row whose index differs from the row before
-    starts = np.flatnonzero(np.concatenate(([len(index) > 0], index[1:] != index[:-1])))
+    held = floats[:, [TELEMETRY_COLUMNS.index(name) for name in HELD_COLUMNS]]
+    steps, runs = run_starts(index), run_starts(held.view(np.int64))
     return TelemetryLog(np.ascontiguousarray(floats[:, stored]),
-                        np.stack([starts, index[starts]], axis=1),
+                        np.stack([steps, index[steps]], axis=1), held[runs], runs,
                         period=period, body_length=body_length)
 
 
@@ -39,6 +53,12 @@ def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_r=None, index
             for name in TELEMETRY_COLUMNS[:-1]]
     return telemetry_log(np.stack(cols, axis=1), np.zeros(n) if index is None else index,
                          period=period, body_length=body_length)
+
+
+def stored_bytes(log):
+    """The bytes of the four arrays a TelemetryLog stores."""
+    return sum(array.nbytes for array in (log.rows, log.waypoint_steps, log.held,
+                                          log.held_starts))
 
 
 def traced_peak(fn):
@@ -227,6 +247,87 @@ class TravelEstimatorReference:
         else:
             total = hc[-1] - self._heading_cumint(a)
         return wrap_to_pi(total / self.period)
+
+
+def run_mission_reference(params, cfg, spec):
+    """run_mission written plainly, as the bit-for-bit oracle of the whole
+    loop: the plant through rk4_step_reference, the travel estimate through
+    TravelEstimatorReference and every reference change wrapped by
+    wrap_to_pi_formula, with the control laws and waypoint_heading as the
+    loop calls them.  Every row stores all 14 float columns, in
+    TELEMETRY_COLUMNS order, and its waypoint index; returns the (n, 14)
+    floats and the (n,) index.  A run that breaks an invariant raises the
+    ConfigError run_mission raises, at the same t."""
+    mode = cfg.mode
+    n_steps = round(spec.duration * INNER_RATE)
+    follows_waypoints = spec.kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP)
+    impulses, steps = list(spec.disturbances), list(spec.step_schedule)
+    if follows_waypoints:
+        (wx, wy), (sx, sy) = spec.waypoints[0], spec.start
+        theta_des = math.atan2(wy - sy, wx - sx)
+    else:
+        theta_des = spec.heading
+    theta = theta_des if spec.initial_theta is None else spec.initial_theta
+    theta_dot = phi = phi_dot = vx = vy = 0.0
+    x, y = spec.start
+    ref = ReferenceState(theta_des)
+    est = TravelEstimatorReference(cfg.period, theta_des_fallback=theta_des)
+    thrust = params.k_thrust * cfg.K
+    floats = np.empty((n_steps + 1, len(TELEMETRY_COLUMNS) - 1))
+    index = np.zeros(n_steps + 1, dtype=np.int64)
+    active = 0
+    rate_sum, lo = 0.0, 0  # the one-period boxcar of theta_t_dot over rows lo..i
+
+    def diverged():
+        return ConfigError(f"the simulated state diverged at t = {t:g} s")
+
+    t = 0.0
+    for i in range(n_steps + 1):
+        while impulses and impulses[0][0] <= t + 1e-12:
+            vx += impulses[0][1][0]
+            vy += impulses[0][1][1]
+            del impulses[0]
+        rate = theta_dot + phi_dot
+        if not (abs(theta) <= 2 * MAX_ANGLE and math.isfinite(rate + phi + x + y + vx + vy)):
+            raise diverged()
+        rate_sum += rate
+        while lo < i and floats[lo, 0] <= t - cfg.period:
+            rate_sum -= floats[lo, 5]
+            lo += 1
+        if i % 25 in range(0, 24, 2):  # 12 outer ticks in every 25 rows
+            est.add_pose(t, x, y)
+            psi_hat = est.travel_direction()
+            if follows_waypoints:
+                theta_des, active = waypoint_heading(x, y, spec, active)
+            while steps and t >= steps[0][0] - 1e-12:
+                theta_des += steps.pop(0)[1]
+            if mode is ControlMode.LIMIT_CYCLE_ONLY:
+                theta_r = theta_des
+            else:
+                pending = wrap_to_pi_formula(
+                    outer_loop_reference(cfg, theta_des, psi_hat) - ref.theta_r)
+                ref = ReferenceState(ref.theta_r + pending, ref.last_desat_time)
+                if mode is ControlMode.DESATURATED_THRUST_DIRECTION:
+                    ref = desaturate_reference(ref, rate_sum / (i + 1 - lo), t, cfg,
+                                               pending)
+                theta_r = ref.theta_r
+            thrust_x, thrust_y = thrust * math.cos(theta_r), thrust * math.sin(theta_r)
+            if abs(theta_r) > 2 * MAX_ANGLE:
+                raise diverged()
+        law = (limit_cycle_torque if mode is ControlMode.THRUST_DIRECTION
+               else desaturated_torque)
+        tau = law(cfg, t, theta, theta_r)
+        floats[i] = (t, theta, theta_dot, phi, phi_dot, rate, x, y, vx, vy,
+                     theta_r, theta_des, psi_hat, tau)
+        index[i] = active
+        if i < n_steps:
+            theta, theta_dot, phi, phi_dot, x, y, vx, vy = rk4_step_reference(
+                params, theta, theta_dot, phi, phi_dot, x, y, vx, vy, tau,
+                thrust_x, thrust_y, INNER_DT)
+            t += INNER_DT
+    if not math.isfinite(tau):
+        raise diverged()
+    return floats, index
 
 
 def rise_time_reference(log, command_time, delta, psi=None):

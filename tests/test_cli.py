@@ -12,7 +12,7 @@ import pytest
 
 import paddlesim
 from conftest import SLOW_WATER
-from helpers import cap_scenarios, make_log, telemetry_log, traced_peak
+from helpers import cap_scenarios, make_log, stored_bytes, telemetry_log, traced_peak
 from paddlesim import cli
 from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POINTS,
                            MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
@@ -20,8 +20,9 @@ from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POIN
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode
 from paddlesim.metrics import NotSettled
-from paddlesim.mission import (MAX_TICKS, STORED_COLUMNS, TELEMETRY_COLUMNS,
-                               ConfigError, MissionKind, MissionSpec, run_mission)
+from paddlesim.mission import (HELD_COLUMNS, MAX_TICKS, STORED_COLUMNS,
+                               TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
+                               run_mission)
 from paddlesim.dynamics import BoatParams
 from paddlesim.control import ControllerConfig
 
@@ -371,10 +372,10 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
 
 
 def test_csv_is_written_from_the_log_row_block(tmp_path):
-    # the writer's one row source is log.rows, with the index from
-    # log.waypoint_steps, and no column can be rebound away from them, so
-    # neither the CSV nor the cached psi_unwrapped can go stale against the
-    # columns a metric reads
+    # the writer's row sources are log.rows and log.held, with the index
+    # from log.waypoint_steps, and no column can be rebound away from them,
+    # so neither the CSV nor the cached psi_unwrapped can go stale against
+    # the columns a metric reads
     spec = MissionSpec(kind=MissionKind.CONVERGE, duration=5.0, initial_theta=-0.5)
     log = run_mission(BoatParams(), ControllerConfig(), spec)
     assert len(log) > 2 * _CSV_CHUNK_ROWS
@@ -387,8 +388,8 @@ def test_csv_is_written_from_the_log_row_block(tmp_path):
         with pytest.raises(AttributeError):
             setattr(log, name, log.column(name) + 1)
     assert all(log.column(name).base is log.rows for name in STORED_COLUMNS)
-    # the two computed columns refuse a write, which would be lost
-    for name in ("theta_t_dot", "waypoint_index"):
+    # the computed columns refuse a write, which would be lost
+    for name in ("theta_t_dot", "waypoint_index", *HELD_COLUMNS):
         with pytest.raises(ValueError, match="read-only"):
             log.column(name)[0] = 1
 
@@ -789,7 +790,7 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
 
 def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     # each point's log is freed before the next point simulates, so the
-    # peak is one log plus the report and CSV-chunk temporaries, about 1.32
+    # peak is one log plus the report and CSV-chunk temporaries, about 1.35
     # logs; with the first log still alive it was about 2.3
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"
@@ -801,7 +802,9 @@ def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     code, peak = traced_peak(
         lambda: main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]))
     assert code == 0 and len(list((tmp_path / "out").glob("*.csv"))) == 2
-    one_log = (round(60.0 * 250) + 1) * len(STORED_COLUMNS) * 8  # 13 floats
+    one_log = stored_bytes(run_mission(BoatParams(), ControllerConfig(
+        mode=ControlMode.DESATURATED_THRUST_DIRECTION, K=10.0),
+        MissionSpec(kind=MissionKind.CONVERGE, duration=60.0)))
     assert peak < 1.5 * one_log
 
 

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
-from helpers import run_step_test, traced_peak
+from helpers import run_step_test, stored_bytes, traced_peak
 from paddlesim.cli import load_preset, parse_scenario
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import INNER_DT, BoatParams
-from paddlesim.mission import (MAX_POSITION, TELEMETRY_COLUMNS, ConfigError,
-                               MissionKind, MissionSpec, TelemetryLog, _OUTER_GAPS,
-                               run_mission, waypoint_heading)
+from paddlesim.mission import (HELD_COLUMNS, MAX_POSITION, TELEMETRY_COLUMNS,
+                               ConfigError, MissionKind, MissionSpec, TelemetryLog,
+                               _OUTER_GAPS, run_mission, waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -245,50 +245,99 @@ def test_telemetry_column_access():
         log.column("nope")
 
 
-_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 13\)"
+_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 10\)"
 _BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
 _BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
+_BAD_HELD = r"held must be a float64 array of shape \(m, 3\)"
+_BAD_HELD_STARTS = r"held_starts must be an int64 array of shape \(m,\)"
+_BAD_RUNS = "held_starts must start at row 0 and increase within the log"
 _ONE_STEP = np.zeros((1, 2), dtype=np.int64)
+_ONE_RUN = (np.zeros((1, 3)), np.zeros(1, dtype=np.int64))
 
 
 def _steps(*pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _runs(*starts):
+    """held rows 0, 1, ... for runs starting at the given rows."""
+    return (np.arange(3.0 * len(starts)).reshape(-1, 3), np.array(starts, dtype=np.int64))
+
+
 # a bad index would otherwise fail only later, inside the CSV writer
-@pytest.mark.parametrize("rows, steps, message", [
-    (np.zeros((3, 14)), _ONE_STEP, _BAD_BLOCK),                    # theta_t_dot stored
-    (np.zeros((2, 13)), _steps((0, 0), (2, 1)), _BAD_STARTS),      # a step past the end
-    (np.zeros((3, 13), dtype=np.int64), _ONE_STEP, _BAD_BLOCK),
-    (np.zeros(3), _ONE_STEP, _BAD_BLOCK),
-    (np.zeros((3, 13)), np.zeros((1, 2)), _BAD_STEPS),             # float
-    (np.zeros((3, 13)), [[0, 0]], _BAD_STEPS),                     # a list
-    (np.zeros((3, 13)), np.zeros((2, 1), dtype=np.int64), _BAD_STEPS),  # not pairs
-    (np.zeros((3, 13)), np.zeros(2, dtype=np.int64), _BAD_STEPS),
-    (np.zeros((3, 13)), _steps(), _BAD_STARTS),                    # no row 0
-    (np.zeros((3, 13)), _steps((1, 0)), _BAD_STARTS),
-    (np.zeros((3, 13)), _steps((0, 0), (2, 1), (2, 2)), _BAD_STARTS),
-    (np.zeros((3, 13)), _steps((0, 0), (2, 1), (1, 2)), _BAD_STARTS),
-    (np.zeros((0, 13)), _ONE_STEP, _BAD_STARTS),
-    (np.zeros((3, 13)), _steps((0, 4), (2, 4)), _BAD_STARTS),      # index unchanged
+@pytest.mark.parametrize("rows, steps, held, held_starts, message", [
+    (np.zeros((3, 11)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                # a held column stored
+    (np.zeros((2, 10)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),  # a step past the end
+    (np.zeros((3, 10), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
+    (np.zeros(3), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
+    (np.zeros((3, 10)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),         # float
+    (np.zeros((3, 10)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                 # a list
+    (np.zeros((3, 10)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
+    (np.zeros((3, 10)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
+    (np.zeros((3, 10)), _steps(), *_ONE_RUN, _BAD_STARTS),                # no row 0
+    (np.zeros((3, 10)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 10)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 10)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((0, 10)), _ONE_STEP, *_runs(), _BAD_STARTS),
+    (np.zeros((3, 10)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),  # index unchanged
+    (np.zeros((3, 10)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 10)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 10)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 10)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
+    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
+    (np.zeros((3, 10)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
+    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
+     _BAD_HELD_STARTS),
+    (np.zeros((3, 10)), _ONE_STEP, *_runs(), _BAD_RUNS),
+    (np.zeros((3, 10)), _ONE_STEP, *_runs(1), _BAD_RUNS),
+    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
+    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
+    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
+    (np.zeros((0, 10)), _steps(), *_ONE_RUN, _BAD_RUNS),
 ], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
         "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
-        "decreasing-row", "step-in-empty-log", "unchanged-index"])
-def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, message):
+        "decreasing-row", "step-in-empty-log", "unchanged-index", "int-held",
+        "held-width", "1-d-held", "list-held", "float-starts", "list-starts",
+        "starts-shorter-than-held", "2-d-starts", "no-runs", "first-run-not-0",
+        "repeated-start", "decreasing-start", "start-past-the-end", "run-in-empty-log"])
+def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_starts,
+                                                     message):
     with pytest.raises(ValueError, match=message):
-        TelemetryLog(rows, steps)
+        TelemetryLog(rows, steps, held, held_starts)
 
 
 def test_telemetry_log_decodes_its_index_from_the_steps():
-    log = TelemetryLog(np.zeros((6, 13)), _steps((0, 7), (1, -1), (4, 2**62)))
+    log = TelemetryLog(np.zeros((6, 10)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
     assert log.waypoint_index.tolist() == [7, -1, -1, -1, 2**62, 2**62]
     assert log.waypoint_index.dtype == np.int64
     for start in range(7):
         for stop in range(start, 7):
             assert np.array_equal(log.index_rows(start, stop),
                                   log.waypoint_index[start:stop])
-    empty = TelemetryLog(np.zeros((0, 13)), _steps())
+    empty = TelemetryLog(np.zeros((0, 10)), _steps(), *_runs())
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
+    assert empty.psi_hat.shape == (0,)
+
+
+def test_telemetry_log_decodes_its_held_columns_from_the_runs():
+    # a run need not change a value; -0.0 and a NaN payload keep their bits
+    nan = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
+    held = np.array([[1.0, -0.0, nan], [1.0, -0.0, nan], [2.0, 0.0, -3.5]])
+    rows = np.arange(70.0).reshape(7, 10)
+    log = TelemetryLog(rows, _ONE_STEP, held, np.array([0, 1, 5], dtype=np.int64))
+    expected = held[[0, 1, 1, 1, 1, 2, 2]]
+    for k, name in enumerate(HELD_COLUMNS):
+        column = log.column(name)
+        assert column.tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    floats = np.stack([log.column(name) for name in TELEMETRY_COLUMNS[:-1]], axis=1)
+    out = np.full((7, len(TELEMETRY_COLUMNS) - 1), 9.0)
+    for start in range(8):
+        for stop in range(start, 8):
+            chunk = log.float_rows(start, stop, out)
+            assert chunk.tobytes() == floats[start:stop].tobytes()
 
 
 def test_telemetry_log_is_frozen_and_refuses_writes():
@@ -298,7 +347,8 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
                       MissionSpec(kind=MissionKind.WAYPOINTS, duration=2.0,
                                   waypoints=((0.0, 0.0), (0.0, 1.0))))
     psi = log.psi_unwrapped
-    for name, value in (("rows", np.zeros((3, 13))), ("waypoint_steps", np.zeros(3)),
+    for name, value in (("rows", np.zeros((3, 10))), ("waypoint_steps", np.zeros(3)),
+                        ("held", np.zeros((1, 3))), ("held_starts", np.zeros(1)),
                         ("period", 2.0)):
         with pytest.raises(FrozenInstanceError):
             setattr(log, name, value)
@@ -309,6 +359,12 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     with pytest.raises(ValueError, match="read-only"):
         log.waypoint_steps[0, 1] = 5
     with pytest.raises(ValueError, match="read-only"):
+        log.held[0, 2] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        log.held_starts[-1] = len(log)
+    with pytest.raises(ValueError, match="read-only"):
+        log.psi_hat[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
         log.psi_unwrapped[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         log.psi_suffix_max[0] = 0.0
@@ -317,32 +373,36 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     # replace builds a new log on the same block, with its own kept unwrap
     other = replace(log, period=2.0)
     assert other.rows is log.rows and other.waypoint_steps is log.waypoint_steps
+    assert other.held is log.held and other.held_starts is log.held_starts
     assert other.period == 2.0 and log.period == ControllerConfig().period
     assert "psi_unwrapped" not in vars(other)
     assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
-def test_telemetry_log_stores_104_bytes_a_tick_and_16_a_step():
-    # 13 float64 columns a tick; the reaction-mass rate is computed on access
-    # and the waypoint index is one (first row, index) pair per change
+def test_telemetry_log_stores_80_bytes_a_tick_32_an_outer_tick_and_16_a_step():
+    # 10 float64 columns a tick; the reaction-mass rate is computed on
+    # access, the outer loop's 3 outputs are one row and one start per outer
+    # tick, and the waypoint index is one (first row, index) pair per change
     (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
     log = run_mission(boat, control, replace(mission, duration=40.0))
     ticks, steps = len(log), len(log.waypoint_steps)
-    assert ticks == round(40.0 * 250) + 1 and steps == 4
-    assert log.rows.nbytes + log.waypoint_steps.nbytes == 104 * ticks + 16 * steps
+    outer = outer_tick_indices(ticks)
+    assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
+    assert np.array_equal(log.held_starts, outer)
+    assert stored_bytes(log) == 80 * ticks + 32 * len(outer) + 16 * steps
     assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
 
 
 @pytest.mark.parametrize("preset", ["waypoint-square", "congruent-step"])
 def test_run_mission_peak_memory_is_its_log(preset):
-    # the row block is preallocated and filled in place, and the rest of the
-    # loop's memory does not grow with the run (about 46 KB, 4.5% of a 40 s
-    # log), so 40 s of each preset show it; tracing slows the loop about 27
-    # times
+    # the row and held blocks are preallocated and filled in place, and the
+    # rest of the loop's memory does not grow with the run (about 47 KB, 4.9%
+    # of a 40 s log), so 40 s of each preset show it; tracing slows the loop
+    # about 27 times
     (_, boat, control, mission), = parse_scenario(load_preset(preset)).points
     mission = replace(mission, duration=40.0)
     log, peak = traced_peak(lambda: run_mission(boat, control, mission))
-    assert peak <= 1.1 * (log.rows.nbytes + log.waypoint_steps.nbytes)
+    assert peak <= 1.1 * stored_bytes(log)
 
 
 # Loop paths that no shipped preset takes; the preset CSVs pin the rest.
@@ -407,15 +467,39 @@ def test_uncovered_loop_paths_bit_identical(case):
     assert column_digests(log) == LOOP_PATH_SHA256[case]
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py as a module; the file is read, not changed, and
+    perfbench is no package, so it is loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _spanned_names():
     """(owner, name) of every function the benchmark times, as
-    perfbench/tracer.py lists them in SPANNED; the file is read, not
-    changed, and perfbench is no package, so it is loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return [(owner, name) for _, owner, name in tracer.SPANNED]
+    perfbench/tracer.py lists them in SPANNED."""
+    return [(owner, name) for _, owner, name in _perfbench_module("tracer").SPANNED]
+
+
+def test_long_mission_workload_matches_its_recorded_digests():
+    # the benchmark's 600 s waypoint circuit at seed 0, checked as its worker
+    # checks it: each column's bytes and the report against digests.json
+    from paddlesim.cli import report_metrics
+    boat, control, spec = _perfbench_module("workloads").long_mission(0)
+    log = run_mission(boat, control, spec)
+    outputs = {f"column.{name}": hashlib.sha256(
+        np.ascontiguousarray(log.column(name)).tobytes()).hexdigest()
+        for name in TELEMETRY_COLUMNS}
+    report = report_metrics([log], spec)
+    outputs["report"] = hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    recorded = json.loads((_PERFBENCH / "digests.json").read_text())
+    assert outputs == recorded["long-mission"]["0"]
 
 
 def test_wrapped_names_see_every_call(monkeypatch):

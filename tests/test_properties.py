@@ -13,17 +13,19 @@ from enum import Enum, EnumMeta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (Plant, TravelEstimatorReference, cap_scenarios,
-                     rk4_step_reference, within_ulps, wrap_to_pi_formula)
+                     rk4_step_reference, run_mission_reference, run_starts,
+                     within_ulps, wrap_to_pi_formula)
 from paddlesim.cli import _SECTIONS, main, parse_scenario
-from paddlesim.control import _WRAP_EPS, ControllerConfig, wrap_to_pi
+from paddlesim.control import _WRAP_EPS, ControllerConfig, ControlMode, wrap_to_pi
 from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
-from paddlesim.mission import MissionKind, MissionSpec
+from paddlesim.mission import (TELEMETRY_COLUMNS, MissionKind, MissionSpec, coincident,
+                               run_mission)
 
 # bounded; the conftest profile makes every run draw the same examples
 FAST = settings(max_examples=60)
@@ -402,6 +404,88 @@ def test_any_config_runs_or_exits_with_a_code(tmp_path_factory, text, strict):
                     assert x >= 0.0, line
                 if metric == "heading_error_rad" and not key.endswith(".n"):
                     assert 0.0 <= x <= math.pi + _WRAP_EPS, line
+
+
+_POINT = st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+_ANGLE = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _missions(draw):
+    """(boat, controller, mission) of at most 3 s: every control mode and
+    mission kind, up to 4 steps, 3 impulses and 4 waypoints, starts on the
+    first waypoint, and thrusts and forcings large enough to diverge."""
+    boat = draw(st.builds(
+        BoatParams, C_f=st.floats(0.0, 1e-3), C_r=st.just(0.0) | st.floats(0.0, 1e-3),
+        C_v=st.floats(0.0, 10.0), k_thrust=st.floats(0.0, 0.02)))
+    omega = draw(st.just(math.tau) | st.floats(2.0, 20.0))
+    cfg = draw(st.builds(
+        ControllerConfig, omega=st.just(omega), K=st.floats(1.0, 30.0),
+        beta=st.floats(1.0, 80.0), K_p=st.floats(0.0, 4.0),
+        mode=st.sampled_from(ControlMode), desat_threshold=st.floats(0.0, 3.0),
+        desat_interval=st.none() | st.floats(1.0, 3.0).map(lambda k: k * math.tau / omega)))
+    # about one run in five diverges, through its thrust or its forcing
+    wild = draw(st.sampled_from([None] * 8 + ["thrust", "forcing"]))
+    if wild == "thrust":
+        boat = replace(boat, k_thrust=1e300)
+    elif wild == "forcing":
+        cfg = replace(cfg, K=1e300)
+    kind = draw(st.sampled_from(MissionKind))
+    duration = draw(st.sampled_from([0.0, 0.004, 3.0]) | st.floats(0.0, 3.0))
+
+    def schedule(values, max_size):
+        # times in [0, duration], in order, some on the inner grid
+        fractions = st.floats(0.0, 1.0) | st.integers(0, 625).map(lambda k: k / 625)
+        entries = draw(st.lists(st.tuples(fractions, values), max_size=max_size))
+        return tuple(sorted((f * duration, v) for f, v in entries))
+
+    spec = {"kind": kind, "duration": duration, "heading": draw(_ANGLE),
+            "disturbances": schedule(st.tuples(*[st.floats(-0.1, 0.1)] * 2), 3),
+            "initial_theta": draw(st.none() | _ANGLE),
+            "start": draw(st.just((0.0, 0.0)) | _POINT)}
+    if kind in (MissionKind.WAYPOINTS, MissionKind.STATION_KEEP):
+        waypoints = draw(st.lists(_POINT, min_size=1, max_size=4))
+        assume(not any(coincident(p0, p1) for p0, p1 in zip(waypoints, waypoints[1:])))
+        spec.update(waypoints=tuple(waypoints),
+                    tolerance_radius=draw(st.floats(0.05, 0.3)))
+        if draw(st.booleans()):
+            spec["start"] = waypoints[0]
+    else:
+        spec["step_schedule"] = schedule(_ANGLE, 4)
+    return boat, cfg, MissionSpec(**spec)
+
+
+_DESAT = ControllerConfig(mode=ControlMode.DESATURATED_THRUST_DIRECTION)
+
+
+@settings(max_examples=150)
+@given(run=_missions())
+# a start on the first waypoint targets the second from row 0
+@example(run=(BoatParams(), _DESAT, MissionSpec(
+    kind=MissionKind.WAYPOINTS, duration=1.0, waypoints=((0.0, 0.0), (1.0, 0.0)))))
+# finite throughout, but the hull angle runs past where wrap_to_pi is exact
+@example(run=(BoatParams(C_f=0.0, mass=1e300), ControllerConfig(K=1e300),
+              MissionSpec(kind=MissionKind.CONVERGE, duration=2.0)))
+# finite state on its one row, but the torque recorded there overflows
+@example(run=(BoatParams(), ControllerConfig(mode=ControlMode.LIMIT_CYCLE_ONLY, K=1e308,
+                                             beta=1e308),
+              MissionSpec(kind=MissionKind.CONVERGE, duration=0.0,
+                          initial_theta=-7.853981633974483)))
+def test_run_mission_matches_the_reference_loop_bit_for_bit(run):
+    # the reference stores every column on every row, as the log once did
+    try:
+        log = run_mission(*run)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as reference:
+            run_mission_reference(*run)
+        assert str(reference.value) == str(exc)
+        return
+    floats, index = run_mission_reference(*run)
+    for k, name in enumerate(TELEMETRY_COLUMNS[:-1]):
+        assert log.column(name).tobytes() == floats[:, k].tobytes(), name
+    starts = run_starts(index)
+    assert log.waypoint_steps.tolist() == np.stack([starts, index[starts]], 1).tolist()
+    assert log.waypoint_index.tobytes() == index.tobytes()
 
 
 def _nudged(x):
