@@ -214,12 +214,11 @@ def write_telemetry_csv(log: TelemetryLog, path) -> None:
     from .csvtext import csv_rows
     # one chunk of the float columns, refilled for every chunk
     chunk = np.empty((_CSV_CHUNK_ROWS, len(TELEMETRY_COLUMNS) - 1))
+    starts = range(0, len(log), _CSV_CHUNK_ROWS)
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
-        for start in range(0, len(log), _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, len(log))
-            fh.write(csv_rows(log.float_rows(start, stop, chunk),
-                              log.index_rows(start, stop)))
+        for start, floats in zip(starts, log.float_chunks(chunk)):
+            fh.write(csv_rows(floats, log.index_rows(start, start + len(floats))))
 
 
 # -------------------------------------------------------------------- metrics
@@ -235,7 +234,8 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         vals["steady_speed_mps"] = [float(np.mean(speed))]
 
     if spec.kind is MissionKind.CONVERGE:
-        err = wrap_to_pi(float(np.mean(log.theta[tail])) - float(log.theta_r[-1]))
+        # theta_r of the last run, which holds the last row
+        err = wrap_to_pi(float(np.mean(log.theta[tail])) - float(log.held[-1, 0]))
         vals["heading_error_rad"] = [abs(err)]
 
     if spec.kind is MissionKind.STEP_TEST:

@@ -10,6 +10,7 @@ identical inputs produce bit-identical telemetry.
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -28,8 +29,8 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 80 B per tick and 32 B per outer tick, about 95 B a tick,
-# so this caps a run's log near 0.95 GB; a sweep holds one such run at a time.
+# preallocated at 64 B per tick and 32 B per outer tick, about 79 B a tick,
+# so this caps a run's log near 0.8 GB; a sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
 # initial_theta, a step change), rad.  Real commands are a few turns; near
@@ -109,19 +110,22 @@ TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot",
 # the outer loop's outputs, which change only on outer ticks: a log keeps
 # them once per run of rows, in this order
 HELD_COLUMNS = ("theta_r", "theta_des", "psi_hat")
+# the motor state, integrated from tau with the motor at rest, and
+# theta_t_dot, which is theta_dot + phi_dot: a log computes them
+DERIVED_COLUMNS = ("phi", "phi_dot", "theta_t_dot")
 # the columns a log stores per row, in row order: the floats but the held
-# ones and theta_t_dot, which is theta_dot + phi_dot
+# and derived ones
 STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
-                       if name != "theta_t_dot" and name not in HELD_COLUMNS)
+                       if name not in DERIVED_COLUMNS and name not in HELD_COLUMNS)
 _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
-# theta_t_dot's place among the floats, the stored columns summed into it,
-# and the held columns' places, side by side; the stored columns fill the
-# other places in order
-_RATE = TELEMETRY_COLUMNS.index("theta_t_dot")
-_THETA_DOT, _PHI_DOT = STORED_COLUMNS.index("theta_dot"), STORED_COLUMNS.index("phi_dot")
+# the derived and held columns' places among the floats, side by side, and
+# the stored columns' places among the stored ones; the stored columns fill
+# the other places among the floats in order, tau last
+_PHI, _PHI_DOT, _RATE = (TELEMETRY_COLUMNS.index(name) for name in DERIVED_COLUMNS)
 _HELD_AT = TELEMETRY_COLUMNS.index(HELD_COLUMNS[0])
 _HELD_END = _HELD_AT + len(HELD_COLUMNS)
+_THETA_DOT, _X, _TAU = (STORED_COLUMNS.index(name) for name in ("theta_dot", "x", "tau"))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -152,21 +156,51 @@ def _outer_rows(n: int) -> np.ndarray:
     return rows
 
 
+# The motor's acceleration is tau, held over each step, which rk4_step
+# integrates exactly: phi_dot + tau * dt and phi + phi_dot * dt + 0.5 * tau *
+# dt * dt.  An accumulated sum adds in order, so the two below repeat those
+# sums bit for bit.  Python floats overflow to inf and give NaN without a
+# warning, so their callers turn numpy's overflow and invalid warnings off.
+
+def _motor_rates(tau: np.ndarray, phi_dot: float) -> np.ndarray:
+    """The motor rate from phi_dot on, at each row of tau and one past it."""
+    rates = np.empty(len(tau) + 1)
+    rates[0] = phi_dot
+    np.multiply(tau, INNER_DT, out=rates[1:])
+    return np.add.accumulate(rates, out=rates)
+
+
+def _motor_angles(tau: np.ndarray, rates: np.ndarray, phi: float) -> np.ndarray:
+    """The motor angle from phi on under tau and its rates (_motor_rates),
+    at each row of tau and one past it, as a strided view."""
+    # phi, then each step's two terms in the order rk4_step adds them
+    terms = np.empty(2 * len(tau) + 1)
+    terms[0] = phi
+    np.multiply(rates[:-1], INNER_DT, out=terms[1::2])
+    half = terms[2::2]
+    np.multiply(tau, 0.5, out=half)
+    half *= INNER_DT
+    half *= INNER_DT
+    return np.add.accumulate(terms, out=terms)[::2]
+
+
 @dataclass(frozen=True)
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
     `rows` holds the stored float columns, one row per tick; each is a
-    property giving a view of it (`log.x` is `log.rows[:, 5]`).
+    property giving a view of it (`log.x` is `log.rows[:, 3]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index, and `held` one row of the HELD_COLUMNS per run
-    of rows starting at `held_starts`.  `theta_t_dot`, `waypoint_index` and
-    the held columns are computed from them on each access.  The log is
-    frozen, and every array it holds or keeps refuses writes; a view of an
-    array taken before the log was built can still write into it.
+    of rows starting at `held_starts`.  The motor angle and rate `phi` and
+    `phi_dot` are integrated from `tau` with the motor at rest, as the loop
+    integrates them.  They, `theta_t_dot`, `waypoint_index` and the held
+    columns are computed on each access.  The log is frozen, and every array
+    it holds or keeps refuses writes; a view of an array taken before the
+    log was built can still write into it.
     """
 
-    rows: np.ndarray            # (n, 10) float64, columns in STORED_COLUMNS order
+    rows: np.ndarray            # (n, 8) float64, columns in STORED_COLUMNS order
     waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
     held: np.ndarray            # (m, 3) float64, columns in HELD_COLUMNS order
     held_starts: np.ndarray     # (m,) int64, the first row of each run of held
@@ -212,9 +246,23 @@ class TelemetryLog:
         return getattr(self, name)
 
     @property
+    def phi(self) -> np.ndarray:
+        """The motor angle, integrated from tau as the loop integrates it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = _motor_angles(self.tau, _motor_rates(self.tau, 0.0), 0.0)
+        return _read_only(angles[:-1].copy())
+
+    @property
+    def phi_dot(self) -> np.ndarray:
+        """The motor rate, integrated from tau as the loop integrates it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(_motor_rates(self.tau, 0.0)[:-1])
+
+    @property
     def theta_t_dot(self) -> np.ndarray:
         """The reaction-mass rate theta_dot + phi_dot, summed as the loop sums it."""
-        return _read_only(self.rows[:, _THETA_DOT] + self.rows[:, _PHI_DOT])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(self.theta_dot + self.phi_dot)
 
     @property
     def waypoint_index(self) -> np.ndarray:
@@ -227,19 +275,28 @@ class TelemetryLog:
         starts, index = self.waypoint_steps.T
         return index[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
-    def float_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Rows start..stop - 1 of the 14 float columns in TELEMETRY_COLUMNS
-        order, written into the first stop - start rows of `out`, which are
-        returned."""
-        floats, stored = out[:stop - start], self.rows[start:stop]
-        floats[:, :_RATE] = stored[:, :_RATE]
-        np.add(stored[:, _THETA_DOT], stored[:, _PHI_DOT], out=floats[:, _RATE])
-        floats[:, _RATE + 1:_HELD_AT] = stored[:, _RATE:_HELD_AT - 1]
-        floats[:, _HELD_END:] = stored[:, _HELD_AT - 1:]
-        # each row's run is the last one starting at or before it
-        runs = np.searchsorted(self.held_starts, np.arange(start, stop), side="right") - 1
-        floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
-        return floats
+    def float_chunks(self, out: np.ndarray) -> Iterator[np.ndarray]:
+        """The 14 float columns in TELEMETRY_COLUMNS order, len(out) rows at
+        a time from row 0: each chunk is written into the first rows of
+        `out` and yielded before the next is written."""
+        phi = phi_dot = 0.0  # the motor state at the chunk's first row
+        for start in range(0, len(self), len(out)):
+            stored = self.rows[start:start + len(out)]
+            stop = start + len(stored)
+            floats, tau = out[:len(stored)], stored[:, _TAU]
+            floats[:, :_PHI] = stored[:, :_PHI]
+            with np.errstate(over="ignore", invalid="ignore"):
+                rates = _motor_rates(tau, phi_dot)
+                angles = _motor_angles(tau, rates, phi)
+                np.add(stored[:, _THETA_DOT], rates[:-1], out=floats[:, _RATE])
+            floats[:, _PHI], floats[:, _PHI_DOT] = angles[:-1], rates[:-1]
+            phi, phi_dot = angles[-1], rates[-1]
+            floats[:, _RATE + 1:_HELD_AT] = stored[:, _X:_TAU]
+            floats[:, _HELD_END:] = stored[:, _TAU:]
+            # each row's run is the last one starting at or before it
+            runs = np.searchsorted(self.held_starts, np.arange(start, stop), side="right") - 1
+            floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
+            yield floats
 
     @cached_property
     def psi_unwrapped(self) -> np.ndarray:
@@ -340,13 +397,14 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     # memoryviews of its columns give plain Python floats.  The waypoint
     # index is kept as its steps: the first row of each new index.
     block = np.empty((n_steps + 1, len(STORED_COLUMNS)))
-    t_col, theta_dot_col, phi_dot_col = (memoryview(block[:, k])
-                                         for k in (0, _THETA_DOT, _PHI_DOT))
+    t_col, theta_dot_col, tau_col = (memoryview(block[:, k])
+                                     for k in (0, _THETA_DOT, _TAU))
     waypoint_steps = [(0, 0)]
 
     # trailing one-period boxcar of the reaction-mass rate over rows lo..i,
-    # kept in desaturated mode only: the unwind test is its only reader
-    rate_sum = 0.0
+    # kept in desaturated mode only: the unwind test is its only reader.
+    # Row lo's motor rate is advanced from rest as rk4_step advances it.
+    rate_sum = phi_dot_lo = 0.0
     lo = active_idx = next_outer = held_at = 0
 
     for i in range(n_steps + 1):
@@ -363,7 +421,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             rate_sum += rate
             floor = t - period
             while lo < i and t_col[lo] <= floor:  # rows before i are written
-                rate_sum -= theta_dot_col[lo] + phi_dot_col[lo]
+                rate_sum -= theta_dot_col[lo] + phi_dot_lo
+                phi_dot_lo += tau_col[lo] * dt
                 lo += 1
 
         if i == next_outer:
@@ -406,8 +465,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         tau = torque_law(cfg, t, theta, theta_r)
 
-        pack_row(block, row_size * i, t, theta, theta_dot, phi, phi_dot, x, y,
-                 vx, vy, tau)
+        pack_row(block, row_size * i, t, theta, theta_dot, x, y, vx, vy, tau)
 
         if i == n_steps:
             break

@@ -29,8 +29,9 @@ def run_starts(values):
 
 def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     """A TelemetryLog from its 14 float columns, an (n, 14) array in
-    TELEMETRY_COLUMNS order, and its waypoint index per row.  The
-    theta_t_dot column is not kept: the log derives it.  A run of the held
+    TELEMETRY_COLUMNS order, and its waypoint index per row.  The phi,
+    phi_dot and theta_t_dot columns are not kept: the log derives them from
+    tau and theta_dot, with the motor at rest in row 0.  A run of the held
     columns starts wherever one of them changes its bits, so -0.0 and every
     NaN payload come back as given."""
     floats = np.asarray(floats, dtype=float)

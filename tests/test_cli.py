@@ -18,7 +18,8 @@ from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POIN
                            MAX_TOTAL_TICKS, load_preset, main, parse_scenario,
                            preset_names, report_metrics, render_report_dat,
                            render_report_text, write_telemetry_csv)
-from paddlesim.control import ControlMode
+from paddlesim.control import ControlMode, wrap_to_pi
+from paddlesim.csvtext import csv_rows
 from paddlesim.metrics import NotSettled
 from paddlesim.mission import (HELD_COLUMNS, MAX_TICKS, STORED_COLUMNS,
                                TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
@@ -365,8 +366,30 @@ def test_csv_bytes_match_reference_formatter(tmp_path, n_rows):
     idx = rng.integers(0, 50, n_rows)
     idx[-1] = np.iinfo(np.int64).max
     idx[0] = 10**15
-    log = telemetry_log(np.stack(cols, axis=1), idx)
+    # every column through the formatter as given, the motor state included,
+    # which a log derives from tau
+    floats = np.stack(cols, axis=1)
+    assert csv_rows(floats, idx) == "".join(
+        ",".join(f"{v:.9g}" for v in row) + f",{k:d}\n"
+        for row, k in zip(floats.tolist(), idx.tolist())).encode()
+    log = telemetry_log(floats, idx)
     path = tmp_path / "edge.csv"
+    write_telemetry_csv(log, path)
+    assert path.read_bytes() == reference_csv(log).encode()
+
+
+@pytest.mark.parametrize("n_rows", [_CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+                                    2 * _CSV_CHUNK_ROWS - 1, 2 * _CSV_CHUNK_ROWS,
+                                    2 * _CSV_CHUNK_ROWS + 1])
+def test_csv_of_a_desaturated_run_at_chunk_edges(tmp_path, n_rows):
+    # the writer carries the motor state from chunk to chunk; the reference
+    # reads the columns integrated over the whole log
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=(n_rows - 1) / 250.0,
+                       initial_theta=-1.0, step_schedule=((1.0, 2.5),))
+    log = run_mission(BoatParams(), ControllerConfig(
+        mode=ControlMode.DESATURATED_THRUST_DIRECTION), spec)
+    assert len(log) == n_rows and np.ptp(log.phi_dot) > 1.0
+    path = tmp_path / "desaturated.csv"
     write_telemetry_csv(log, path)
     assert path.read_bytes() == reference_csv(log).encode()
 
@@ -389,7 +412,7 @@ def test_csv_is_written_from_the_log_row_block(tmp_path):
             setattr(log, name, log.column(name) + 1)
     assert all(log.column(name).base is log.rows for name in STORED_COLUMNS)
     # the computed columns refuse a write, which would be lost
-    for name in ("theta_t_dot", "waypoint_index", *HELD_COLUMNS):
+    for name in ("phi", "phi_dot", "theta_t_dot", "waypoint_index", *HELD_COLUMNS):
         with pytest.raises(ValueError, match="read-only"):
             log.column(name)[0] = 1
 
@@ -788,9 +811,22 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
     assert peak < 12 * _CSV_CHUNK_ROWS * 14 * 8  # about 8.4 chunks of floats
 
 
+def test_converge_report_reads_the_last_reference_from_its_run():
+    # the heading error reads the last row's theta_r from the last run of
+    # held; repeating the whole column to read one value peaked at 2.2
+    # columns of floats, and the tail speeds now set the peak at 0.25
+    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=600.0)
+    log = run_mission(BoatParams(), ControllerConfig(), spec)
+    report, peak = traced_peak(lambda: report_metrics([log], spec))
+    tail = log.t >= 0.75 * log.t[-1]
+    err = wrap_to_pi(float(np.mean(log.theta[tail])) - float(log.theta_r[-1]))
+    assert report["heading_error_rad"]["median"] == abs(err)
+    assert peak <= 0.3 * 8 * len(log)
+
+
 def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     # each point's log is freed before the next point simulates, so the
-    # peak is one log plus the report and CSV-chunk temporaries, about 1.35
+    # peak is one log plus the report and CSV-chunk temporaries, about 1.43
     # logs; with the first log still alive it was about 2.3
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"

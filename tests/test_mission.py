@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
-from helpers import run_step_test, stored_bytes, traced_peak
+from helpers import run_step_test, stored_bytes, telemetry_log, traced_peak
 from paddlesim.cli import load_preset, parse_scenario
 from paddlesim.control import ControlMode, ControllerConfig
-from paddlesim.dynamics import INNER_DT, BoatParams
+from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
 from paddlesim.mission import (HELD_COLUMNS, MAX_POSITION, TELEMETRY_COLUMNS,
                                ConfigError, MissionKind, MissionSpec, TelemetryLog,
                                _OUTER_GAPS, run_mission, waypoint_heading)
@@ -245,7 +246,7 @@ def test_telemetry_column_access():
         log.column("nope")
 
 
-_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 10\)"
+_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 8\)"
 _BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
 _BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
 _BAD_HELD = r"held must be a float64 array of shape \(m, 3\)"
@@ -266,35 +267,35 @@ def _runs(*starts):
 
 # a bad index would otherwise fail only later, inside the CSV writer
 @pytest.mark.parametrize("rows, steps, held, held_starts, message", [
-    (np.zeros((3, 11)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                # a held column stored
-    (np.zeros((2, 10)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),  # a step past the end
-    (np.zeros((3, 10), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
+    (np.zeros((3, 10)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                # the motor state stored
+    (np.zeros((2, 8)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
+    (np.zeros((3, 8), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
     (np.zeros(3), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
-    (np.zeros((3, 10)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),         # float
-    (np.zeros((3, 10)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                 # a list
-    (np.zeros((3, 10)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
-    (np.zeros((3, 10)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
-    (np.zeros((3, 10)), _steps(), *_ONE_RUN, _BAD_STARTS),                # no row 0
-    (np.zeros((3, 10)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 10)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 10)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((0, 10)), _ONE_STEP, *_runs(), _BAD_STARTS),
-    (np.zeros((3, 10)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),  # index unchanged
-    (np.zeros((3, 10)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 10)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 10)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 10)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
-    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
-    (np.zeros((3, 10)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
-    (np.zeros((3, 10)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
+    (np.zeros((3, 8)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),          # float
+    (np.zeros((3, 8)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                  # a list
+    (np.zeros((3, 8)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
+    (np.zeros((3, 8)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
+    (np.zeros((3, 8)), _steps(), *_ONE_RUN, _BAD_STARTS),                 # no row 0
+    (np.zeros((3, 8)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 8)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 8)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((0, 8)), _ONE_STEP, *_runs(), _BAD_STARTS),
+    (np.zeros((3, 8)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
+    (np.zeros((3, 8)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 8)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 8)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 8)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
+    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
+    (np.zeros((3, 8)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
+    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
      _BAD_HELD_STARTS),
-    (np.zeros((3, 10)), _ONE_STEP, *_runs(), _BAD_RUNS),
-    (np.zeros((3, 10)), _ONE_STEP, *_runs(1), _BAD_RUNS),
-    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
-    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
-    (np.zeros((3, 10)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
-    (np.zeros((0, 10)), _steps(), *_ONE_RUN, _BAD_RUNS),
+    (np.zeros((3, 8)), _ONE_STEP, *_runs(), _BAD_RUNS),
+    (np.zeros((3, 8)), _ONE_STEP, *_runs(1), _BAD_RUNS),
+    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
+    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
+    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
+    (np.zeros((0, 8)), _steps(), *_ONE_RUN, _BAD_RUNS),
 ], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
         "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
         "decreasing-row", "step-in-empty-log", "unchanged-index", "int-held",
@@ -308,23 +309,26 @@ def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_sta
 
 
 def test_telemetry_log_decodes_its_index_from_the_steps():
-    log = TelemetryLog(np.zeros((6, 10)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
+    log = TelemetryLog(np.zeros((6, 8)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
     assert log.waypoint_index.tolist() == [7, -1, -1, -1, 2**62, 2**62]
     assert log.waypoint_index.dtype == np.int64
     for start in range(7):
         for stop in range(start, 7):
             assert np.array_equal(log.index_rows(start, stop),
                                   log.waypoint_index[start:stop])
-    empty = TelemetryLog(np.zeros((0, 10)), _steps(), *_runs())
+    empty = TelemetryLog(np.zeros((0, 8)), _steps(), *_runs())
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
     assert empty.psi_hat.shape == (0,)
 
 
+# a quiet NaN with a payload
+_TINY_NAN = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
+
+
 def test_telemetry_log_decodes_its_held_columns_from_the_runs():
     # a run need not change a value; -0.0 and a NaN payload keep their bits
-    nan = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
-    held = np.array([[1.0, -0.0, nan], [1.0, -0.0, nan], [2.0, 0.0, -3.5]])
-    rows = np.arange(70.0).reshape(7, 10)
+    held = np.array([[1.0, -0.0, _TINY_NAN], [1.0, -0.0, _TINY_NAN], [2.0, 0.0, -3.5]])
+    rows = np.arange(56.0).reshape(7, 8)
     log = TelemetryLog(rows, _ONE_STEP, held, np.array([0, 1, 5], dtype=np.int64))
     expected = held[[0, 1, 1, 1, 1, 2, 2]]
     for k, name in enumerate(HELD_COLUMNS):
@@ -333,11 +337,70 @@ def test_telemetry_log_decodes_its_held_columns_from_the_runs():
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.0
     floats = np.stack([log.column(name) for name in TELEMETRY_COLUMNS[:-1]], axis=1)
-    out = np.full((7, len(TELEMETRY_COLUMNS) - 1), 9.0)
-    for start in range(8):
-        for stop in range(start, 8):
-            chunk = log.float_rows(start, stop, out)
-            assert chunk.tobytes() == floats[start:stop].tobytes()
+    for size in range(1, 9):
+        out = np.full((size, len(TELEMETRY_COLUMNS) - 1), 9.0)
+        chunks = [chunk.copy() for chunk in log.float_chunks(out)]
+        assert [len(chunk) for chunk in chunks] == [min(size, 7 - start)
+                                                    for start in range(0, 7, size)]
+        assert np.concatenate(chunks).tobytes() == floats.tobytes()
+
+
+def _motor_loop(tau):
+    """phi and phi_dot at each row under the motor accelerations tau, from
+    rest, advanced by rk4_step in Python floats."""
+    phi = phi_dot = 0.0
+    angles, rates = [], []
+    for a in tau.tolist():
+        angles.append(phi)
+        rates.append(phi_dot)
+        _, _, phi, phi_dot, *_ = rk4_step(BoatParams(), 0.0, 0.0, phi, phi_dot, 0.0, 0.0,
+                                          0.0, 0.0, a, 0.0, 0.0, INNER_DT)
+    return np.array(angles, dtype=float), np.array(rates, dtype=float)
+
+
+@pytest.mark.parametrize("tau", [
+    np.array([1.5, -0.0, -2.0, 0.25, 1e-300, -3.0]),
+    np.full(500, 1e308),                          # the rate overflows to inf
+    np.array([3.0, 1e308, -1.7976931348623157e308, 2.0]),
+    np.array([1.0, math.inf, 2.0, -math.inf, 5.0]),  # then inf - inf
+    np.array([-math.inf, -1.0, 4.0]),
+    np.array([1.0, _TINY_NAN, 2.0, math.nan]),    # a NaN payload carried on
+    np.concatenate([np.linspace(-40.0, 40.0, 997), [1e308, math.inf, math.nan]]),
+], ids=["finite", "overflow", "largest", "inf", "-inf", "nan", "long-then-edges"])
+def test_motor_columns_are_integrated_from_tau(tau):
+    # each derived column matches the plant's Python floats bit for bit,
+    # non-finite values included, with no numpy overflow or invalid warning,
+    # over the whole log and chunk by chunk
+    n = len(tau)
+    floats = np.zeros((n, len(TELEMETRY_COLUMNS) - 1))
+    floats[:, TELEMETRY_COLUMNS.index("tau")] = tau
+    theta_dot = np.resize([0.5, -math.inf, 1e308, math.inf], n)
+    floats[:, TELEMETRY_COLUMNS.index("theta_dot")] = theta_dot
+    angles, rates = _motor_loop(tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = telemetry_log(floats, np.zeros(n))
+        assert log.phi.tobytes() == angles.tobytes()
+        assert log.phi_dot.tobytes() == rates.tobytes()
+        assert log.theta_t_dot.tobytes() == np.array(
+            [w + r for w, r in zip(theta_dot.tolist(), rates.tolist())]).tobytes()
+        floats = np.stack([log.column(name) for name in TELEMETRY_COLUMNS[:-1]], axis=1)
+        for size in (1, 7, 512):
+            out = np.empty((size, len(TELEMETRY_COLUMNS) - 1))
+            chunks = [chunk.copy() for chunk in log.float_chunks(out)]
+            assert np.concatenate(chunks).tobytes() == floats.tobytes()
+
+
+def test_motor_columns_of_empty_and_one_row_logs():
+    empty = TelemetryLog(np.zeros((0, 8)), _steps(), *_runs())
+    assert empty.phi.shape == empty.phi_dot.shape == (0,)
+    assert list(empty.float_chunks(np.empty((4, len(TELEMETRY_COLUMNS) - 1)))) == []
+    one = TelemetryLog(np.full((1, 8), 7.0), _ONE_STEP, *_ONE_RUN)
+    assert one.phi.tolist() == [0.0] and one.phi_dot.tolist() == [0.0]
+    assert one.theta_t_dot.tolist() == [7.0]  # the motor starts at rest
+    for name in ("phi", "phi_dot"):
+        with pytest.raises(ValueError, match="read-only"):
+            one.column(name)[0] = 1.0
 
 
 def test_telemetry_log_is_frozen_and_refuses_writes():
@@ -347,7 +410,7 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
                       MissionSpec(kind=MissionKind.WAYPOINTS, duration=2.0,
                                   waypoints=((0.0, 0.0), (0.0, 1.0))))
     psi = log.psi_unwrapped
-    for name, value in (("rows", np.zeros((3, 10))), ("waypoint_steps", np.zeros(3)),
+    for name, value in (("rows", np.zeros((3, 8))), ("waypoint_steps", np.zeros(3)),
                         ("held", np.zeros((1, 3))), ("held_starts", np.zeros(1)),
                         ("period", 2.0)):
         with pytest.raises(FrozenInstanceError):
@@ -365,6 +428,8 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     with pytest.raises(ValueError, match="read-only"):
         log.psi_hat[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
+        log.phi_dot[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
         log.psi_unwrapped[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         log.psi_suffix_max[0] = 0.0
@@ -379,24 +444,25 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
-def test_telemetry_log_stores_80_bytes_a_tick_32_an_outer_tick_and_16_a_step():
-    # 10 float64 columns a tick; the reaction-mass rate is computed on
-    # access, the outer loop's 3 outputs are one row and one start per outer
-    # tick, and the waypoint index is one (first row, index) pair per change
+def test_telemetry_log_stores_64_bytes_a_tick_32_an_outer_tick_and_16_a_step():
+    # 8 float64 columns a tick; the motor state and the reaction-mass rate
+    # are computed on access, the outer loop's 3 outputs are one row and one
+    # start per outer tick, and the waypoint index is one (first row, index)
+    # pair per change
     (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
     log = run_mission(boat, control, replace(mission, duration=40.0))
     ticks, steps = len(log), len(log.waypoint_steps)
     outer = outer_tick_indices(ticks)
     assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
     assert np.array_equal(log.held_starts, outer)
-    assert stored_bytes(log) == 80 * ticks + 32 * len(outer) + 16 * steps
+    assert stored_bytes(log) == 64 * ticks + 32 * len(outer) + 16 * steps
     assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
 
 
 @pytest.mark.parametrize("preset", ["waypoint-square", "congruent-step"])
 def test_run_mission_peak_memory_is_its_log(preset):
     # the row and held blocks are preallocated and filled in place, and the
-    # rest of the loop's memory does not grow with the run (about 47 KB, 4.9%
+    # rest of the loop's memory does not grow with the run (about 47 KB, 6%
     # of a 40 s log), so 40 s of each preset show it; tracing slows the loop
     # about 27 times
     (_, boat, control, mission), = parse_scenario(load_preset(preset)).points
@@ -500,6 +566,24 @@ def test_long_mission_workload_matches_its_recorded_digests():
         json.dumps(report, sort_keys=True).encode()).hexdigest()
     recorded = json.loads((_PERFBENCH / "digests.json").read_text())
     assert outputs == recorded["long-mission"]["0"]
+
+
+def test_sweep_batch_workload_matches_its_recorded_digests(tmp_path):
+    # the benchmark's desaturated 2x2 waypoint sweep with impulses and
+    # repeats at seed 0, through the CLI as its worker runs it: each CSV and
+    # report against digests.json
+    from paddlesim.cli import main
+    workloads = _perfbench_module("workloads")
+    config = tmp_path / "sweep-batch.cfg"
+    config.write_text(workloads.sweep_config(0))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out-dir", str(out)]) == 0
+    names = [name for stem, csvs in workloads.sweep_outputs().items()
+             for name in (*csvs, f"{stem}_metrics.txt", f"{stem}_metrics.dat")]
+    outputs = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in names}
+    recorded = json.loads((_PERFBENCH / "digests.json").read_text())
+    assert outputs == recorded["sweep-batch"]["0"]
 
 
 def test_wrapped_names_see_every_call(monkeypatch):
