@@ -227,15 +227,18 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
                      strict_settle: bool) -> dict[str, list[float]]:
     vals: dict[str, list[float]] = {}
     span = log.t[-1] - log.t[0]
-    tail = slice(int(np.searchsorted(log.t, log.t[0] + 0.75 * span, side="left")), None)
+    first = int(np.searchsorted(log.t, log.t[0] + 0.75 * span, side="left"))
 
     if spec.kind in (MissionKind.CONVERGE, MissionKind.STEP_TEST):
-        speed = np.hypot(log.vx[tail], log.vy[tail])
+        speed = np.hypot(log.vx[first:], log.vy[first:])
         vals["steady_speed_mps"] = [float(np.mean(speed))]
+        del speed  # freed before the hull angles of the tail
 
     if spec.kind is MissionKind.CONVERGE:
-        # theta_r of the last run, which holds the last row
-        err = wrap_to_pi(float(np.mean(log.theta[tail])) - float(log.held[-1, 0]))
+        # only the tail's hull angles; theta_r of the last run, which holds
+        # the last row
+        theta = log.derived_rows("theta", first, len(log))
+        err = wrap_to_pi(float(np.mean(theta)) - float(log.held[-1, 0]))
         vals["heading_error_rad"] = [abs(err)]
 
     if spec.kind is MissionKind.STEP_TEST:

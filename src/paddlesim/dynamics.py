@@ -11,6 +11,8 @@ from math import hypot
 from dataclasses import dataclass, fields
 from sys import float_info
 
+import numpy as np
+
 INNER_RATE = 250.0  # Hz, the plant step and motor command rate
 INNER_DT = 1.0 / INNER_RATE  # fixed integration step, s
 
@@ -144,3 +146,73 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
             y + sixth * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4),
             vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
             vy + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4))
+
+
+# The plant's step order over arrays, for a log that keeps the hull rate and
+# the motor command and derives the angles from them.  Each repeats
+# rk4_step's update op for op, and an accumulated sum adds in order, so they
+# give its Python floats bit for bit.  Python floats overflow to inf and give
+# NaN without a warning, so their callers turn numpy's overflow and invalid
+# warnings off.
+
+def hull_angles(params: BoatParams, theta_dot: np.ndarray, tau: np.ndarray,
+                theta: float) -> np.ndarray:
+    """The hull angle from theta on under the hull rates theta_dot and the
+    motor accelerations tau, at each row of tau and one past it: rk4_step's
+    theta update, k4 unused."""
+    C_f, C_r, _, _, I_t, neg_inertia = params._step_constants
+    dt = INNER_DT
+    w = theta_dot
+    motor = I_t * tau
+    # each stage's rate s and acceleration k, written in place with
+    # rk4_step's operands in its order
+    s, k, scratch = np.empty(len(tau)), np.empty(len(tau)), np.empty(len(tau))
+    angles = np.empty(len(tau) + 1)
+    angles[0] = theta
+    inc = angles[1:]
+
+    def accel(v):
+        """k = (C_f * v * (v if v > 0.0 else -v) + C_r * v + motor) / neg_inertia"""
+        np.multiply(C_f, v, out=k)
+        np.negative(v, out=scratch)
+        np.copyto(scratch, v, where=v > 0.0)
+        np.multiply(k, scratch, out=k)
+        np.add(k, np.multiply(C_r, v, out=scratch), out=k)
+        np.add(k, motor, out=k)
+        np.divide(k, neg_inertia, out=k)
+
+    accel(w)
+    np.add(w, np.multiply(0.5 * dt, k, out=k), out=s)     # s2
+    np.add(w, np.multiply(2.0, s, out=inc), out=inc)      # w + 2.0 * s2
+    accel(s)
+    np.add(w, np.multiply(0.5 * dt, k, out=k), out=s)     # s3
+    inc += np.multiply(2.0, s, out=k)
+    accel(s)
+    np.add(w, np.multiply(dt, k, out=k), out=s)           # s4
+    inc += s
+    np.multiply(dt / 6.0, inc, out=inc)
+    return np.add.accumulate(angles, out=angles)
+
+
+def motor_rates(tau: np.ndarray, phi_dot: float) -> np.ndarray:
+    """The motor rate from phi_dot on, at each row of tau and one past it:
+    phi_dot + tau * dt, tau held over each step."""
+    rates = np.empty(len(tau) + 1)
+    rates[0] = phi_dot
+    np.multiply(tau, INNER_DT, out=rates[1:])
+    return np.add.accumulate(rates, out=rates)
+
+
+def motor_angles(tau: np.ndarray, rates: np.ndarray, phi: float) -> np.ndarray:
+    """The motor angle from phi on under tau and its rates (motor_rates), at
+    each row of tau and one past it, as a strided view: phi + phi_dot * dt +
+    0.5 * tau * dt * dt."""
+    # phi, then each step's two terms in the order rk4_step adds them
+    terms = np.empty(2 * len(tau) + 1)
+    terms[0] = phi
+    np.multiply(rates[:-1], INNER_DT, out=terms[1::2])
+    half = terms[2::2]
+    np.multiply(tau, 0.5, out=half)
+    half *= INNER_DT
+    half *= INNER_DT
+    return np.add.accumulate(terms, out=terms)[::2]

@@ -106,7 +106,7 @@ def measure_turn(log: TelemetryLog, command_time: float, delta: float) -> TurnEv
     rise = rise_time(log, command_time, delta)
     travel = travel_during_turn(log, command_time, command_time + rise)
     return TurnEvent(rise_time=rise, travel_distance=travel,
-                     travel_BL=travel / log.body_length)
+                     travel_BL=travel / log.params.body_length)
 
 
 def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:

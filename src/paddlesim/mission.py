@@ -22,15 +22,15 @@ from .control import (ControlMode, ControllerConfig, ReferenceState,
                       desaturate_reference, desaturated_torque,
                       limit_cycle_torque, outer_loop_reference, wrap_to_pi)
 from .dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError, check_fields,
-                       rk4_step)
+                       hull_angles, motor_angles, motor_rates, rk4_step)
 from .estimation import TravelEstimator
 
 # the 120 Hz outer loop: 12 outer ticks per 25 inner ticks; eleven gaps of 2
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 64 B per tick and 32 B per outer tick, about 79 B a tick,
-# so this caps a run's log near 0.8 GB; a sweep holds one such run at a time.
+# preallocated at 56 B per tick and 32 B per outer tick, about 71 B a tick,
+# so this caps a run's log near 0.7 GB; a sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
 # initial_theta, a step change), rad.  Real commands are a few turns; near
@@ -110,22 +110,26 @@ TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot",
 # the outer loop's outputs, which change only on outer ticks: a log keeps
 # them once per run of rows, in this order
 HELD_COLUMNS = ("theta_r", "theta_des", "psi_hat")
-# the motor state, integrated from tau with the motor at rest, and
-# theta_t_dot, which is theta_dot + phi_dot: a log computes them
-DERIVED_COLUMNS = ("phi", "phi_dot", "theta_t_dot")
+# the hull angle, integrated from theta_dot and tau; the motor state,
+# integrated from tau with the motor at rest; and theta_t_dot, which is
+# theta_dot + phi_dot: a log computes them
+DERIVED_COLUMNS = ("theta", "phi", "phi_dot", "theta_t_dot")
+# rows of a derived column computed at a time by a whole-column read
+_DERIVE_ROWS = 512
 # the columns a log stores per row, in row order: the floats but the held
 # and derived ones
 STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
                        if name not in DERIVED_COLUMNS and name not in HELD_COLUMNS)
 _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
-# the derived and held columns' places among the floats, side by side, and
-# the stored columns' places among the stored ones; the stored columns fill
-# the other places among the floats in order, tau last
-_PHI, _PHI_DOT, _RATE = (TELEMETRY_COLUMNS.index(name) for name in DERIVED_COLUMNS)
+# the derived and held columns' places among the floats, and the stored
+# columns' places among the stored ones; the stored columns fill the other
+# places among the floats in order: t, theta_dot, x to vy, then tau last
+_DERIVED_AT = tuple(TELEMETRY_COLUMNS.index(name) for name in DERIVED_COLUMNS)
 _HELD_AT = TELEMETRY_COLUMNS.index(HELD_COLUMNS[0])
 _HELD_END = _HELD_AT + len(HELD_COLUMNS)
 _THETA_DOT, _X, _TAU = (STORED_COLUMNS.index(name) for name in ("theta_dot", "x", "tau"))
+_THETA_DOT_AT, _X_AT = (TELEMETRY_COLUMNS.index(name) for name in ("theta_dot", "x"))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -156,56 +160,30 @@ def _outer_rows(n: int) -> np.ndarray:
     return rows
 
 
-# The motor's acceleration is tau, held over each step, which rk4_step
-# integrates exactly: phi_dot + tau * dt and phi + phi_dot * dt + 0.5 * tau *
-# dt * dt.  An accumulated sum adds in order, so the two below repeat those
-# sums bit for bit.  Python floats overflow to inf and give NaN without a
-# warning, so their callers turn numpy's overflow and invalid warnings off.
-
-def _motor_rates(tau: np.ndarray, phi_dot: float) -> np.ndarray:
-    """The motor rate from phi_dot on, at each row of tau and one past it."""
-    rates = np.empty(len(tau) + 1)
-    rates[0] = phi_dot
-    np.multiply(tau, INNER_DT, out=rates[1:])
-    return np.add.accumulate(rates, out=rates)
-
-
-def _motor_angles(tau: np.ndarray, rates: np.ndarray, phi: float) -> np.ndarray:
-    """The motor angle from phi on under tau and its rates (_motor_rates),
-    at each row of tau and one past it, as a strided view."""
-    # phi, then each step's two terms in the order rk4_step adds them
-    terms = np.empty(2 * len(tau) + 1)
-    terms[0] = phi
-    np.multiply(rates[:-1], INNER_DT, out=terms[1::2])
-    half = terms[2::2]
-    np.multiply(tau, 0.5, out=half)
-    half *= INNER_DT
-    half *= INNER_DT
-    return np.add.accumulate(terms, out=terms)[::2]
-
-
 @dataclass(frozen=True)
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
     `rows` holds the stored float columns, one row per tick; each is a
-    property giving a view of it (`log.x` is `log.rows[:, 3]`).
+    property giving a view of it (`log.x` is `log.rows[:, 2]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index, and `held` one row of the HELD_COLUMNS per run
-    of rows starting at `held_starts`.  The motor angle and rate `phi` and
-    `phi_dot` are integrated from `tau` with the motor at rest, as the loop
-    integrates them.  They, `theta_t_dot`, `waypoint_index` and the held
-    columns are computed on each access.  The log is frozen, and every array
-    it holds or keeps refuses writes; a view of an array taken before the
-    log was built can still write into it.
+    of rows starting at `held_starts`.  The hull angle `theta` is
+    integrated from `theta0` under `theta_dot` and `tau` by `params`, and the
+    motor angle and rate `phi` and `phi_dot` from `tau` with the motor at
+    rest, as the loop integrates them.  They (DERIVED_COLUMNS),
+    `waypoint_index` and the held columns are computed on each access.  The
+    log is frozen, and every array it holds or keeps refuses writes; a view
+    of an array taken before the log was built can still write into it.
     """
 
-    rows: np.ndarray            # (n, 8) float64, columns in STORED_COLUMNS order
+    rows: np.ndarray            # (n, 7) float64, columns in STORED_COLUMNS order
     waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
     held: np.ndarray            # (m, 3) float64, columns in HELD_COLUMNS order
     held_starts: np.ndarray     # (m,) int64, the first row of each run of held
     period: float = 1.0         # controller oscillation period, s
-    body_length: float = 0.15   # m, carried along for BL-normalised metrics
+    theta0: float = 0.0         # the hull angle at row 0, rad
+    params: BoatParams = BoatParams()  # the plant that ran; body_length for BL metrics
 
     def __post_init__(self):
         width = len(STORED_COLUMNS)
@@ -234,6 +212,8 @@ class TelemetryLog:
         if not _valid_starts(starts, n):
             raise ValueError("held_starts must start at row 0 and increase "
                              "within the log")
+        if not isinstance(self.params, BoatParams):
+            raise ValueError("params must be a BoatParams")
         for array in (self.rows, steps, held, starts):
             _read_only(array)
 
@@ -246,25 +226,6 @@ class TelemetryLog:
         return getattr(self, name)
 
     @property
-    def phi(self) -> np.ndarray:
-        """The motor angle, integrated from tau as the loop integrates it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            angles = _motor_angles(self.tau, _motor_rates(self.tau, 0.0), 0.0)
-        return _read_only(angles[:-1].copy())
-
-    @property
-    def phi_dot(self) -> np.ndarray:
-        """The motor rate, integrated from tau as the loop integrates it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _read_only(_motor_rates(self.tau, 0.0)[:-1])
-
-    @property
-    def theta_t_dot(self) -> np.ndarray:
-        """The reaction-mass rate theta_dot + phi_dot, summed as the loop sums it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _read_only(self.theta_dot + self.phi_dot)
-
-    @property
     def waypoint_index(self) -> np.ndarray:
         """The active waypoint index at every row, int64."""
         return _read_only(self.index_rows(0, len(self)))
@@ -275,27 +236,57 @@ class TelemetryLog:
         starts, index = self.waypoint_steps.T
         return index[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
 
+    def derived_rows(self, name: str, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop - 1 of a DERIVED_COLUMNS column, a new array.
+        Each is integrated on from row 0, so the rows before start are
+        computed too, a few hundred at a time, and not kept."""
+        if not 0 <= start <= stop <= len(self):
+            raise IndexError(f"rows {start}..{stop} are not within the log's {len(self)}")
+        k = DERIVED_COLUMNS.index(name)
+        out = np.empty(stop - start)
+        for first, columns in self._derived_chunks(_DERIVE_ROWS, stop):
+            end = first + len(columns[k])
+            if end > start:  # the chunk's rows from start on
+                out[max(first - start, 0):end - start] = columns[k][max(start - first, 0):]
+            del columns  # freed before the next chunk is computed
+        return out
+
+    def _derived_chunks(self, rows: int,
+                        stop: int) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
+        """The derived columns of rows 0..stop - 1, `rows` rows at a time:
+        each chunk's first row and its columns in DERIVED_COLUMNS order,
+        integrated on from the chunk before."""
+        theta, phi, phi_dot = self.theta0, 0.0, 0.0  # the state at the chunk's first row
+        for start in range(0, stop, rows):
+            stored = self.rows[start:min(start + rows, stop)]
+            theta_dot, tau = stored[:, _THETA_DOT], stored[:, _TAU]
+            with np.errstate(over="ignore", invalid="ignore"):
+                hull = hull_angles(self.params, theta_dot, tau, theta)
+                rates = motor_rates(tau, phi_dot)
+                angles = motor_angles(tau, rates, phi)
+                rate = theta_dot + rates[:-1]
+            theta, phi, phi_dot = hull[-1], angles[-1], rates[-1]
+            yield start, (hull[:-1], angles[:-1], rates[:-1], rate)
+            del hull, angles, rates, rate  # freed before the next chunk is computed
+
     def float_chunks(self, out: np.ndarray) -> Iterator[np.ndarray]:
         """The 14 float columns in TELEMETRY_COLUMNS order, len(out) rows at
         a time from row 0: each chunk is written into the first rows of
         `out` and yielded before the next is written."""
-        phi = phi_dot = 0.0  # the motor state at the chunk's first row
-        for start in range(0, len(self), len(out)):
+        for start, derived in self._derived_chunks(len(out), len(self)):
             stored = self.rows[start:start + len(out)]
-            stop = start + len(stored)
-            floats, tau = out[:len(stored)], stored[:, _TAU]
-            floats[:, :_PHI] = stored[:, :_PHI]
-            with np.errstate(over="ignore", invalid="ignore"):
-                rates = _motor_rates(tau, phi_dot)
-                angles = _motor_angles(tau, rates, phi)
-                np.add(stored[:, _THETA_DOT], rates[:-1], out=floats[:, _RATE])
-            floats[:, _PHI], floats[:, _PHI_DOT] = angles[:-1], rates[:-1]
-            phi, phi_dot = angles[-1], rates[-1]
-            floats[:, _RATE + 1:_HELD_AT] = stored[:, _X:_TAU]
+            floats = out[:len(stored)]
+            floats[:, 0] = stored[:, 0]
+            floats[:, _THETA_DOT_AT] = stored[:, _THETA_DOT]
+            floats[:, _X_AT:_HELD_AT] = stored[:, _X:_TAU]
+            for place, column in zip(_DERIVED_AT, derived):
+                floats[:, place] = column
             floats[:, _HELD_END:] = stored[:, _TAU:]
             # each row's run is the last one starting at or before it
-            runs = np.searchsorted(self.held_starts, np.arange(start, stop), side="right") - 1
+            runs = np.searchsorted(self.held_starts, np.arange(start, start + len(stored)),
+                                   side="right") - 1
             floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
+            del derived  # freed before the next chunk is computed
             yield floats
 
     @cached_property
@@ -322,6 +313,10 @@ for _k, _name in enumerate(STORED_COLUMNS):
 for _k, _name in enumerate(HELD_COLUMNS):
     setattr(TelemetryLog, _name, property(lambda log, k=_k: _read_only(
         np.repeat(log.held[:, k], np.diff(log.held_starts, append=len(log))))))
+# and each derived column: a new array integrated chunk by chunk, refusing writes
+for _name in DERIVED_COLUMNS:
+    setattr(TelemetryLog, _name, property(lambda log, name=_name: _read_only(
+        log.derived_rows(name, 0, len(log)))))
 
 
 def waypoint_heading(px: float, py: float, spec: MissionSpec,
@@ -379,9 +374,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     outer_gaps = cycle(_OUTER_GAPS)
 
     theta_des = _initial_desired_heading(spec)
-    # the plant state, as plain floats
+    # the plant state, as plain floats; the log derives theta from theta0
     t = 0.0
-    theta = spec.initial_theta if spec.initial_theta is not None else theta_des
+    theta = theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
     theta_dot = phi = phi_dot = vx = vy = 0.0
     x, y = spec.start
     theta_r = theta_des
@@ -465,7 +460,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         tau = torque_law(cfg, t, theta, theta_r)
 
-        pack_row(block, row_size * i, t, theta, theta_dot, x, y, vx, vy, tau)
+        pack_row(block, row_size * i, t, theta_dot, x, y, vx, vy, tau)
 
         if i == n_steps:
             break
@@ -477,4 +472,4 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
     return TelemetryLog(block, np.array(waypoint_steps, dtype=np.int64), held,
-                        held_starts, period=period, body_length=params.body_length)
+                        held_starts, period=period, theta0=theta0, params=params)

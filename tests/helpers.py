@@ -10,7 +10,8 @@ import numpy as np
 from paddlesim.control import (ControlMode, ReferenceState, desaturate_reference,
                                desaturated_torque, limit_cycle_torque,
                                outer_loop_reference, wrap_to_pi)
-from paddlesim.dynamics import INNER_DT, INNER_RATE, ConfigError, orientation_accel
+from paddlesim.dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError,
+                                orientation_accel)
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
 from paddlesim.mission import (HELD_COLUMNS, MAX_ANGLE, STORED_COLUMNS,
@@ -29,26 +30,28 @@ def run_starts(values):
 
 def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     """A TelemetryLog from its 14 float columns, an (n, 14) array in
-    TELEMETRY_COLUMNS order, and its waypoint index per row.  The phi,
-    phi_dot and theta_t_dot columns are not kept: the log derives them from
-    tau and theta_dot, with the motor at rest in row 0.  A run of the held
-    columns starts wherever one of them changes its bits, so -0.0 and every
-    NaN payload come back as given."""
+    TELEMETRY_COLUMNS order, and its waypoint index per row.  Of the derived
+    columns only row 0's theta is kept, as theta0: the log derives them
+    from tau and theta_dot under BoatParams(body_length=body_length), with
+    the motor at rest in row 0.  A run of the held columns starts wherever
+    one of them changes its bits, so -0.0 and every NaN payload come back
+    as given."""
     floats = np.asarray(floats, dtype=float)
     index = np.asarray(index, dtype=np.int64)
     stored = [TELEMETRY_COLUMNS.index(name) for name in STORED_COLUMNS]
     held = floats[:, [TELEMETRY_COLUMNS.index(name) for name in HELD_COLUMNS]]
     steps, runs = run_starts(index), run_starts(held.view(np.int64))
+    theta0 = float(floats[0, TELEMETRY_COLUMNS.index("theta")]) if len(floats) else 0.0
     return TelemetryLog(np.ascontiguousarray(floats[:, stored]),
                         np.stack([steps, index[steps]], axis=1), held[runs], runs,
-                        period=period, body_length=body_length)
+                        period=period, theta0=theta0,
+                        params=BoatParams(body_length=body_length))
 
 
-def make_log(t, *, x=None, y=None, psi_hat=None, theta=None, theta_r=None, index=None,
+def make_log(t, *, x=None, y=None, psi_hat=None, theta_r=None, index=None,
              period=1.0, body_length=0.15):
     """Synthetic telemetry with zeros for everything not supplied."""
-    given = {"t": t, "x": x, "y": y, "psi_hat": psi_hat, "theta": theta,
-             "theta_r": theta_r}
+    given = {"t": t, "x": x, "y": y, "psi_hat": psi_hat, "theta_r": theta_r}
     n = len(t)
     cols = [np.zeros(n) if given.get(name) is None else np.asarray(given[name], dtype=float)
             for name in TELEMETRY_COLUMNS[:-1]]

@@ -803,8 +803,7 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
     rng = np.random.default_rng(3)
     n_rows = 5 * _CSV_CHUNK_ROWS + 7
     log = make_log(np.arange(n_rows) / 250.0, x=rng.standard_normal(n_rows),
-                   y=rng.standard_normal(n_rows) * 1e-3, theta=rng.uniform(-3, 3, n_rows),
-                   index=np.arange(n_rows) % 7)
+                   y=rng.standard_normal(n_rows) * 1e-3, index=np.arange(n_rows) % 7)
     path = tmp_path / "peak.csv"
     write_telemetry_csv(log, path)  # the formatter's tables, built once
     _, peak = traced_peak(lambda: write_telemetry_csv(log, path))
@@ -814,7 +813,9 @@ def test_csv_writer_peak_memory_is_a_few_chunks(tmp_path):
 def test_converge_report_reads_the_last_reference_from_its_run():
     # the heading error reads the last row's theta_r from the last run of
     # held; repeating the whole column to read one value peaked at 2.2
-    # columns of floats, and the tail speeds now set the peak at 0.25
+    # columns of floats.  The tail speeds are freed before the tail's hull
+    # angles are derived, a chunk at a time from row 0, so the peak is one
+    # tail array and a chunk's temporaries, about 0.27 columns
     spec = MissionSpec(kind=MissionKind.CONVERGE, duration=600.0)
     log = run_mission(BoatParams(), ControllerConfig(), spec)
     report, peak = traced_peak(lambda: report_metrics([log], spec))
@@ -826,7 +827,7 @@ def test_converge_report_reads_the_last_reference_from_its_run():
 
 def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     # each point's log is freed before the next point simulates, so the
-    # peak is one log plus the report and CSV-chunk temporaries, about 1.43
+    # peak is one log plus the report and CSV-chunk temporaries, about 1.49
     # logs; with the first log still alive it was about 2.3
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"

@@ -14,9 +14,9 @@ from helpers import run_step_test, stored_bytes, telemetry_log, traced_peak
 from paddlesim.cli import load_preset, parse_scenario
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
-from paddlesim.mission import (HELD_COLUMNS, MAX_POSITION, TELEMETRY_COLUMNS,
-                               ConfigError, MissionKind, MissionSpec, TelemetryLog,
-                               _OUTER_GAPS, run_mission, waypoint_heading)
+from paddlesim.mission import (DERIVED_COLUMNS, HELD_COLUMNS, MAX_POSITION,
+                               TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
+                               TelemetryLog, _OUTER_GAPS, run_mission, waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -240,13 +240,13 @@ def test_telemetry_column_access():
     log = run_mission(BoatParams(), ControllerConfig(),
                       MissionSpec(kind=MissionKind.CONVERGE, duration=0.0))
     # both are views of the row block, so they hold the same values
-    assert log.column("theta").base is log.rows and log.theta.base is log.rows
+    assert log.column("x").base is log.rows and log.x.base is log.rows
     assert np.array_equal(log.column("theta"), log.theta)
     with pytest.raises(KeyError):
         log.column("nope")
 
 
-_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 8\)"
+_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 7\)"
 _BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
 _BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
 _BAD_HELD = r"held must be a float64 array of shape \(m, 3\)"
@@ -267,35 +267,35 @@ def _runs(*starts):
 
 # a bad index would otherwise fail only later, inside the CSV writer
 @pytest.mark.parametrize("rows, steps, held, held_starts, message", [
-    (np.zeros((3, 10)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                # the motor state stored
-    (np.zeros((2, 8)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
-    (np.zeros((3, 8), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
+    (np.zeros((3, 8)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                 # the hull angle stored
+    (np.zeros((2, 7)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
+    (np.zeros((3, 7), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
     (np.zeros(3), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
-    (np.zeros((3, 8)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),          # float
-    (np.zeros((3, 8)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                  # a list
-    (np.zeros((3, 8)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
-    (np.zeros((3, 8)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
-    (np.zeros((3, 8)), _steps(), *_ONE_RUN, _BAD_STARTS),                 # no row 0
-    (np.zeros((3, 8)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 8)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 8)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((0, 8)), _ONE_STEP, *_runs(), _BAD_STARTS),
-    (np.zeros((3, 8)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
-    (np.zeros((3, 8)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 8)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 8)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 8)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
-    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
-    (np.zeros((3, 8)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
-    (np.zeros((3, 8)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
+    (np.zeros((3, 7)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),          # float
+    (np.zeros((3, 7)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                  # a list
+    (np.zeros((3, 7)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
+    (np.zeros((3, 7)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
+    (np.zeros((3, 7)), _steps(), *_ONE_RUN, _BAD_STARTS),                 # no row 0
+    (np.zeros((3, 7)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 7)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 7)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((0, 7)), _ONE_STEP, *_runs(), _BAD_STARTS),
+    (np.zeros((3, 7)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
+    (np.zeros((3, 7)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 7)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 7)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 7)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
+    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
+    (np.zeros((3, 7)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
+    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
      _BAD_HELD_STARTS),
-    (np.zeros((3, 8)), _ONE_STEP, *_runs(), _BAD_RUNS),
-    (np.zeros((3, 8)), _ONE_STEP, *_runs(1), _BAD_RUNS),
-    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
-    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
-    (np.zeros((3, 8)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
-    (np.zeros((0, 8)), _steps(), *_ONE_RUN, _BAD_RUNS),
+    (np.zeros((3, 7)), _ONE_STEP, *_runs(), _BAD_RUNS),
+    (np.zeros((3, 7)), _ONE_STEP, *_runs(1), _BAD_RUNS),
+    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
+    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
+    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
+    (np.zeros((0, 7)), _steps(), *_ONE_RUN, _BAD_RUNS),
 ], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
         "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
         "decreasing-row", "step-in-empty-log", "unchanged-index", "int-held",
@@ -309,14 +309,14 @@ def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_sta
 
 
 def test_telemetry_log_decodes_its_index_from_the_steps():
-    log = TelemetryLog(np.zeros((6, 8)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
+    log = TelemetryLog(np.zeros((6, 7)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
     assert log.waypoint_index.tolist() == [7, -1, -1, -1, 2**62, 2**62]
     assert log.waypoint_index.dtype == np.int64
     for start in range(7):
         for stop in range(start, 7):
             assert np.array_equal(log.index_rows(start, stop),
                                   log.waypoint_index[start:stop])
-    empty = TelemetryLog(np.zeros((0, 8)), _steps(), *_runs())
+    empty = TelemetryLog(np.zeros((0, 7)), _steps(), *_runs())
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
     assert empty.psi_hat.shape == (0,)
 
@@ -328,7 +328,7 @@ _TINY_NAN = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0
 def test_telemetry_log_decodes_its_held_columns_from_the_runs():
     # a run need not change a value; -0.0 and a NaN payload keep their bits
     held = np.array([[1.0, -0.0, _TINY_NAN], [1.0, -0.0, _TINY_NAN], [2.0, 0.0, -3.5]])
-    rows = np.arange(56.0).reshape(7, 8)
+    rows = np.arange(49.0).reshape(7, 7)
     log = TelemetryLog(rows, _ONE_STEP, held, np.array([0, 1, 5], dtype=np.int64))
     expected = held[[0, 1, 1, 1, 1, 2, 2]]
     for k, name in enumerate(HELD_COLUMNS):
@@ -345,17 +345,20 @@ def test_telemetry_log_decodes_its_held_columns_from_the_runs():
         assert np.concatenate(chunks).tobytes() == floats.tobytes()
 
 
-def _motor_loop(tau):
-    """phi and phi_dot at each row under the motor accelerations tau, from
-    rest, advanced by rk4_step in Python floats."""
+def _plant_loop(theta, theta_dot, tau):
+    """theta, phi and phi_dot at each row under each row's hull rate and
+    motor acceleration, from theta and the motor at rest, advanced by
+    rk4_step in Python floats."""
     phi = phi_dot = 0.0
-    angles, rates = [], []
-    for a in tau.tolist():
+    hull, angles, rates = [], [], []
+    for w, a in zip(theta_dot.tolist(), tau.tolist()):
+        hull.append(theta)
         angles.append(phi)
         rates.append(phi_dot)
-        _, _, phi, phi_dot, *_ = rk4_step(BoatParams(), 0.0, 0.0, phi, phi_dot, 0.0, 0.0,
-                                          0.0, 0.0, a, 0.0, 0.0, INNER_DT)
-    return np.array(angles, dtype=float), np.array(rates, dtype=float)
+        theta, _, phi, phi_dot, *_ = rk4_step(BoatParams(), theta, w, phi, phi_dot, 0.0,
+                                              0.0, 0.0, 0.0, a, 0.0, 0.0, INNER_DT)
+    return (np.array(hull, dtype=float), np.array(angles, dtype=float),
+            np.array(rates, dtype=float))
 
 
 @pytest.mark.parametrize("tau", [
@@ -374,12 +377,17 @@ def test_motor_columns_are_integrated_from_tau(tau):
     n = len(tau)
     floats = np.zeros((n, len(TELEMETRY_COLUMNS) - 1))
     floats[:, TELEMETRY_COLUMNS.index("tau")] = tau
-    theta_dot = np.resize([0.5, -math.inf, 1e308, math.inf], n)
+    theta_dot = np.resize([0.5, -0.0, 3.0, -2.5, 0.0, -0.75, 40.0], n)
+    # the edges in the last rows, since a hull angle gone inf or NaN stays so
+    edges = [1e308, -1e308, math.inf, -math.inf, _TINY_NAN]
+    theta_dot[-min(n, 5):] = edges[-min(n, 5):]
     floats[:, TELEMETRY_COLUMNS.index("theta_dot")] = theta_dot
-    angles, rates = _motor_loop(tau)
+    floats[0, TELEMETRY_COLUMNS.index("theta")] = -0.3
+    hull, angles, rates = _plant_loop(-0.3, theta_dot, tau)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log = telemetry_log(floats, np.zeros(n))
+        assert log.theta.tobytes() == hull.tobytes()
         assert log.phi.tobytes() == angles.tobytes()
         assert log.phi_dot.tobytes() == rates.tobytes()
         assert log.theta_t_dot.tobytes() == np.array(
@@ -392,15 +400,46 @@ def test_motor_columns_are_integrated_from_tau(tau):
 
 
 def test_motor_columns_of_empty_and_one_row_logs():
-    empty = TelemetryLog(np.zeros((0, 8)), _steps(), *_runs())
-    assert empty.phi.shape == empty.phi_dot.shape == (0,)
+    empty = TelemetryLog(np.zeros((0, 7)), _steps(), *_runs(), theta0=0.25)
+    assert empty.theta.shape == empty.phi.shape == empty.phi_dot.shape == (0,)
     assert list(empty.float_chunks(np.empty((4, len(TELEMETRY_COLUMNS) - 1)))) == []
-    one = TelemetryLog(np.full((1, 8), 7.0), _ONE_STEP, *_ONE_RUN)
+    one = TelemetryLog(np.full((1, 7), 7.0), _ONE_STEP, *_ONE_RUN, theta0=-0.0)
+    # row 0's hull angle is theta0, its bits kept, whatever its rate and torque
+    assert one.theta.tobytes() == np.array([-0.0]).tobytes()
+    assert TelemetryLog(np.zeros((1, 7)), _ONE_STEP, *_ONE_RUN).theta.tolist() == [0.0]
     assert one.phi.tolist() == [0.0] and one.phi_dot.tolist() == [0.0]
     assert one.theta_t_dot.tolist() == [7.0]  # the motor starts at rest
-    for name in ("phi", "phi_dot"):
+    for name in ("theta", "phi", "phi_dot"):
         with pytest.raises(ValueError, match="read-only"):
             one.column(name)[0] = 1.0
+
+
+def test_derived_rows_are_the_column_rows():
+    # a read of some rows integrates from row 0 across chunk edges and keeps
+    # only the rows asked for
+    rng = np.random.default_rng(11)
+    log = TelemetryLog(rng.standard_normal((1100, 7)), _ONE_STEP, *_ONE_RUN, theta0=0.7)
+    for name in DERIVED_COLUMNS:
+        column = log.column(name)
+        for start, stop in ((0, 0), (0, 1100), (1, 511), (511, 513), (512, 1024),
+                            (513, 1100), (1099, 1100), (1100, 1100)):
+            rows = log.derived_rows(name, start, stop)
+            assert rows.tobytes() == column[start:stop].tobytes()
+    for start, stop in ((-1, 3), (3, 2), (0, 1101)):
+        with pytest.raises(IndexError):
+            log.derived_rows("theta", start, stop)
+
+
+@pytest.mark.parametrize("name", DERIVED_COLUMNS)
+def test_derived_column_read_peaks_at_its_column(name):
+    # the column is filled a chunk of a few hundred rows at a time, each
+    # chunk's temporaries freed before the next; integrating the whole log
+    # at once peaked at 3 columns for phi
+    n = 150_001  # long-mission's rows
+    rng = np.random.default_rng(5)
+    log = TelemetryLog(rng.standard_normal((n, 7)), _ONE_STEP, *_ONE_RUN)
+    column, peak = traced_peak(lambda: log.column(name))
+    assert len(column) == n and peak <= 1.1 * 8 * n
 
 
 def test_telemetry_log_is_frozen_and_refuses_writes():
@@ -410,9 +449,9 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
                       MissionSpec(kind=MissionKind.WAYPOINTS, duration=2.0,
                                   waypoints=((0.0, 0.0), (0.0, 1.0))))
     psi = log.psi_unwrapped
-    for name, value in (("rows", np.zeros((3, 8))), ("waypoint_steps", np.zeros(3)),
+    for name, value in (("rows", np.zeros((3, 7))), ("waypoint_steps", np.zeros(3)),
                         ("held", np.zeros((1, 3))), ("held_starts", np.zeros(1)),
-                        ("period", 2.0)):
+                        ("period", 2.0), ("theta0", 1.0), ("params", BoatParams())):
         with pytest.raises(FrozenInstanceError):
             setattr(log, name, value)
     with pytest.raises(ValueError, match="read-only"):
@@ -444,9 +483,10 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
-def test_telemetry_log_stores_64_bytes_a_tick_32_an_outer_tick_and_16_a_step():
-    # 8 float64 columns a tick; the motor state and the reaction-mass rate
-    # are computed on access, the outer loop's 3 outputs are one row and one
+def test_telemetry_log_stores_56_bytes_a_tick_32_an_outer_tick_and_16_a_step():
+    # 7 float64 columns a tick; the hull angle, the motor state and the
+    # reaction-mass rate are computed on access, from the run's theta0 and
+    # params, the outer loop's 3 outputs are one row and one
     # start per outer tick, and the waypoint index is one (first row, index)
     # pair per change
     (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
@@ -455,7 +495,8 @@ def test_telemetry_log_stores_64_bytes_a_tick_32_an_outer_tick_and_16_a_step():
     outer = outer_tick_indices(ticks)
     assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
     assert np.array_equal(log.held_starts, outer)
-    assert stored_bytes(log) == 64 * ticks + 32 * len(outer) + 16 * steps
+    assert stored_bytes(log) == 56 * ticks + 32 * len(outer) + 16 * steps
+    assert log.params is boat and log.theta0 == log.theta[0] == math.atan2(0.0, 1.0)
     assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
 
 
