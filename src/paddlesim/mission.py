@@ -10,6 +10,7 @@ identical inputs produce bit-identical telemetry.
 
 import math
 import struct
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -389,18 +390,17 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     held_starts = _outer_rows(n_steps + 1)
     held = np.empty((len(held_starts), len(HELD_COLUMNS)))
     # the stored columns as one preallocated block, a packed row per tick;
-    # memoryviews of its columns give plain Python floats.  The waypoint
-    # index is kept as its steps: the first row of each new index.
+    # the waypoint index is kept as its steps: the first row of each new index
     block = np.empty((n_steps + 1, len(STORED_COLUMNS)))
-    t_col, theta_dot_col, tau_col = (memoryview(block[:, k])
-                                     for k in (0, _THETA_DOT, _TAU))
     waypoint_steps = [(0, 0)]
 
-    # trailing one-period boxcar of the reaction-mass rate over rows lo..i,
-    # kept in desaturated mode only: the unwind test is its only reader.
-    # Row lo's motor rate is advanced from rest as rk4_step advances it.
-    rate_sum = phi_dot_lo = 0.0
-    lo = active_idx = next_outer = held_at = 0
+    # one-period boxcar of the reaction-mass rate, desaturated mode only:
+    # window holds the rates of rows after t - period, the oldest (at t_lo,
+    # summed as t is) first, and rate_sum their sum.  omega <= pi / dt keeps
+    # period >= 2 dt, so the newest row always stays and it is never empty.
+    window = deque()
+    rate_sum = t_lo = 0.0
+    active_idx = next_outer = held_at = 0
 
     for i in range(n_steps + 1):
         while next_dist_t <= t + 1e-12:
@@ -413,12 +413,12 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 and isfinite(rate + phi + x + y + vx + vy)):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
         if desaturated:
+            window.append(rate)
             rate_sum += rate
             floor = t - period
-            while lo < i and t_col[lo] <= floor:  # rows before i are written
-                rate_sum -= theta_dot_col[lo] + phi_dot_lo
-                phi_dot_lo += tau_col[lo] * dt
-                lo += 1
+            while t_lo <= floor:
+                rate_sum -= window.popleft()
+                t_lo += dt
 
         if i == next_outer:
             next_outer += next(outer_gaps)
@@ -447,7 +447,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
                 theta_r += pending
                 if desaturated:
                     ref.theta_r = theta_r
-                    ref = desaturate_reference(ref, rate_sum / (i + 1 - lo), t,
+                    ref = desaturate_reference(ref, rate_sum / len(window), t,
                                                cfg, pending)
                     theta_r = ref.theta_r
             # the thrust vector, held until the next outer tick

@@ -10,6 +10,7 @@ import pickle
 import random
 from dataclasses import fields, replace
 from enum import Enum, EnumMeta
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from helpers import (Plant, TravelEstimatorReference, cap_scenarios,
                      rk4_step_reference, run_mission_reference, run_starts,
                      within_ulps, wrap_to_pi_formula)
 from paddlesim.cli import _SECTIONS, main, parse_scenario
-from paddlesim.control import _WRAP_EPS, ControllerConfig, ControlMode, wrap_to_pi
+from paddlesim.control import (_WRAP_EPS, ControllerConfig, ControlMode,
+                               desaturate_reference, wrap_to_pi)
 from paddlesim.csvtext import csv_rows
-from paddlesim.dynamics import BoatParams, ConfigError, rk4_step
+from paddlesim.dynamics import INNER_DT, BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
 from paddlesim.mission import (TELEMETRY_COLUMNS, MissionKind, MissionSpec, coincident,
                                run_mission)
@@ -456,10 +458,29 @@ def _missions(draw):
 
 
 _DESAT = ControllerConfig(mode=ControlMode.DESATURATED_THRUST_DIRECTION)
+_TURNS = MissionSpec(kind=MissionKind.STEP_TEST, duration=3.0,
+                     step_schedule=((0.5, math.pi / 2), (1.5, -math.pi / 2)))
+
+
+def _recording(calls):
+    """desaturate_reference that first appends (t, mean rate, pending change)
+    to calls, as float.hex text."""
+    def desaturate(ref, mean_top_velocity, t, cfg, pending_delta=0.0):
+        calls.append((t.hex(), mean_top_velocity.hex(), pending_delta.hex()))
+        return desaturate_reference(ref, mean_top_velocity, t, cfg, pending_delta)
+    return desaturate
 
 
 @settings(max_examples=150)
 @given(run=_missions())
+# the boxcar at its edges: the shortest period, a 2-row window ...
+@example(run=(BoatParams(), replace(_DESAT, omega=math.pi / INNER_DT), _TURNS))
+# ... a period of 224.4 ticks ...
+@example(run=(BoatParams(), replace(_DESAT, omega=7.0), _TURNS))
+# ... every outer tick's mean past the threshold to the unwind test ...
+@example(run=(BoatParams(), replace(_DESAT, desat_threshold=0.0), _TURNS))
+# ... and 5 s at the 1 s period, whose window first holds 251 rows at 4.008 s
+@example(run=(BoatParams(), _DESAT, replace(_TURNS, duration=5.0, step_schedule=())))
 # a start on the first waypoint targets the second from row 0
 @example(run=(BoatParams(), _DESAT, MissionSpec(
     kind=MissionKind.WAYPOINTS, duration=1.0, waypoints=((0.0, 0.0), (1.0, 0.0)))))
@@ -472,15 +493,22 @@ _DESAT = ControllerConfig(mode=ControlMode.DESATURATED_THRUST_DIRECTION)
               MissionSpec(kind=MissionKind.CONVERGE, duration=0.0,
                           initial_theta=-7.853981633974483)))
 def test_run_mission_matches_the_reference_loop_bit_for_bit(run):
-    # the reference stores every column on every row, as the log once did
-    try:
-        log = run_mission(*run)
-    except ConfigError as exc:
-        with pytest.raises(ConfigError) as reference:
-            run_mission_reference(*run)
-        assert str(reference.value) == str(exc)
-        return
-    floats, index = run_mission_reference(*run)
+    # the reference stores every column on every row, as the log once did,
+    # and both loops pass their boxcar means to desaturate_reference (patched
+    # here: hypothesis refuses a function-scoped fixture under @given)
+    calls, reference_calls = [], []
+    with (patch("paddlesim.mission.desaturate_reference", _recording(calls)),
+          patch("helpers.desaturate_reference", _recording(reference_calls))):
+        try:
+            log = run_mission(*run)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as reference:
+                run_mission_reference(*run)
+            assert str(reference.value) == str(exc)
+            assert calls == reference_calls
+            return
+        floats, index = run_mission_reference(*run)
+    assert calls == reference_calls
     for k, name in enumerate(TELEMETRY_COLUMNS[:-1]):
         assert log.column(name).tobytes() == floats[:, k].tobytes(), name
     starts = run_starts(index)
