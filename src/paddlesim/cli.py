@@ -17,6 +17,7 @@ import sys
 from enum import EnumMeta
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -45,24 +46,27 @@ MAX_TOTAL_TICKS = 10**8
 
 # --------------------------------------------------------------------- values
 
-def _parse_list(text: str, arity: int) -> tuple:
-    """';'-separated items of `arity` numbers each; empty items are skipped."""
-    items = []
-    for item in text.split(";"):
-        parts = item.split()
-        if not parts:
-            continue
-        if len(parts) != arity:
-            raise ValueError(f"expected {arity} numbers per item, got {item.strip()!r}")
-        items.append(tuple(map(float, parts)))
-    return tuple(items)
+def _leaves(kind) -> int:
+    """How many numbers a value of the annotation `kind` holds."""
+    return sum(map(_leaves, get_args(kind))) if get_args(kind) else 1
 
 
-def _parse_start(text: str) -> tuple[float, float]:
-    points = _parse_list(text, 2)
-    if len(points) != 1:
-        raise ValueError(f"expected 'x y', got {text!r}")
-    return points[0]
+def _nest(kind, numbers):
+    """The next numbers of an iterator, nested as the annotation `kind` nests them."""
+    args = get_args(kind)
+    return tuple(_nest(arg, numbers) for arg in args) if args else next(numbers)
+
+
+def _parse_tuple(kind, text: str) -> tuple:
+    """A value of the tuple annotation `kind`: for tuple[X, ...], an X per
+    ';'-separated item, empty ones skipped; else as many numbers as it holds,
+    nested as it nests them."""
+    if get_args(kind)[-1] is Ellipsis:
+        return tuple(_parse_tuple(get_args(kind)[0], item)
+                     for item in text.split(";") if item.strip())
+    if len(text.split()) != _leaves(kind):
+        raise ValueError(f"expected {_leaves(kind)} numbers per item, got {text.strip()!r}")
+    return _nest(kind, map(float, text.split()))
 
 
 def _parse_dir(text: str) -> str:
@@ -88,23 +92,18 @@ def _parse_basename(text: str) -> str:
     return _parse_dir(text)
 
 
-def _keys(cls, **parsers) -> dict:
-    """Each field of a settings class mapped to its config value parser: the
-    one named in `parsers`, by value for an Enum-annotated field, else float.
-    The class checks range and finiteness when a point is built."""
-    return {f.name: parsers.get(f.name, f.type if isinstance(f.type, EnumMeta) else float)
+def _keys(cls) -> dict:
+    """Each field of a settings class mapped to its config value parser, read
+    from its annotation; the class checks the values when a point is built."""
+    return {f.name: f.type if isinstance(f.type, EnumMeta) else float
+            if get_origin(f.type) is not tuple else functools.partial(_parse_tuple, f.type)
             for f in dataclasses.fields(cls)}
 
 
 _SECTIONS = {
     "boat": _keys(BoatParams),
     "control": _keys(ControllerConfig),
-    "mission": _keys(
-        MissionSpec, waypoints=lambda text: _parse_list(text, 2),
-        step_schedule=lambda text: _parse_list(text, 2),
-        disturbances=lambda text: tuple((t, (dvx, dvy))
-                                        for t, dvx, dvy in _parse_list(text, 3)),
-        start=_parse_start),
+    "mission": _keys(MissionSpec),
     "output": {"dir": _parse_dir, "basename": _parse_basename},
     "batch": {"repeats": int},
 }

@@ -9,7 +9,10 @@ point mass pushed along the commanded heading against quadratic drag.
 
 from math import hypot
 from dataclasses import dataclass, fields
+from enum import EnumMeta
 from sys import float_info
+from types import UnionType
+from typing import get_args
 
 import numpy as np
 
@@ -21,23 +24,44 @@ class ConfigError(ValueError):
     """Raised when a setting or scenario specification is invalid."""
 
 
-def check_fields(settings, positive=(), non_negative=()) -> None:
-    """Reject a settings dataclass holding a bool or a non-finite number,
-    nested tuples included, then any `positive` field not > 0 or
-    `non_negative` one not >= 0.  The ConfigError names the first field that
-    fails."""
-    for f in fields(settings):
-        values = [getattr(settings, f.name)]
-        for value in values:  # a tuple's items are appended and visited in turn
-            if isinstance(value, tuple):
-                values.extend(value)
-            elif isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number, not a bool")
+def _check_value(name: str, value, kind) -> None:
+    """Raise a ConfigError naming the field `name` unless value fits its
+    annotation `kind`: float takes a finite int or float but not a bool,
+    float | None takes None too, tuple[X, ...] any number of X, and any other
+    tuple[...] exactly its items."""
+    if kind is float:
+        if isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, not a bool")
+        if isinstance(value, (int, float)):
             # int and float compare exactly, so an int too large for a float
             # fails here as NaN and the infinities do
-            elif (isinstance(value, (int, float))
-                  and not -float_info.max <= value <= float_info.max):
-                raise ConfigError(f"{f.name} must be finite")
+            if not -float_info.max <= value <= float_info.max:
+                raise ConfigError(f"{name} must be finite")
+            return
+    elif isinstance(kind, UnionType):  # float | None
+        if value is not None:
+            _check_value(name, value, get_args(kind)[0])
+        return
+    elif isinstance(value, tuple):
+        args = get_args(kind)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        if len(value) == len(args):
+            for item, arg in zip(value, args):
+                _check_value(name, item, arg)
+            return
+    raise ConfigError(f"{name} holds {value!r} where "
+                      f"{'a number' if kind is float else kind} is due")
+
+
+def check_fields(settings, positive=(), non_negative=()) -> None:
+    """Reject a settings dataclass whose field does not fit its annotation
+    (enum fields aside: the class tests those), then any `positive` field
+    not > 0 or `non_negative` one not >= 0.  The ConfigError names the first
+    field that fails."""
+    for f in fields(settings):
+        if not isinstance(f.type, EnumMeta):
+            _check_value(f.name, getattr(settings, f.name), f.type)
     for name in positive:
         if not getattr(settings, name) > 0.0:
             raise ConfigError(f"{name} must be positive")

@@ -42,6 +42,13 @@ class SegmentError:
     max_perp: float   # m
 
 
+def _rows_within(log: TelemetryLog, t0: float, t1: float) -> slice:
+    """The rows whose times lie in [t0, t1], its edges widened by 1e-12 s;
+    the log's times increase."""
+    return slice(int(np.searchsorted(log.t, t0 - 1e-12, side="left")),
+                 int(np.searchsorted(log.t, t1 + 1e-12, side="right")))
+
+
 def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     """Time after the command for the travel-direction change to reach
     RISE_FRACTION * delta and stay within the remaining band for one period.
@@ -51,12 +58,13 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     and the search ends once no row from there on can reach the threshold.
     Raises NotSettled if the change never rises and holds inside the log.
     """
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero")
+    if not 0.0 < abs(delta) < math.inf:
+        raise ValueError("delta must be finite and nonzero")
     hold = log.period
     base_i = int(np.searchsorted(log.t, command_time, side="right")) - 1
-    if base_i < 0:
-        raise ValueError("command_time precedes the log")
+    # a NaN sorts past the last row, and fails the compare with it
+    if base_i < 0 or not command_time >= log.t[base_i]:
+        raise ValueError("command_time must be a number not before the log")
     t = log.t[base_i:]
     psi = log.psi_unwrapped[base_i:]
     # (v - psi[0]) / delta rounds monotonically in v, so a row from j on
@@ -90,10 +98,10 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
 def travel_during_turn(log: TelemetryLog, command_time: float,
                        settle_time: float) -> float:
     """Path length of the position trace between the two times."""
-    if settle_time < command_time:
-        raise ValueError("settle_time must not precede command_time")
-    rows = slice(int(np.searchsorted(log.t, command_time - 1e-12, side="left")),
-                 int(np.searchsorted(log.t, settle_time + 1e-12, side="right")))
+    if not command_time <= settle_time:
+        raise ValueError("command_time and settle_time must be numbers, "
+                         "settle_time not before command_time")
+    rows = _rows_within(log, command_time, settle_time)
     xs = log.x[rows]
     ys = log.y[rows]
     if len(xs) < 2:
@@ -144,10 +152,9 @@ def rms_perpendicular_error(log: TelemetryLog,
         raise DegenerateSegment("segment endpoints coincide")
     dx, dy = x1 - x0, y1 - y0
     length = math.hypot(dx, dy)
-    rows = slice(None)
-    if time_window is not None:
-        rows = slice(int(np.searchsorted(log.t, time_window[0] - 1e-12, side="left")),
-                     int(np.searchsorted(log.t, time_window[1] + 1e-12, side="right")))
+    if not length < math.inf:  # NaN too
+        raise ValueError("segment endpoints and their distance must be finite")
+    rows = slice(None) if time_window is None else _rows_within(log, *time_window)
     x, y = log.x[rows], log.y[rows]
     if not len(x):
         raise ValueError("time window contains no samples")
@@ -159,10 +166,11 @@ def rms_perpendicular_error(log: TelemetryLog,
 def orbit_radius(log: TelemetryLog, center: tuple[float, float],
                  window: float) -> float:
     """Mean distance to the center over the trailing window of the log."""
-    t_end = log.t[-1]
-    if window <= 0.0 or window > t_end - log.t[0] + 1e-9:
+    t = log.t
+    # an empty log holds no window, and a NaN window fails the compare
+    if not (len(t) and 0.0 < window <= t[-1] - t[0] + 1e-9):
         raise ValueError("window must be positive and lie within the log")
-    rows = slice(int(np.searchsorted(log.t, t_end - window - 1e-12, side="left")), None)
+    rows = _rows_within(log, t[-1] - window, t[-1])
     return float(np.mean(np.hypot(log.x[rows] - center[0], log.y[rows] - center[1])))
 
 

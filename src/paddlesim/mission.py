@@ -63,10 +63,13 @@ class MissionSpec:
     kind: MissionKind
     duration: float                       # s
     heading: float = 0.0                  # desired travel direction, rad
-    waypoints: tuple = ()                 # ordered (x, y) targets, m
+    # ordered (x, y) targets, m
+    waypoints: tuple[tuple[float, float], ...] = ()
     tolerance_radius: float = 0.1         # segment-transition radius, m
-    step_schedule: tuple = ()             # (time s, heading change rad) pairs
-    disturbances: tuple = ()              # (time s, (dvx, dvy) m/s) impulses
+    # (time s, heading change rad) pairs
+    step_schedule: tuple[tuple[float, float], ...] = ()
+    # (time s, (dvx, dvy) m/s) impulses
+    disturbances: tuple[tuple[float, tuple[float, float]], ...] = ()
     initial_theta: float | None = None    # None: start at the initial reference
     start: tuple[float, float] = (0.0, 0.0)
 
@@ -348,6 +351,10 @@ def _initial_desired_heading(spec: MissionSpec) -> float:
 def run_mission(params: BoatParams, cfg: ControllerConfig,
                 spec: MissionSpec) -> TelemetryLog:
     """Run one scenario deterministically and return its full telemetry."""
+    for name, value, cls in (("params", params, BoatParams), ("cfg", cfg, ControllerConfig),
+                             ("spec", spec, MissionSpec)):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
     mode = cfg.mode
     limit_cycle_only = mode is ControlMode.LIMIT_CYCLE_ONLY
     desaturated = mode is ControlMode.DESATURATED_THRUST_DIRECTION

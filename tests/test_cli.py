@@ -85,6 +85,7 @@ REJECTED_CONFIGS = [
     ("mission.disturbances = 1.0 0.1", "bad value"),
     ("mission.start = 1 2 3", "bad value"),
     ("mission.start = 1 2; 3 4", "bad value"),
+    ("mission.start = 1 2;", "bad value"),  # a fixed tuple is one item, no ';'
     ("boat.mass = nan", "finite"),
     ("control.omega = inf", "finite"),
     ("mission.tolerance_radius = nan", "finite"),

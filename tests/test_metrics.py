@@ -413,6 +413,34 @@ def test_orbit_radius_window_validation():
         orbit_radius(log, (0.0, 0.0), 0.0)
 
 
+_LOG = make_log(grid(2.0), x=0.1 * grid(2.0), psi_hat=np.where(grid(2.0) > 0.5, 1.0, 0.0))
+
+
+# each call once returned a number, warned or raised another exception; the
+# refusal names the argument at fault
+@pytest.mark.parametrize("call, argument", [
+    pytest.param(lambda: travel_during_turn(_LOG, math.nan, 1.0), "command_time",
+                 id="travel-nan-command"),
+    pytest.param(lambda: travel_during_turn(_LOG, 0.5, math.nan), "settle_time",
+                 id="travel-nan-settle"),
+    pytest.param(lambda: orbit_radius(_LOG, (0.0, 0.0), math.nan), "window",
+                 id="orbit-nan-window"),
+    pytest.param(lambda: orbit_radius(make_log(grid(2.0)[:0]), (0.0, 0.0), 1.0), "log",
+                 id="orbit-empty-log"),
+    pytest.param(lambda: rise_time(_LOG, 0.5, math.nan), "delta", id="rise-nan-delta"),
+    pytest.param(lambda: rise_time(_LOG, 0.5, math.inf), "delta", id="rise-inf-delta"),
+    pytest.param(lambda: rise_time(_LOG, math.nan, 1.0), "command_time",
+                 id="rise-nan-command"),
+    pytest.param(lambda: rms_perpendicular_error(_LOG, ((0.0, 0.0), (math.nan, 1.0))),
+                 "segment", id="rms-nan-end"),
+    pytest.param(lambda: rms_perpendicular_error(_LOG, ((0.0, math.inf), (1.0, 1.0))),
+                 "segment", id="rms-inf-end"),
+])
+def test_metrics_refuse_what_they_cannot_measure(call, argument):
+    with pytest.raises(ValueError, match=rf"\b{argument}\b"):
+        call()
+
+
 def test_quartiles_convention():
     q1, med, q3 = quartiles([1.0, 2.0, 3.0, 4.0])
     assert (q1, med, q3) == (1.75, 2.5, 3.25)

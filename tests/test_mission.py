@@ -219,6 +219,19 @@ def test_invalid_specs_rejected(bad):
         MissionSpec(**bad)
 
 
+_SPEC = MissionSpec(kind=MissionKind.CONVERGE, duration=0.1)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((ControllerConfig(), BoatParams(), _SPEC), "params"),  # the first two swapped
+    ((BoatParams(), _SPEC, _SPEC), "cfg"),
+    ((BoatParams(), ControllerConfig(), None), "spec"),
+], ids=["params", "cfg", "spec"])
+def test_run_mission_refuses_an_argument_of_the_wrong_class(args, name):
+    with pytest.raises(ConfigError, match=rf"^{name} must be a "):
+        run_mission(*args)
+
+
 def test_position_cap_is_inclusive():
     edge = (MAX_POSITION, -MAX_POSITION)
     spec = MissionSpec(kind=MissionKind.WAYPOINTS, duration=1.0, waypoints=(edge,),

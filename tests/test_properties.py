@@ -1,6 +1,6 @@
 """Property tests: the plant step, the estimator's trimmed history, angle
-wrapping, float parsing, the settings' finite check, whole configs and the
-CSV number text."""
+wrapping, float parsing, the settings' shape and finite check, whole configs
+and the CSV number text."""
 
 import contextlib
 import copy
@@ -10,6 +10,7 @@ import pickle
 import random
 from dataclasses import fields, replace
 from enum import Enum, EnumMeta
+from typing import get_args, get_origin
 from unittest.mock import patch
 
 import numpy as np
@@ -301,6 +302,128 @@ def test_every_float_slot_rejects_bools_and_huge_ints(value, name, path, x):
     for huge in (10**400, -10**400):
         with pytest.raises(ConfigError, match=rf"\b{name} must be finite"):
             replace(value, **{name: field_with(huge)})
+
+
+@pytest.mark.parametrize("value, name, path, x", _SLOTS, ids=[
+    type(value).__name__ + "." + name + "".join(f"[{i}]" for i in path)
+    for value, name, path, _ in _SLOTS])
+def test_every_float_slot_rejects_a_non_number(value, name, path, x):
+    # a string, a list, a tuple and None (where the slot is not optional)
+    optional = not path and next(f.type for f in fields(value) if f.name == name) != float
+    for bad in ("1", [x], (x,), *([] if optional else [None])):
+        with pytest.raises(ConfigError, match=rf"^{name} holds "):
+            replace(value, **{name: _with_slot(getattr(value, name), path, bad)})
+
+
+_CONVERGE_SPEC = dict(kind=MissionKind.CONVERGE, duration=1.0)
+
+
+# (class, keyword arguments, the field the error must name); the first rows
+# are the calls that once built, or failed with another exception
+_MISSHAPEN = [
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=((0.5, 1.0),)), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=((1, 0, 0),)), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=(0.0,)), "start"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=((0.5,),)), "step_schedule"),
+    (BoatParams, dict(mass="1"), "mass"),
+    (MissionSpec, dict(kind=MissionKind.CONVERGE, duration="1"), "duration"),
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints="1 0"), "waypoints"),
+    (ControllerConfig, dict(desat_interval="2"), "desat_interval"),
+    # wrong-length items
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=((1.0, 0.0), (1.0,))), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=((0.5, 0.1, 0.2),)), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=((0.5, (0.0,)),)), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=((0.5, 0.0, 0.1),)), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=(0.0, 0.0, 0.0)), "start"),
+    # a flat tuple where pairs are due, and pairs where a flat one is
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=(1.0, 0.0)), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=(0.5, 0.1)), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=(0.5, (0.0, 0.1))), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=((0.0, 0.0),)), "start"),
+    # a list, a string or None for the whole field
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=[(1.0, 0.0)]), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=[(0.5, 0.1)]), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=((0.5, [0.0, 0.1]),)), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=[0.0, 0.0]), "start"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule="0.5 0.1"), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances="0.5 0 0.1"), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start="0 0"), "start"),
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=None), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=None), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=None), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=None), "start"),
+    (BoatParams, dict(I_t=None), "I_t"),
+    # a nested non-number
+    (MissionSpec, dict(_CONVERGE_SPEC, waypoints=((1.0, "0"),)), "waypoints"),
+    (MissionSpec, dict(_CONVERGE_SPEC, step_schedule=((None, 0.1),)), "step_schedule"),
+    (MissionSpec, dict(_CONVERGE_SPEC, disturbances=((0.5, (0.0, "x")),)), "disturbances"),
+    (MissionSpec, dict(_CONVERGE_SPEC, start=(0.0, [0.0])), "start"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, name", _MISSHAPEN, ids=[
+    f"{cls.__name__}.{name}={kwargs[name]!r}" for cls, kwargs, name in _MISSHAPEN])
+def test_settings_refuse_a_misshapen_value_by_name(cls, kwargs, name):
+    with pytest.raises(ConfigError, match=rf"^{name} holds "):
+        cls(**kwargs)
+
+
+def _checked(kind, top=True):
+    """Whether the settings check walks the annotation kind: float,
+    float | None, an Enum (at the top, where its class tests it) or a tuple
+    of these, of fixed length or tuple[X, ...]."""
+    if kind is float or kind == float | None:
+        return True
+    if isinstance(kind, EnumMeta):
+        return top
+    args = get_args(kind)
+    items = args[:1] if args[-1:] == (Ellipsis,) else args
+    return get_origin(kind) is tuple and bool(items) and all(_checked(a, False) for a in items)
+
+
+def test_every_settings_field_has_an_annotation_the_check_walks():
+    # a field the walk does not know would go unchecked, as a bare tuple once did
+    for cls in (BoatParams, ControllerConfig, MissionSpec):
+        for f in fields(cls):
+            assert _checked(f.type), f"{cls.__name__}.{f.name}: {f.type}"
+    for kind in (tuple, int, str, list[float], tuple[int, ...], tuple[()],
+                 tuple[float, ControlMode], float | str):
+        assert not _checked(kind), kind
+
+
+_SCHEDULE_TIMES = st.lists(st.floats(0.0, 100.0), max_size=4).map(sorted)
+_COORD = st.floats(-1e6, 1e6)
+
+
+@FAST
+@given(waypoints=st.lists(st.tuples(_COORD, _COORD), max_size=4),
+       step_times=_SCHEDULE_TIMES, deltas=st.lists(st.floats(-1e3, 1e3), min_size=4),
+       dist_times=_SCHEDULE_TIMES,
+       kicks=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(allow_nan=False, allow_infinity=False)),
+                      min_size=4),
+       start=st.tuples(_COORD, _COORD))
+def test_config_text_round_trips_the_tuple_fields(waypoints, step_times, deltas,
+                                                   dist_times, kicks, start):
+    # the CLI and the class read one schema: each valid value, written as
+    # config text, parses back to itself
+    assume(not any(coincident(p0, p1) for p0, p1 in zip(waypoints, waypoints[1:])))
+    spec = MissionSpec(kind=MissionKind.STEP_TEST, duration=100.0,
+                       waypoints=tuple(waypoints), step_schedule=tuple(zip(step_times, deltas)),
+                       disturbances=tuple(zip(dist_times, kicks)), start=start)
+
+    def text(value):
+        if isinstance(value, float):
+            return repr(value)
+        if isinstance(value[0], float):  # a fixed tuple: its numbers
+            return " ".join(map(text, value))
+        return "; ".join(map(text, value))  # tuple[X, ...]: its items
+
+    lines = [f"mission.{name} = {text(getattr(spec, name)) if getattr(spec, name) else ''}"
+             for name in ("waypoints", "step_schedule", "disturbances", "start")]
+    (*_, parsed), = parse_scenario("mission.kind = step\nmission.duration = 100\n"
+                                   + "\n".join(lines) + "\n").points
+    assert repr(parsed) == repr(spec)  # bit for bit, the signs of zeros too
 
 
 # values of the whole-config fuzz: zeros, tiny, unit, huge and overflowing
