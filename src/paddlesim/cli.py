@@ -26,7 +26,7 @@ from .dynamics import INNER_RATE, BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                      TelemetryLog, run_mission)
+                      TelemetryLog, log_bytes, run_mission)
 
 CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 # rows formatted at a time: a larger chunk's temporaries make the allocator
@@ -225,8 +225,8 @@ def write_telemetry_csv(log: TelemetryLog, path) -> None:
 def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
                      strict_settle: bool) -> dict[str, list[float]]:
     vals: dict[str, list[float]] = {}
-    span = log.t[-1] - log.t[0]
-    first = int(np.searchsorted(log.t, log.t[0] + 0.75 * span, side="left"))
+    span = log.time_at(-1)  # row 0's time is 0.0
+    first = log.search_time(0.75 * span, "left")
 
     if spec.kind in (MissionKind.CONVERGE, MissionKind.STEP_TEST):
         speed = np.hypot(log.vx[first:], log.vy[first:])
@@ -269,7 +269,7 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         # waypoint k is the target from the row of its step to the next step
         rms, peak = [], []
         for (first, k), (end, _) in zip(steps, steps[1:]):
-            t0, t1 = float(log.t[first]), float(log.t[end - 1])
+            t0, t1 = log.time_at(first), log.time_at(end - 1)
             p0 = spec.waypoints[k - 1] if k > 0 else (float(log.x[0]), float(log.y[0]))
             seg = rms_perpendicular_error(log, (p0, spec.waypoints[k]), (t0, t1))
             rms.append(seg.rms_perp)
@@ -281,7 +281,7 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         # at the one before it; a one-waypoint mission has no such row
         last_row, last = steps[-1]
         if 0 < last == len(spec.waypoints) - 1:
-            vals["completion_time_s"] = [float(log.t[last_row])]
+            vals["completion_time_s"] = [log.time_at(last_row)]
 
     if spec.kind is MissionKind.STATION_KEEP:
         window = min(30.0, 0.5 * span) if span > 0 else 0.0
@@ -353,19 +353,23 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, boat, control, mission in cfg.points:
+        first, *copies, text_name, dat_name = _file_names(stem, n_runs)
         # runs are bit-deterministic: simulate and write once, copy per repeat
         try:
             log = run_mission(boat, control, mission)
+            # reported before anything is written, so a failed point leaves no files
+            report = report_metrics([log] * n_runs, mission, strict_settle)
+            if not report:
+                print(f"error: no metrics produced for {stem}", file=sys.stderr)
+                return 1
+            write_telemetry_csv(log, out / first)
+            del log  # freed before the next point allocates its own: one log at a time
         except ConfigError as exc:  # the run diverged
             raise ConfigError(f"{stem}: {exc}") from exc
-        # reported before anything is written, so a failed point leaves no files
-        report = report_metrics([log] * n_runs, mission, strict_settle)
-        if not report:
-            print(f"error: no metrics produced for {stem}", file=sys.stderr)
-            return 1
-        first, *copies, text_name, dat_name = _file_names(stem, n_runs)
-        write_telemetry_csv(log, out / first)
-        del log  # freed before the next point allocates its own: one log at a time
+        except MemoryError:
+            raise ConfigError(f"{stem}: out of memory: the run's log needs up to "
+                              f"{log_bytes(mission):,} bytes (48 a tick, 32 an outer "
+                              f"tick, 16 a waypoint)") from None
         for copy in copies:
             shutil.copyfile(out / first, out / copy)
         (out / text_name).write_text(render_report_text(report))

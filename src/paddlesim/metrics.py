@@ -45,8 +45,7 @@ class SegmentError:
 def _rows_within(log: TelemetryLog, t0: float, t1: float) -> slice:
     """The rows whose times lie in [t0, t1], its edges widened by 1e-12 s;
     the log's times increase."""
-    return slice(int(np.searchsorted(log.t, t0 - 1e-12, side="left")),
-                 int(np.searchsorted(log.t, t1 + 1e-12, side="right")))
+    return slice(log.search_time(t0 - 1e-12, "left"), log.search_time(t1 + 1e-12, "right"))
 
 
 def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
@@ -61,18 +60,18 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     if not 0.0 < abs(delta) < math.inf:
         raise ValueError("delta must be finite and nonzero")
     hold = log.period
-    base_i = int(np.searchsorted(log.t, command_time, side="right")) - 1
+    base_i = log.search_time(command_time, "right") - 1
     # a NaN sorts past the last row, and fails the compare with it
-    if base_i < 0 or not command_time >= log.t[base_i]:
+    if base_i < 0 or not command_time >= log.time_at(base_i):
         raise ValueError("command_time must be a number not before the log")
-    t = log.t[base_i:]
+    end = log.time_at(-1)
     psi = log.psi_unwrapped[base_i:]
     # (v - psi[0]) / delta rounds monotonically in v, so a row from j on
     # reaches the threshold exactly when the extreme from j on does
     reach = (log.psi_suffix_max if delta > 0.0 else log.psi_suffix_min)[base_i:]
 
     j = 1
-    n = len(t)
+    n = len(psi)
     width = _RISE_WINDOW
     while j < n and (reach[j] - psi[0]) / delta >= RISE_FRACTION:
         ahead = np.nonzero((psi[j:j + width] - psi[0]) / delta >= RISE_FRACTION)[0]
@@ -81,14 +80,16 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
             width *= 2
             continue
         j += int(ahead[0])
-        if t[j] + hold > t[-1] + 1e-9:
+        t_j = log.time_at(base_i + j)
+        if t_j + hold > end + 1e-9:
             break  # cannot verify the hold inside the log
-        k = int(np.searchsorted(t, t[j] + hold, side="right"))
+        # the hold's end among the rows from base_i on
+        k = max(log.search_time(t_j + hold, "right") - base_i, 0)
         frac = (psi[j:k] - psi[0]) / delta
         in_band = np.abs(frac - 1.0) <= (1.0 - RISE_FRACTION) + 1e-12
         bad = np.nonzero(~in_band)[0]
         if len(bad) == 0:
-            return float(t[j] - command_time)
+            return float(t_j - command_time)
         j += int(bad[0]) + 1
         width = _RISE_WINDOW
     raise NotSettled(
@@ -125,15 +126,16 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     it; spans run between neighbouring steps and the ends of the log.  NaN
     where a span is under the estimate's one-period window or a window is empty.
     """
-    t = log.t
+    if any(math.isnan(ts) or math.isnan(delta) for ts, delta in step_schedule):
+        raise ValueError("step_schedule times and changes must be numbers")
     psi = log.psi_unwrapped
-    bounds = [0.0] + [ts for ts, _ in step_schedule] + [float(t[-1])]
+    bounds = [0.0] + [ts for ts, _ in step_schedule] + [log.time_at(-1)]
     changes = []
     for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
-        b0 = np.searchsorted(t, start + 0.75 * (ts - start), side="left")
-        b1 = np.searchsorted(t, ts, side="left")
-        a0 = np.searchsorted(t, ts + 0.75 * (end - ts), side="left")
-        a1 = np.searchsorted(t, end, side="right")
+        b0 = log.search_time(start + 0.75 * (ts - start), "left")
+        b1 = log.search_time(ts, "left")
+        a0 = log.search_time(ts + 0.75 * (end - ts), "left")
+        a1 = log.search_time(end, "right")
         if min(ts - start, end - ts) >= log.period and b0 < b1 and a0 < a1:
             changes.append(float(np.mean(psi[a0:a1]) - np.mean(psi[b0:b1])))
         else:
@@ -166,11 +168,14 @@ def rms_perpendicular_error(log: TelemetryLog,
 def orbit_radius(log: TelemetryLog, center: tuple[float, float],
                  window: float) -> float:
     """Mean distance to the center over the trailing window of the log."""
-    t = log.t
-    # an empty log holds no window, and a NaN window fails the compare
-    if not (len(t) and 0.0 < window <= t[-1] - t[0] + 1e-9):
+    if not all(map(math.isfinite, center)):
+        raise ValueError("center coordinates must be finite")
+    # an empty log holds no window, and a NaN window fails the compare; row
+    # 0's time is 0.0, so the last row's is the log's span
+    if not (len(log) and 0.0 < window <= log.time_at(-1) + 1e-9):
         raise ValueError("window must be positive and lie within the log")
-    rows = _rows_within(log, t[-1] - window, t[-1])
+    end = log.time_at(-1)
+    rows = _rows_within(log, end - window, end)
     return float(np.mean(np.hypot(log.x[rows] - center[0], log.y[rows] - center[1])))
 
 

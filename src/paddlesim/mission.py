@@ -30,8 +30,9 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 56 B per tick and 32 B per outer tick, about 71 B a tick,
-# so this caps a run's log near 0.7 GB; a sweep holds one such run at a time.
+# preallocated at 48 B per tick and 32 B per outer tick, about 63 B a tick,
+# so this caps a run's log near 0.63 GB (the row block alone is 458 MiB); a
+# sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
 # initial_theta, a step change), rad.  Real commands are a few turns; near
@@ -114,10 +115,15 @@ TELEMETRY_COLUMNS = ("t", "theta", "theta_dot", "phi", "phi_dot", "theta_t_dot",
 # the outer loop's outputs, which change only on outer ticks: a log keeps
 # them once per run of rows, in this order
 HELD_COLUMNS = ("theta_r", "theta_des", "psi_hat")
-# the hull angle, integrated from theta_dot and tau; the motor state,
-# integrated from tau with the motor at rest; and theta_t_dot, which is
-# theta_dot + phi_dot: a log computes them
-DERIVED_COLUMNS = ("theta", "phi", "phi_dot", "theta_t_dot")
+# the time, summed tick by tick as run_mission sums it; the hull angle,
+# integrated from theta_dot and tau; the motor state, integrated from tau with
+# the motor at rest; and theta_t_dot, which is theta_dot + phi_dot: a log
+# computes them
+DERIVED_COLUMNS = ("t", "theta", "phi", "phi_dot", "theta_t_dot")
+# the integrations each derived column runs, in the order they run: phi
+# integrates the rates phi_dot first, and theta_t_dot adds them to theta_dot
+_INTEGRATIONS = {"t": ("t",), "theta": ("theta",), "phi": ("phi_dot", "phi"),
+                 "phi_dot": ("phi_dot",), "theta_t_dot": ("phi_dot",)}
 # rows of a derived column computed at a time by a whole-column read
 _DERIVE_ROWS = 512
 # the columns a log stores per row, in row order: the floats but the held
@@ -128,7 +134,7 @@ _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
 # the derived and held columns' places among the floats, and the stored
 # columns' places among the stored ones; the stored columns fill the other
-# places among the floats in order: t, theta_dot, x to vy, then tau last
+# places among the floats in order: theta_dot, x to vy, then tau last
 _DERIVED_AT = tuple(TELEMETRY_COLUMNS.index(name) for name in DERIVED_COLUMNS)
 _HELD_AT = TELEMETRY_COLUMNS.index(HELD_COLUMNS[0])
 _HELD_END = _HELD_AT + len(HELD_COLUMNS)
@@ -149,6 +155,14 @@ def _valid_starts(starts: np.ndarray, n: int) -> bool:
             and not np.any(starts[1:] <= starts[:-1]) and not np.any(starts >= n))
 
 
+def _tick_times(t: float, n: int) -> np.ndarray:
+    """The time t and the n ticks after it, each summed from the one before
+    as run_mission sums t: an accumulated sum adds in order."""
+    times = np.full(n + 1, INNER_DT)
+    times[0] = t
+    return np.add.accumulate(times, out=times)
+
+
 def _outer_rows(n: int) -> np.ndarray:
     """The rows of the outer ticks among n rows from row 0, int64."""
     offsets = np.cumsum((0, *_OUTER_GAPS[:-1]))  # of each tick in a cycle
@@ -164,24 +178,38 @@ def _outer_rows(n: int) -> np.ndarray:
     return rows
 
 
+def log_bytes(spec: MissionSpec) -> int:
+    """The most bytes the log of a run of spec stores: a row a tick, a held
+    row and its start an outer tick, and a (first row, index) pair for each
+    waypoint at most, since the index only advances."""
+    rows = round(spec.duration * INNER_RATE) + 1
+    cycles, rest = divmod(rows, sum(_OUTER_GAPS))
+    # counted without the schedule-sized array, which may not fit either
+    outer = cycles * len(_OUTER_GAPS) + len(_outer_rows(rest))
+    return (rows * _ROW.size + outer * (_HELD_ROW.size + 8)
+            + max(len(spec.waypoints), 1) * 16)
+
+
 @dataclass(frozen=True)
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
     `rows` holds the stored float columns, one row per tick; each is a
-    property giving a view of it (`log.x` is `log.rows[:, 2]`).
+    property giving a view of it (`log.x` is `log.rows[:, 1]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index, and `held` one row of the HELD_COLUMNS per run
-    of rows starting at `held_starts`.  The hull angle `theta` is
-    integrated from `theta0` under `theta_dot` and `tau` by `params`, and the
-    motor angle and rate `phi` and `phi_dot` from `tau` with the motor at
-    rest, as the loop integrates them.  They (DERIVED_COLUMNS),
+    of rows starting at `held_starts`.  The time `t` is summed tick by tick
+    from 0, the hull angle `theta` is integrated from `theta0` under
+    `theta_dot` and `tau` by `params`, and the motor angle and rate `phi` and
+    `phi_dot` from `tau` with the motor at rest, as the loop sums and
+    integrates them; `time_at` and `search_time` read the time of a row and
+    search the times without computing the column.  They (DERIVED_COLUMNS),
     `waypoint_index` and the held columns are computed on each access.  The
     log is frozen, and every array it holds or keeps refuses writes; a view
     of an array taken before the log was built can still write into it.
     """
 
-    rows: np.ndarray            # (n, 7) float64, columns in STORED_COLUMNS order
+    rows: np.ndarray            # (n, 6) float64, columns in STORED_COLUMNS order
     waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
     held: np.ndarray            # (m, 3) float64, columns in HELD_COLUMNS order
     held_starts: np.ndarray     # (m,) int64, the first row of each run of held
@@ -243,48 +271,59 @@ class TelemetryLog:
     def derived_rows(self, name: str, start: int, stop: int) -> np.ndarray:
         """Rows start..stop - 1 of a DERIVED_COLUMNS column, a new array.
         Each is integrated on from row 0, so the rows before start are
-        computed too, a few hundred at a time, and not kept."""
+        computed too, a few hundred at a time, and not kept; only the
+        integrations the column needs run."""
         if not 0 <= start <= stop <= len(self):
             raise IndexError(f"rows {start}..{stop} are not within the log's {len(self)}")
-        k = DERIVED_COLUMNS.index(name)
         out = np.empty(stop - start)
-        for first, columns in self._derived_chunks(_DERIVE_ROWS, stop):
-            end = first + len(columns[k])
+        for first, columns in self._derived_chunks((name,), _DERIVE_ROWS, stop):
+            column = columns[name]
+            end = first + len(column)
             if end > start:  # the chunk's rows from start on
-                out[max(first - start, 0):end - start] = columns[k][max(start - first, 0):]
-            del columns  # freed before the next chunk is computed
+                out[max(first - start, 0):end - start] = column[max(start - first, 0):]
+            del columns, column  # freed before the next chunk is computed
         return out
 
-    def _derived_chunks(self, rows: int,
-                        stop: int) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
-        """The derived columns of rows 0..stop - 1, `rows` rows at a time:
-        each chunk's first row and its columns in DERIVED_COLUMNS order,
-        integrated on from the chunk before."""
-        theta, phi, phi_dot = self.theta0, 0.0, 0.0  # the state at the chunk's first row
+    def _derived_chunks(self, names, rows: int,
+                        stop: int) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        """The derived columns `names` of rows 0..stop - 1, `rows` rows at a
+        time: each chunk's first row and its columns by name, integrated on
+        from the chunk before, running only the integrations they need."""
+        needed = {step for name in names for step in _INTEGRATIONS[name]}
+        # the state at the chunk's first row
+        state = {"t": 0.0, "theta": self.theta0, "phi_dot": 0.0, "phi": 0.0}
         for start in range(0, stop, rows):
             stored = self.rows[start:min(start + rows, stop)]
             theta_dot, tau = stored[:, _THETA_DOT], stored[:, _TAU]
+            # each at the chunk's rows and one past them
+            ahead = {}
             with np.errstate(over="ignore", invalid="ignore"):
-                hull = hull_angles(self.params, theta_dot, tau, theta)
-                rates = motor_rates(tau, phi_dot)
-                angles = motor_angles(tau, rates, phi)
-                rate = theta_dot + rates[:-1]
-            theta, phi, phi_dot = hull[-1], angles[-1], rates[-1]
-            yield start, (hull[:-1], angles[:-1], rates[:-1], rate)
-            del hull, angles, rates, rate  # freed before the next chunk is computed
+                if "t" in needed:
+                    ahead["t"] = _tick_times(state["t"], len(stored))
+                if "theta" in needed:
+                    ahead["theta"] = hull_angles(self.params, theta_dot, tau, state["theta"])
+                if "phi_dot" in needed:
+                    ahead["phi_dot"] = motor_rates(tau, state["phi_dot"])
+                if "phi" in needed:
+                    ahead["phi"] = motor_angles(tau, ahead["phi_dot"], state["phi"])
+                columns = {name: values[:-1] for name, values in ahead.items()}
+                if "theta_t_dot" in names:
+                    columns["theta_t_dot"] = theta_dot + columns["phi_dot"]
+            state.update((name, values[-1]) for name, values in ahead.items())
+            yield start, columns
+            del columns  # freed before the next chunk is computed
 
     def float_chunks(self, out: np.ndarray) -> Iterator[np.ndarray]:
         """The 14 float columns in TELEMETRY_COLUMNS order, len(out) rows at
         a time from row 0: each chunk is written into the first rows of
         `out` and yielded before the next is written."""
-        for start, derived in self._derived_chunks(len(out), len(self)):
+        for start, derived in self._derived_chunks(DERIVED_COLUMNS, len(out), len(self)):
             stored = self.rows[start:start + len(out)]
             floats = out[:len(stored)]
-            floats[:, 0] = stored[:, 0]
             floats[:, _THETA_DOT_AT] = stored[:, _THETA_DOT]
             floats[:, _X_AT:_HELD_AT] = stored[:, _X:_TAU]
-            for place, column in zip(_DERIVED_AT, derived):
-                floats[:, place] = column
+            for place, name in zip(_DERIVED_AT, DERIVED_COLUMNS):
+                floats[:, place] = derived[name]
             floats[:, _HELD_END:] = stored[:, _TAU:]
             # each row's run is the last one starting at or before it
             runs = np.searchsorted(self.held_starts, np.arange(start, start + len(stored)),
@@ -292,6 +331,39 @@ class TelemetryLog:
             floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
             del derived  # freed before the next chunk is computed
             yield floats
+
+    @cached_property
+    def _time_marks(self) -> np.ndarray:
+        """The time of every _DERIVE_ROWS-th row from row 0, computed on
+        first use and kept: 1/_DERIVE_ROWS of the column."""
+        marks = np.empty(-(-len(self) // _DERIVE_ROWS))
+        t = 0.0
+        for k in range(len(marks)):
+            marks[k] = t
+            t = _tick_times(t, _DERIVE_ROWS)[-1]
+        return _read_only(marks)
+
+    def time_at(self, row: int) -> float:
+        """The time of a row, a negative one counting from the end, as the t
+        column holds it: summed from the kept time of the row's chunk."""
+        n = len(self)
+        if not -n <= row < n:
+            raise IndexError(f"row {row} is not within the log's {n}")
+        chunk, offset = divmod(row % n, _DERIVE_ROWS)
+        return float(_tick_times(self._time_marks[chunk], offset)[-1])
+
+    def search_time(self, value: float, side: str = "left") -> int:
+        """The row before which value goes among the times, as np.searchsorted
+        of the t column answers with the same side, NaN and infinities
+        included: the kept times find the chunk, and the search runs on
+        that chunk's times alone."""
+        marks = self._time_marks
+        chunk = int(np.searchsorted(marks, value, side))
+        if chunk == 0:  # row 0 already goes after value
+            return 0
+        first = (chunk - 1) * _DERIVE_ROWS
+        times = _tick_times(marks[chunk - 1], min(_DERIVE_ROWS, len(self) - first) - 1)
+        return first + int(np.searchsorted(times, value, side))
 
     @cached_property
     def psi_unwrapped(self) -> np.ndarray:
@@ -383,6 +455,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     theta_des = _initial_desired_heading(spec)
     # the plant state, as plain floats; the log derives theta from theta0
+    # and sums t as the loop does
     t = 0.0
     theta = theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
     theta_dot = phi = phi_dot = vx = vy = 0.0
@@ -467,7 +540,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         tau = torque_law(cfg, t, theta, theta_r)
 
-        pack_row(block, row_size * i, t, theta_dot, x, y, vx, vy, tau)
+        pack_row(block, row_size * i, theta_dot, x, y, vx, vy, tau)
 
         if i == n_steps:
             break

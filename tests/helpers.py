@@ -28,16 +28,29 @@ def run_starts(values):
     return np.flatnonzero(np.concatenate(([len(values) > 0], changed)))
 
 
+def tick_times(n):
+    """The times of n rows from 0, each the one before plus the inner step,
+    as run_mission sums t."""
+    times, t = [], 0.0
+    for _ in range(n):
+        times.append(t)
+        t += INNER_DT
+    return np.array(times, dtype=float)
+
+
 def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     """A TelemetryLog from its 14 float columns, an (n, 14) array in
     TELEMETRY_COLUMNS order, and its waypoint index per row.  Of the derived
-    columns only row 0's theta is kept, as theta0: the log derives them
-    from tau and theta_dot under BoatParams(body_length=body_length), with
-    the motor at rest in row 0.  A run of the held columns starts wherever
-    one of them changes its bits, so -0.0 and every NaN payload come back
-    as given."""
+    columns only row 0's theta is kept, as theta0: the log derives them,
+    the time on the tick grid (tick_times, which the t column must hold)
+    and the rest from tau and theta_dot under
+    BoatParams(body_length=body_length), with the motor at rest in row 0.
+    A run of the held columns starts wherever one of them changes its bits,
+    so -0.0 and every NaN payload come back as given."""
     floats = np.asarray(floats, dtype=float)
     index = np.asarray(index, dtype=np.int64)
+    if floats[:, 0].tobytes() != tick_times(len(floats)).tobytes():
+        raise ValueError("the t column must be the tick grid, which the log derives")
     stored = [TELEMETRY_COLUMNS.index(name) for name in STORED_COLUMNS]
     held = floats[:, [TELEMETRY_COLUMNS.index(name) for name in HELD_COLUMNS]]
     steps, runs = run_starts(index), run_starts(held.view(np.int64))
@@ -48,19 +61,27 @@ def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
                         params=BoatParams(body_length=body_length))
 
 
-def make_log(t, *, x=None, y=None, psi_hat=None, theta_r=None, index=None,
+def make_log(n, *, x=None, y=None, psi_hat=None, theta_r=None, index=None,
              period=1.0, body_length=0.15):
-    """Synthetic telemetry with zeros for everything not supplied."""
-    given = {"t": t, "x": x, "y": y, "psi_hat": psi_hat, "theta_r": theta_r}
-    n = len(t)
+    """Synthetic telemetry of n rows on the tick grid, with zeros for
+    everything not supplied."""
+    given = {"t": tick_times(n), "x": x, "y": y, "psi_hat": psi_hat, "theta_r": theta_r}
     cols = [np.zeros(n) if given.get(name) is None else np.asarray(given[name], dtype=float)
             for name in TELEMETRY_COLUMNS[:-1]]
     return telemetry_log(np.stack(cols, axis=1), np.zeros(n) if index is None else index,
                          period=period, body_length=body_length)
 
 
+def refused(name):
+    """A stand-in for a function that must not run, named name."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return refuse
+
+
 def stored_bytes(log):
-    """The bytes of the four arrays a TelemetryLog stores."""
+    """The bytes of the four arrays a TelemetryLog stores: 48 a tick, 32 an
+    outer tick and 16 a waypoint step."""
     return sum(array.nbytes for array in (log.rows, log.waypoint_steps, log.held,
                                           log.held_starts))
 

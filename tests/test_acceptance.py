@@ -22,7 +22,7 @@ from paddlesim.metrics import (measure_turn, orbit_radius, rise_time,
                                rms_perpendicular_error)
 from paddlesim.mission import MissionKind, MissionSpec, run_mission
 from helpers import (make_log, pendulum_reference, rk4_step_controlled,
-                     rolling_mean, run_step_test)
+                     rolling_mean, run_step_test, tick_times)
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
 STEP_DELTAS = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
@@ -239,7 +239,7 @@ def test_criterion_10_metrics_oracles():
         p0, p1 = rng.normal(size=2), rng.normal(size=2)
         if math.hypot(*(p1 - p0)) < 1e-6:
             continue
-        log = make_log(np.arange(n) * dt, x=xs, y=ys)
+        log = make_log(n, x=xs, y=ys)
         got = rms_perpendicular_error(log, (tuple(p0), tuple(p1))).rms_perp
         dx, dy = p1 - p0
         norm = math.hypot(dx, dy)
@@ -249,16 +249,16 @@ def test_criterion_10_metrics_oracles():
     assert worst_rel < 1e-12
 
     # orbit radius on an analytic circle
-    t = np.arange(round(20.0 / dt) + 1) * dt
-    log = make_log(t, x=0.11 * np.cos(0.8 * t), y=0.11 * np.sin(0.8 * t))
+    t = tick_times(round(20.0 / dt) + 1)
+    log = make_log(len(t), x=0.11 * np.cos(0.8 * t), y=0.11 * np.sin(0.8 * t))
     r = orbit_radius(log, (0.0, 0.0), 10.0)
     assert r == pytest.approx(0.11, abs=1e-6)
 
     # rise time against the first-order closed form
     tau_c, delta = 0.7, 1.3
-    t = np.arange(round(10.0 / dt) + 1) * dt
+    t = tick_times(round(10.0 / dt) + 1)
     psi = np.where(t > 1.0, delta * (1.0 - np.exp(-(t - 1.0) / tau_c)), 0.0)
-    rt = rise_time(make_log(t, psi_hat=psi), 1.0, delta)
+    rt = rise_time(make_log(len(t), psi_hat=psi), 1.0, delta)
     assert rt == pytest.approx(tau_c * math.log(10.0), abs=dt)
     _passline(10, f"rms oracle rel err {worst_rel:.1e} < 1e-12; circle radius "
                   f"to 1e-6; rise time within one sample of closed form")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_log, rise_time_reference, rolling_mean, within_ulps
+from helpers import make_log, rise_time_reference, rolling_mean, tick_times, within_ulps
 from paddlesim import metrics
 from paddlesim.metrics import (_RISE_WINDOW, RISE_FRACTION, DegenerateSegment, NotSettled,
                                measure_turn, orbit_radius, quartiles, rise_time,
@@ -17,14 +17,17 @@ DT = 1.0 / 250.0
 
 
 def grid(duration):
-    return np.arange(round(duration / DT) + 1) * DT
+    """The tick grid's times from 0 to duration, which a log's t holds."""
+    return tick_times(round(duration / DT) + 1)
 
 
 def test_rise_time_instantaneous_step():
+    # commanded at a row's time, which the summed grid puts just past 1 s
     t = grid(5.0)
-    psi = np.where(t > 1.0, 1.0, 0.0)
-    log = make_log(t, psi_hat=psi)
-    assert rise_time(log, 1.0, 1.0) == pytest.approx(DT)
+    ts = t[250]
+    psi = np.where(t > ts, 1.0, 0.0)
+    log = make_log(len(t), psi_hat=psi)
+    assert rise_time(log, ts, 1.0) == pytest.approx(DT)
 
 
 def test_rise_time_first_order_response():
@@ -32,7 +35,7 @@ def test_rise_time_first_order_response():
     delta = 1.2
     t = grid(12.0)
     psi = np.where(t > 2.0, delta * (1.0 - np.exp(-(t - 2.0) / tau_c)), 0.0)
-    log = make_log(t, psi_hat=psi)
+    log = make_log(len(t), psi_hat=psi)
     # oracle: closed form, 90% crossing of a first-order response
     expected = tau_c * math.log(10.0)
     assert rise_time(log, 2.0, delta) == pytest.approx(expected, abs=DT)
@@ -42,20 +45,21 @@ def test_rise_time_monotone_ramp():
     t = grid(10.0)
     t_star = 3.0
     psi = np.clip(t / t_star, 0.0, 1.0) * 0.9  # hits 0.9*delta exactly at t*
-    log = make_log(t, psi_hat=psi)
+    log = make_log(len(t), psi_hat=psi)
     assert rise_time(log, 0.0, 1.0) == pytest.approx(t_star, abs=DT + 1e-9)
 
 
 def test_rise_time_negative_delta():
     t = grid(8.0)
-    psi = np.where(t > 1.0, -0.5, 0.0)
-    log = make_log(t, psi_hat=psi)
-    assert rise_time(log, 1.0, -0.5) == pytest.approx(DT)
+    ts = t[250]
+    psi = np.where(t > ts, -0.5, 0.0)
+    log = make_log(len(t), psi_hat=psi)
+    assert rise_time(log, ts, -0.5) == pytest.approx(DT)
 
 
 def test_rise_time_not_settled():
     t = grid(5.0)
-    log = make_log(t, psi_hat=np.zeros_like(t))
+    log = make_log(len(t), psi_hat=np.zeros_like(t))
     with pytest.raises(NotSettled):
         rise_time(log, 0.0, 1.0)
 
@@ -66,7 +70,7 @@ def test_rise_time_hold_requirement_rejects_blip():
     blip = (t > 1.0) & (t < 1.2)        # short excursion into the band
     psi[blip] = 1.0
     psi[t >= 3.0] = 1.0                  # real settle later
-    log = make_log(t, psi_hat=psi)
+    log = make_log(len(t), psi_hat=psi)
     rt = rise_time(log, 0.0, 1.0)
     assert 2.9 < rt < 3.1
 
@@ -106,12 +110,12 @@ def test_rise_time_answers_as_the_reference_loop():
     rescans = late = 0
     for trial in range(400):
         kind = kinds[trial % 4]
-        t = np.cumsum(np.full(int(rng.integers(200, 1500)), DT)) - DT
+        t = tick_times(int(rng.integers(200, 1500)))
         t_c = rng.uniform(0.0, 0.3 * t[-1])
         delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)
         # wrapped as psi_hat is, so the unwrap matters
         psi = rng.uniform(-np.pi, np.pi) + delta * _frac_trace(rng, kind, t, t_c)
-        log = make_log(t, psi_hat=np.angle(np.exp(1j * psi)),
+        log = make_log(len(t), psi_hat=np.angle(np.exp(1j * psi)),
                        period=rng.uniform(0.05, 1.0))
         for command_time in (t[0], t[int(rng.integers(np.searchsorted(t, t_c) + 1))],
                              rng.uniform(t[0], t_c)):
@@ -128,7 +132,7 @@ def test_rise_time_answers_as_the_reference_loop():
     # holds that end within a few 1e-9 s of the log's end, where the search
     # stops for want of rows
     t = grid(3.0)
-    log = make_log(t, psi_hat=np.where(t > 1.0, 0.5, 0.0))
+    log = make_log(len(t), psi_hat=np.where(t > 1.0, 0.5, 0.0))
     for off in (-3e-9, -2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, 3e-9):
         log = replace(log, period=t[-1] - t[251] + off)
         got = _rise_outcome(rise_time, log, 1.0, 0.5)
@@ -152,7 +156,7 @@ def test_rise_time_answers_as_the_reference_loop_on_nan_and_inf_rows():
     outcomes = {"scattered": [], "nan tail": [], "both": []}
     at_nonfinite = 0
     for trial in range(600):
-        t = np.cumsum(np.full(int(rng.integers(200, 1500)), DT)) - DT
+        t = tick_times(int(rng.integers(200, 1500)))
         n = len(t)
         t_c = rng.uniform(0.0, 0.3 * t[-1])
         delta = (-1.0, 1.0)[trial % 2] * rng.uniform(0.05, 3.0)
@@ -163,7 +167,7 @@ def test_rise_time_answers_as_the_reference_loop_on_nan_and_inf_rows():
             psi[rows] = rng.choice([np.nan, np.inf, -np.inf], len(rows))
         if layout != "scattered":
             psi[int(rng.integers(np.searchsorted(t, t_c), n)):] = np.nan
-        log = make_log(t, period=rng.uniform(0.05, 1.0))
+        log = make_log(len(t), period=rng.uniform(0.05, 1.0))
         # the kept trace lives in the instance dict, where cached_property
         # keeps it; the frozen log refuses a plain assignment
         object.__setattr__(log, "psi_unwrapped", psi)
@@ -207,43 +211,43 @@ def test_rise_search_scans_no_row_for_a_step_that_never_rises(monkeypatch):
     psi = np.zeros_like(t)
     for ts, delta in steps:
         psi[t > ts] += 0.5 * delta
-    psi[t > 30.0] += 0.1
-    log = make_log(t, psi_hat=psi)
+    psi[t > t[7500]] += 0.1  # after the row at 30 s
+    log = make_log(len(t), psi_hat=psi)
     counting = _CountingNumpy()
     monkeypatch.setattr(metrics, "np", counting)
     for ts, delta in steps:
         with pytest.raises(NotSettled):
             rise_time(log, ts, delta)
     assert counting.rows == 0
-    assert rise_time(log, 30.0, 0.1) == pytest.approx(DT)
+    assert rise_time(log, t[7500], 0.1) == pytest.approx(DT)
     # the one window that holds the rise and the hold after it
     assert 0 < counting.rows <= _RISE_WINDOW + round(log.period / DT) + 1
 
 
 def test_travel_during_turn_stationary():
     t = grid(2.0)
-    log = make_log(t)
+    log = make_log(len(t))
     assert travel_during_turn(log, 0.0, 2.0) == 0.0
 
 
 def test_travel_during_turn_straight_motion():
     t = grid(4.0)
     v = 0.13
-    log = make_log(t, x=v * t)
+    log = make_log(len(t), x=v * t)
     assert travel_during_turn(log, 1.0, 3.0) == pytest.approx(v * 2.0, rel=1e-9)
 
 
 def test_travel_during_turn_quarter_circle():
     t = grid(1.0)
     ang = (math.pi / 2) * t  # quarter arc of the unit circle over one second
-    log = make_log(t, x=np.cos(ang), y=np.sin(ang))
+    log = make_log(len(t), x=np.cos(ang), y=np.sin(ang))
     # oracle: analytic arc length pi/2; chordal sampling is slightly short
     assert travel_during_turn(log, 0.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-3)
 
 
 def test_travel_during_turn_additive():
     t = grid(4.0)
-    log = make_log(t, x=np.sin(t), y=0.2 * t)
+    log = make_log(len(t), x=np.sin(t), y=0.2 * t)
     whole = travel_during_turn(log, 0.0, 4.0)
     parts = travel_during_turn(log, 0.0, 2.0) + travel_during_turn(log, 2.0, 4.0)
     assert whole == pytest.approx(parts, rel=1e-12)
@@ -252,10 +256,11 @@ def test_travel_during_turn_additive():
 def test_measure_turn_composes():
     t = grid(10.0)
     delta = 1.0
-    psi = np.where(t > 2.0, delta, 0.0)
+    ts = t[500]
+    psi = np.where(t > ts, delta, 0.0)
     v = 0.1
-    log = make_log(t, psi_hat=psi, x=v * t, body_length=0.15)
-    ev = measure_turn(log, 2.0, delta)
+    log = make_log(len(t), psi_hat=psi, x=v * t, body_length=0.15)
+    ev = measure_turn(log, ts, delta)
     assert ev.rise_time == pytest.approx(DT)
     assert ev.travel_distance == pytest.approx(v * ev.rise_time, rel=1e-6)
     assert ev.travel_BL == pytest.approx(ev.travel_distance / 0.15, rel=1e-12)
@@ -263,10 +268,10 @@ def test_measure_turn_composes():
 
 def test_rms_perp_on_line_and_offset():
     t = grid(1.0)
-    log = make_log(t, x=0.3 * t, y=np.zeros_like(t))
+    log = make_log(len(t), x=0.3 * t, y=np.zeros_like(t))
     seg = rms_perpendicular_error(log, ((0.0, 0.0), (1.0, 0.0)))
     assert seg.rms_perp == 0.0 and seg.max_perp == 0.0
-    log2 = make_log(t, x=0.3 * t, y=np.full_like(t, 0.05))
+    log2 = make_log(len(t), x=0.3 * t, y=np.full_like(t, 0.05))
     seg2 = rms_perpendicular_error(log2, ((0.0, 0.0), (1.0, 0.0)))
     assert seg2.rms_perp == pytest.approx(0.05)
     assert seg2.max_perp == pytest.approx(0.05)
@@ -277,14 +282,13 @@ def test_rms_perp_matches_brute_force_oracle():
     rng = np.random.default_rng(42)
     for _ in range(100):
         n = 100
-        t = np.arange(n) * DT
         xs = rng.normal(size=n)
         ys = rng.normal(size=n)
         p0 = tuple(rng.normal(size=2))
         p1 = tuple(rng.normal(size=2))
         if math.hypot(p1[0] - p0[0], p1[1] - p0[1]) < 1e-6:
             continue
-        log = make_log(t, x=xs, y=ys)
+        log = make_log(n, x=xs, y=ys)
         seg = rms_perpendicular_error(log, (p0, p1))
         # oracle: pointwise distance to the parametric infinite line
         dx, dy = p1[0] - p0[0], p1[1] - p0[1]
@@ -302,14 +306,10 @@ def test_rms_perp_window_edges_pick_the_masked_rows():
     # t >= start, t < ts, t <= end for the settled step change, whose spans
     # must last a period), also when an edge sits within a few ulps of a
     # sample plus or minus 1e-12
-    t = np.empty(500)
-    now = 0.0
-    for i in range(len(t)):  # accumulated as run_mission does
-        t[i] = now
-        now += DT
+    t = tick_times(500)
     rng = np.random.default_rng(7)
     # a one-tick period, so that spans of a tick or more still reach the windows
-    log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)),
+    log = make_log(len(t), x=rng.normal(size=len(t)), y=rng.normal(size=len(t)),
                    psi_hat=rng.normal(size=len(t)), period=DT)
     psi = np.unwrap(log.psi_hat)
     (x0, y0), (x1, y1) = segment = ((0.1, -0.2), (1.0, 0.3))
@@ -354,7 +354,7 @@ def _near_edges(x):
 def test_rms_perp_endpoint_swap_invariant():
     t = grid(1.0)
     rng = np.random.default_rng(1)
-    log = make_log(t, x=rng.normal(size=len(t)), y=rng.normal(size=len(t)))
+    log = make_log(len(t), x=rng.normal(size=len(t)), y=rng.normal(size=len(t)))
     a = rms_perpendicular_error(log, ((0.1, -0.3), (2.0, 1.0)))
     b = rms_perpendicular_error(log, ((2.0, 1.0), (0.1, -0.3)))
     assert a.rms_perp == pytest.approx(b.rms_perp, rel=1e-12)
@@ -362,7 +362,7 @@ def test_rms_perp_endpoint_swap_invariant():
 
 
 def test_rms_perp_degenerate_segment():
-    log = make_log(grid(0.1))
+    log = make_log(len(grid(0.1)))
     with pytest.raises(DegenerateSegment):
         rms_perpendicular_error(log, ((1.0, 1.0), (1.0, 1.0 + 1e-12)))
 
@@ -372,7 +372,7 @@ def test_rms_perp_rigid_motion_invariance():
     rng = np.random.default_rng(9)
     xs, ys = rng.normal(size=len(t)), rng.normal(size=len(t))
     p0, p1 = (0.0, 0.0), (1.0, 0.5)
-    base = rms_perpendicular_error(make_log(t, x=xs, y=ys), (p0, p1))
+    base = rms_perpendicular_error(make_log(len(t), x=xs, y=ys), (p0, p1))
     rho, ox, oy = 0.8, 3.0, -2.0
     c, s = math.cos(rho), math.sin(rho)
 
@@ -380,7 +380,7 @@ def test_rms_perp_rigid_motion_invariance():
         return c * x - s * y + ox, s * x + c * y + oy
 
     xr, yr = mv(xs, ys)
-    moved = rms_perpendicular_error(make_log(t, x=xr, y=yr),
+    moved = rms_perpendicular_error(make_log(len(t), x=xr, y=yr),
                                     (mv(*p0), mv(*p1)))
     assert moved.rms_perp == pytest.approx(base.rms_perp, rel=1e-12)
     assert moved.max_perp == pytest.approx(base.max_perp, rel=1e-12)
@@ -388,11 +388,11 @@ def test_rms_perp_rigid_motion_invariance():
 
 def test_orbit_radius_constant_and_alternating():
     t = grid(10.0)
-    log = make_log(t, x=np.full_like(t, 0.2), y=np.zeros_like(t))
+    log = make_log(len(t), x=np.full_like(t, 0.2), y=np.zeros_like(t))
     assert orbit_radius(log, (0.0, 0.0), 5.0) == pytest.approx(0.2)
     r, a = 0.3, 0.05
     radii = np.where(np.arange(len(t)) % 2 == 0, r - a, r + a)
-    log2 = make_log(t, x=radii)
+    log2 = make_log(len(t), x=radii)
     # odd sample counts leave one unpaired sample: tolerance a / n
     assert orbit_radius(log2, (0.0, 0.0), 10.0) == pytest.approx(r, abs=a / len(t) * 2)
 
@@ -401,19 +401,20 @@ def test_orbit_radius_sampled_circle():
     t = grid(20.0)
     r = 0.11
     ang = 0.7 * t
-    log = make_log(t, x=2.0 + r * np.cos(ang), y=-1.0 + r * np.sin(ang))
+    log = make_log(len(t), x=2.0 + r * np.cos(ang), y=-1.0 + r * np.sin(ang))
     assert orbit_radius(log, (2.0, -1.0), 10.0) == pytest.approx(r, abs=1e-6)
 
 
 def test_orbit_radius_window_validation():
-    log = make_log(grid(1.0))
+    log = make_log(len(grid(1.0)))
     with pytest.raises(ValueError):
         orbit_radius(log, (0.0, 0.0), 2.0)
     with pytest.raises(ValueError):
         orbit_radius(log, (0.0, 0.0), 0.0)
 
 
-_LOG = make_log(grid(2.0), x=0.1 * grid(2.0), psi_hat=np.where(grid(2.0) > 0.5, 1.0, 0.0))
+_LOG = make_log(len(grid(2.0)), x=0.1 * grid(2.0),
+                psi_hat=np.where(grid(2.0) > 0.5, 1.0, 0.0))
 
 
 # each call once returned a number, warned or raised another exception; the
@@ -425,8 +426,16 @@ _LOG = make_log(grid(2.0), x=0.1 * grid(2.0), psi_hat=np.where(grid(2.0) > 0.5, 
                  id="travel-nan-settle"),
     pytest.param(lambda: orbit_radius(_LOG, (0.0, 0.0), math.nan), "window",
                  id="orbit-nan-window"),
-    pytest.param(lambda: orbit_radius(make_log(grid(2.0)[:0]), (0.0, 0.0), 1.0), "log",
+    pytest.param(lambda: orbit_radius(make_log(0), (0.0, 0.0), 1.0), "log",
                  id="orbit-empty-log"),
+    pytest.param(lambda: orbit_radius(_LOG, (math.nan, 0.0), 1.0), "center",
+                 id="orbit-nan-center"),
+    pytest.param(lambda: orbit_radius(_LOG, (0.0, -math.inf), 1.0), "center",
+                 id="orbit-inf-center"),
+    pytest.param(lambda: settled_step_changes(_LOG, ((math.nan, 1.0),)), "step_schedule",
+                 id="settled-nan-time"),
+    pytest.param(lambda: settled_step_changes(_LOG, ((0.5, 1.0), (1.0, math.nan))),
+                 "step_schedule", id="settled-nan-change"),
     pytest.param(lambda: rise_time(_LOG, 0.5, math.nan), "delta", id="rise-nan-delta"),
     pytest.param(lambda: rise_time(_LOG, 0.5, math.inf), "delta", id="rise-inf-delta"),
     pytest.param(lambda: rise_time(_LOG, math.nan, 1.0), "command_time",

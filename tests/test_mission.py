@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
-from helpers import run_step_test, stored_bytes, telemetry_log, traced_peak
-from paddlesim.cli import load_preset, parse_scenario
+from helpers import (refused, run_step_test, stored_bytes, telemetry_log, tick_times,
+                     traced_peak)
+from paddlesim.cli import load_preset, parse_scenario, preset_names
 from paddlesim.control import ControlMode, ControllerConfig
 from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
 from paddlesim.mission import (DERIVED_COLUMNS, HELD_COLUMNS, MAX_POSITION,
                                TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                               TelemetryLog, _OUTER_GAPS, run_mission, waypoint_heading)
+                               TelemetryLog, _OUTER_GAPS, log_bytes, run_mission,
+                               waypoint_heading)
 
 
 def outer_tick_indices(n):
@@ -259,7 +261,7 @@ def test_telemetry_column_access():
         log.column("nope")
 
 
-_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 7\)"
+_BAD_BLOCK = r"rows must be a float64 array of shape \(n, 6\)"
 _BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
 _BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
 _BAD_HELD = r"held must be a float64 array of shape \(m, 3\)"
@@ -280,35 +282,35 @@ def _runs(*starts):
 
 # a bad index would otherwise fail only later, inside the CSV writer
 @pytest.mark.parametrize("rows, steps, held, held_starts, message", [
-    (np.zeros((3, 8)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                 # the hull angle stored
-    (np.zeros((2, 7)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
-    (np.zeros((3, 7), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
+    (np.zeros((3, 7)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                 # the time stored
+    (np.zeros((2, 6)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
+    (np.zeros((3, 6), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
     (np.zeros(3), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
-    (np.zeros((3, 7)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),          # float
-    (np.zeros((3, 7)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                  # a list
-    (np.zeros((3, 7)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
-    (np.zeros((3, 7)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
-    (np.zeros((3, 7)), _steps(), *_ONE_RUN, _BAD_STARTS),                 # no row 0
-    (np.zeros((3, 7)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 7)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((3, 7)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((0, 7)), _ONE_STEP, *_runs(), _BAD_STARTS),
-    (np.zeros((3, 7)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
-    (np.zeros((3, 7)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 7)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 7)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 7)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
-    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
-    (np.zeros((3, 7)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
-    (np.zeros((3, 7)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
+    (np.zeros((3, 6)), np.zeros((1, 2)), *_ONE_RUN, _BAD_STEPS),          # float
+    (np.zeros((3, 6)), [[0, 0]], *_ONE_RUN, _BAD_STEPS),                  # a list
+    (np.zeros((3, 6)), np.zeros((2, 1), dtype=np.int64), *_ONE_RUN, _BAD_STEPS),  # not pairs
+    (np.zeros((3, 6)), np.zeros(2, dtype=np.int64), *_ONE_RUN, _BAD_STEPS),
+    (np.zeros((3, 6)), _steps(), *_ONE_RUN, _BAD_STARTS),                 # no row 0
+    (np.zeros((3, 6)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 6)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((3, 6)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
+    (np.zeros((0, 6)), _ONE_STEP, *_runs(), _BAD_STARTS),
+    (np.zeros((3, 6)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
+    (np.zeros((3, 6)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 6)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 6)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 6)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
+    (np.zeros((3, 6)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
      _BAD_HELD_STARTS),
-    (np.zeros((3, 7)), _ONE_STEP, *_runs(), _BAD_RUNS),
-    (np.zeros((3, 7)), _ONE_STEP, *_runs(1), _BAD_RUNS),
-    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
-    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
-    (np.zeros((3, 7)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
-    (np.zeros((0, 7)), _steps(), *_ONE_RUN, _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(), _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(1), _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
+    (np.zeros((0, 6)), _steps(), *_ONE_RUN, _BAD_RUNS),
 ], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
         "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
         "decreasing-row", "step-in-empty-log", "unchanged-index", "int-held",
@@ -322,14 +324,14 @@ def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_sta
 
 
 def test_telemetry_log_decodes_its_index_from_the_steps():
-    log = TelemetryLog(np.zeros((6, 7)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
+    log = TelemetryLog(np.zeros((6, 6)), _steps((0, 7), (1, -1), (4, 2**62)), *_ONE_RUN)
     assert log.waypoint_index.tolist() == [7, -1, -1, -1, 2**62, 2**62]
     assert log.waypoint_index.dtype == np.int64
     for start in range(7):
         for stop in range(start, 7):
             assert np.array_equal(log.index_rows(start, stop),
                                   log.waypoint_index[start:stop])
-    empty = TelemetryLog(np.zeros((0, 7)), _steps(), *_runs())
+    empty = TelemetryLog(np.zeros((0, 6)), _steps(), *_runs())
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
     assert empty.psi_hat.shape == (0,)
 
@@ -341,7 +343,7 @@ _TINY_NAN = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0
 def test_telemetry_log_decodes_its_held_columns_from_the_runs():
     # a run need not change a value; -0.0 and a NaN payload keep their bits
     held = np.array([[1.0, -0.0, _TINY_NAN], [1.0, -0.0, _TINY_NAN], [2.0, 0.0, -3.5]])
-    rows = np.arange(49.0).reshape(7, 7)
+    rows = np.arange(42.0).reshape(7, 6)
     log = TelemetryLog(rows, _ONE_STEP, held, np.array([0, 1, 5], dtype=np.int64))
     expected = held[[0, 1, 1, 1, 1, 2, 2]]
     for k, name in enumerate(HELD_COLUMNS):
@@ -389,6 +391,7 @@ def test_motor_columns_are_integrated_from_tau(tau):
     # over the whole log and chunk by chunk
     n = len(tau)
     floats = np.zeros((n, len(TELEMETRY_COLUMNS) - 1))
+    floats[:, 0] = tick_times(n)
     floats[:, TELEMETRY_COLUMNS.index("tau")] = tau
     theta_dot = np.resize([0.5, -0.0, 3.0, -2.5, 0.0, -0.75, 40.0], n)
     # the edges in the last rows, since a hull angle gone inf or NaN stays so
@@ -413,13 +416,13 @@ def test_motor_columns_are_integrated_from_tau(tau):
 
 
 def test_motor_columns_of_empty_and_one_row_logs():
-    empty = TelemetryLog(np.zeros((0, 7)), _steps(), *_runs(), theta0=0.25)
+    empty = TelemetryLog(np.zeros((0, 6)), _steps(), *_runs(), theta0=0.25)
     assert empty.theta.shape == empty.phi.shape == empty.phi_dot.shape == (0,)
     assert list(empty.float_chunks(np.empty((4, len(TELEMETRY_COLUMNS) - 1)))) == []
-    one = TelemetryLog(np.full((1, 7), 7.0), _ONE_STEP, *_ONE_RUN, theta0=-0.0)
+    one = TelemetryLog(np.full((1, 6), 7.0), _ONE_STEP, *_ONE_RUN, theta0=-0.0)
     # row 0's hull angle is theta0, its bits kept, whatever its rate and torque
     assert one.theta.tobytes() == np.array([-0.0]).tobytes()
-    assert TelemetryLog(np.zeros((1, 7)), _ONE_STEP, *_ONE_RUN).theta.tolist() == [0.0]
+    assert TelemetryLog(np.zeros((1, 6)), _ONE_STEP, *_ONE_RUN).theta.tolist() == [0.0]
     assert one.phi.tolist() == [0.0] and one.phi_dot.tolist() == [0.0]
     assert one.theta_t_dot.tolist() == [7.0]  # the motor starts at rest
     for name in ("theta", "phi", "phi_dot"):
@@ -431,7 +434,7 @@ def test_derived_rows_are_the_column_rows():
     # a read of some rows integrates from row 0 across chunk edges and keeps
     # only the rows asked for
     rng = np.random.default_rng(11)
-    log = TelemetryLog(rng.standard_normal((1100, 7)), _ONE_STEP, *_ONE_RUN, theta0=0.7)
+    log = TelemetryLog(rng.standard_normal((1100, 6)), _ONE_STEP, *_ONE_RUN, theta0=0.7)
     for name in DERIVED_COLUMNS:
         column = log.column(name)
         for start, stop in ((0, 0), (0, 1100), (1, 511), (511, 513), (512, 1024),
@@ -443,6 +446,23 @@ def test_derived_rows_are_the_column_rows():
             log.derived_rows("theta", start, stop)
 
 
+@pytest.mark.parametrize("name, integrations", [
+    ("t", ()), ("theta", ("hull_angles",)), ("phi_dot", ("motor_rates",)),
+    ("phi", ("motor_rates", "motor_angles")), ("theta_t_dot", ("motor_rates",))])
+def test_derived_column_runs_only_its_integrations(monkeypatch, name, integrations):
+    # computing every derived column for one made a read of phi_dot cost
+    # the hull integration too
+    from paddlesim import mission
+    log = run_mission(BoatParams(), ControllerConfig(
+        mode=ControlMode.DESATURATED_THRUST_DIRECTION),
+        MissionSpec(kind=MissionKind.CONVERGE, duration=3.0, initial_theta=-1.0))
+    column = log.column(name)
+    for other in {"hull_angles", "motor_rates", "motor_angles"} - set(integrations):
+        monkeypatch.setattr(mission, other, refused(other))
+    assert log.column(name).tobytes() == column.tobytes()
+    assert log.derived_rows(name, 600, 700).tobytes() == column[600:700].tobytes()
+
+
 @pytest.mark.parametrize("name", DERIVED_COLUMNS)
 def test_derived_column_read_peaks_at_its_column(name):
     # the column is filled a chunk of a few hundred rows at a time, each
@@ -450,7 +470,7 @@ def test_derived_column_read_peaks_at_its_column(name):
     # at once peaked at 3 columns for phi
     n = 150_001  # long-mission's rows
     rng = np.random.default_rng(5)
-    log = TelemetryLog(rng.standard_normal((n, 7)), _ONE_STEP, *_ONE_RUN)
+    log = TelemetryLog(rng.standard_normal((n, 6)), _ONE_STEP, *_ONE_RUN)
     column, peak = traced_peak(lambda: log.column(name))
     assert len(column) == n and peak <= 1.1 * 8 * n
 
@@ -462,7 +482,7 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
                       MissionSpec(kind=MissionKind.WAYPOINTS, duration=2.0,
                                   waypoints=((0.0, 0.0), (0.0, 1.0))))
     psi = log.psi_unwrapped
-    for name, value in (("rows", np.zeros((3, 7))), ("waypoint_steps", np.zeros(3)),
+    for name, value in (("rows", np.zeros((3, 6))), ("waypoint_steps", np.zeros(3)),
                         ("held", np.zeros((1, 3))), ("held_starts", np.zeros(1)),
                         ("period", 2.0), ("theta0", 1.0), ("params", BoatParams())):
         with pytest.raises(FrozenInstanceError):
@@ -485,6 +505,9 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
         log.psi_unwrapped[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         log.psi_suffix_max[0] = 0.0
+    log.time_at(-1)
+    with pytest.raises(ValueError, match="read-only"):
+        log._time_marks[0] = 1.0
     assert log.waypoint_steps.tolist() == [[0, 1]]  # the start is on waypoints[0]
     assert np.array_equal(log.psi_unwrapped, np.unwrap(log.psi_hat))
     # replace builds a new log on the same block, with its own kept unwrap
@@ -496,10 +519,10 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
-def test_telemetry_log_stores_56_bytes_a_tick_32_an_outer_tick_and_16_a_step():
-    # 7 float64 columns a tick; the hull angle, the motor state and the
-    # reaction-mass rate are computed on access, from the run's theta0 and
-    # params, the outer loop's 3 outputs are one row and one
+def test_telemetry_log_stores_48_bytes_a_tick_32_an_outer_tick_and_16_a_step():
+    # 6 float64 columns a tick; the time, the hull angle, the motor state and
+    # the reaction-mass rate are computed on access, from the run's theta0
+    # and params, the outer loop's 3 outputs are one row and one
     # start per outer tick, and the waypoint index is one (first row, index)
     # pair per change
     (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
@@ -508,9 +531,21 @@ def test_telemetry_log_stores_56_bytes_a_tick_32_an_outer_tick_and_16_a_step():
     outer = outer_tick_indices(ticks)
     assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
     assert np.array_equal(log.held_starts, outer)
-    assert stored_bytes(log) == 56 * ticks + 32 * len(outer) + 16 * steps
+    assert log.rows.shape == (ticks, 6)
+    assert stored_bytes(log) == 48 * ticks + 32 * len(outer) + 16 * steps
     assert log.params is boat and log.theta0 == log.theta[0] == math.atan2(0.0, 1.0)
     assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_log_bytes_bound_what_a_run_stores(preset):
+    # the prediction counts a step per waypoint, the most the index can take
+    # as it only advances, and is exact but for the steps
+    (_, boat, control, mission), = parse_scenario(load_preset(preset)).points
+    log = run_mission(boat, control, mission)
+    steps = 16 * max(len(mission.waypoints), 1)
+    assert log_bytes(mission) - steps == stored_bytes(log) - log.waypoint_steps.nbytes
+    assert log.waypoint_steps.nbytes <= steps
 
 
 @pytest.mark.parametrize("preset", ["waypoint-square", "congruent-step"])

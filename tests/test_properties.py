@@ -1,6 +1,6 @@
 """Property tests: the plant step, the estimator's trimmed history, angle
-wrapping, float parsing, the settings' shape and finite check, whole configs
-and the CSV number text."""
+wrapping, float parsing, the settings' shape and finite check, whole configs,
+the log's time lookup and the CSV number text."""
 
 import contextlib
 import copy
@@ -27,8 +27,8 @@ from paddlesim.control import (_WRAP_EPS, ControllerConfig, ControlMode,
 from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import INNER_DT, BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
-from paddlesim.mission import (TELEMETRY_COLUMNS, MissionKind, MissionSpec, coincident,
-                               run_mission)
+from paddlesim.mission import (STORED_COLUMNS, TELEMETRY_COLUMNS, MissionKind, MissionSpec,
+                               TelemetryLog, coincident, run_mission)
 
 # bounded; the conftest profile makes every run draw the same examples
 FAST = settings(max_examples=60)
@@ -665,3 +665,43 @@ def test_csv_text_is_printf_g9_and_d(values):
     rows = csv_rows(floats, np.array([i for _, i in values], dtype=np.int64))
     assert rows.decode().splitlines() == [
         ",".join(["%.9g" % x] * 14 + ["%d" % i]) for x, i in values]
+
+
+# logs of no row, one row, either side of the 512-row chunk of the time
+# lookup, and a few thousand rows, with each one's time column
+_TIMED = {n: TelemetryLog(np.zeros((n, len(STORED_COLUMNS))),
+                          np.zeros((min(n, 1), 2), dtype=np.int64),
+                          np.zeros((min(n, 1), 3)), np.zeros(min(n, 1), dtype=np.int64))
+          for n in (0, 1, 511, 512, 513, 3001)}
+_TIMES = {n: log.t for n, log in _TIMED.items()}
+
+
+@st.composite
+def _time_probes(draw):
+    """A log's row count and a value to search its times for: any float, or
+    a row's time (often at a chunk's edge) moved by 1e-12 s or a few ulps."""
+    n = draw(st.sampled_from(sorted(_TIMED)))
+    if not n or draw(st.booleans()):
+        return n, draw(st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                                                      -math.inf, 5e-324, -5e-324]))
+    edges = [r for k in range(0, n, 512) for r in (k - 1, k, k + 1) if 0 <= r < n]
+    row = draw(st.sampled_from(edges) | st.integers(0, n - 1))
+    time = float(_TIMES[n][row]) + draw(st.sampled_from([-1e-12, 0.0, 1e-12]))
+    return n, draw(st.sampled_from(within_ulps(time, 2)))
+
+
+@settings(max_examples=1500)
+@given(probe=_time_probes(), side=st.sampled_from(["left", "right"]))
+def test_time_search_is_searchsorted_on_the_column(probe, side):
+    # the lookup finds the chunk from the kept times and searches its times
+    # alone; it must answer as a search of the whole derived column
+    n, value = probe
+    assert _TIMED[n].search_time(value, side) == int(np.searchsorted(_TIMES[n], value, side))
+
+
+def test_time_at_is_the_column_row():
+    for n, log in _TIMED.items():
+        assert [log.time_at(row) for row in range(-n, n)] == _TIMES[n][list(range(-n, n))].tolist()
+        for row in (-n - 1, n):
+            with pytest.raises(IndexError):
+                log.time_at(row)
