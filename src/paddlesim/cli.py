@@ -26,7 +26,7 @@ from .dynamics import INNER_RATE, BoatParams
 from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
                       rms_perpendicular_error, settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                      TelemetryLog, log_bytes, run_mission)
+                      TelemetryLog, log_bytes_text, run_mission)
 
 CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 # rows formatted at a time: a larger chunk's temporaries make the allocator
@@ -353,23 +353,27 @@ def _execute(cfg: ScenarioConfig, out_dir: str | None, strict_settle: bool) -> i
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, boat, control, mission in cfg.points:
-        first, *copies, text_name, dat_name = _file_names(stem, n_runs)
         # runs are bit-deterministic: simulate and write once, copy per repeat
         try:
             log = run_mission(boat, control, mission)
-            # reported before anything is written, so a failed point leaves no files
+        except ConfigError as exc:  # the run diverged
+            raise ConfigError(f"{stem}: {exc}") from exc
+        except MemoryError:
+            raise ConfigError(f"{stem}: out of memory: the run's log needs up to "
+                              f"{log_bytes_text(mission)}") from None
+        # reported before anything is written, so a failed point leaves no files
+        first, *copies, text_name, dat_name = _file_names(stem, n_runs)
+        try:
             report = report_metrics([log] * n_runs, mission, strict_settle)
             if not report:
                 print(f"error: no metrics produced for {stem}", file=sys.stderr)
                 return 1
             write_telemetry_csv(log, out / first)
-            del log  # freed before the next point allocates its own: one log at a time
-        except ConfigError as exc:  # the run diverged
-            raise ConfigError(f"{stem}: {exc}") from exc
         except MemoryError:
-            raise ConfigError(f"{stem}: out of memory: the run's log needs up to "
-                              f"{log_bytes(mission):,} bytes (48 a tick, 32 an outer "
-                              f"tick, 16 a waypoint)") from None
+            (out / first).unlink(missing_ok=True)  # a CSV cut short
+            raise ConfigError(f"{stem}: out of memory reporting or writing the run, "
+                              f"beside its log") from None
+        del log  # freed before the next point allocates its own: one log at a time
         for copy in copies:
             shutil.copyfile(out / first, out / copy)
         (out / text_name).write_text(render_report_text(report))

@@ -58,7 +58,8 @@ _MIN_DIGITS = np.where(_fixed, _X + 1, 1)
 _exp = np.zeros((len(_X), 7), int)
 _exp[:, 3:] = np.stack([np.full_like(_X, 101), np.where(_X < 0, 45, 43),
                         48 + abs(_X) // 10, 48 + abs(_X) % 10], axis=1)
-_EXP_WORD = np.where(_fixed | _small, _U(0), _words(_exp)) | _U(44 << 56)
+# at index 2 row + negative, as the leading text: one "e+XX," per sign
+_EXP_WORD = np.repeat(np.where(_fixed | _small, _U(0), _words(_exp)) | _U(44 << 56), 2)
 _lead_len = np.where(_small, 1 - _X, 0)
 _lead = np.where(np.arange(5) < _lead_len[:, None],
                  np.where(np.arange(5) == 1, 46, 48), 0)
@@ -128,32 +129,34 @@ def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _digit_words(m: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two words of each m's digits with its point, before the sign,
-    leading text and exponent."""
-    # m >= 0, so floor division and a subtraction split it as divmod would
+    leading text and exponent.  m's buffer is reused: the caller must not
+    read m after."""
+    # m >= 0, so floor division and a subtraction split it as divmod would;
+    # m's place holds the rest and then the low four digits, and a lookup's
+    # text takes its index's place (take buffers an output that overlaps)
     first = m // 10**8
-    rest = first * -10**8
-    rest += m
-    hi = rest // 10_000
-    lo = hi * -10_000
-    lo += rest
-    del rest
+    m -= first * 10**8
+    hi = m // 10_000
+    m -= hi * 10_000
+    lo = m
     digits = _LO_DIGITS[lo]
     np.maximum(digits, _HI_DIGITS[hi], out=digits)
     np.maximum(digits, _MIN_DIGITS[row], out=digits)
     a = first.view(_U)
     a += _U(48)
-    hi_text = _DIGITS4[hi]
+    hi_text = np.take(_DIGITS4, hi, out=hi.view(_U))
     hi_text <<= _U(8)
     a |= hi_text
     del hi, hi_text
-    b = _DIGITS4[lo]
+    b = np.take(_DIGITS4, lo, out=lo.view(_U))
     del lo
     a |= b << _U(40)
     a &= _KEEP_A[digits]
     b >>= _U(24)
     b &= _KEEP_B[digits]
     point = _POINT_AFTER[row]
-    point[digits <= point + 1] = 9
+    digits -= 1
+    point[digits <= point] = 9
     del digits
     low = _POINT_LOW[point]
     moved = ~low
@@ -176,17 +179,17 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del m
     # the sign and leading text shift the text up to 6 bytes, partly into
     # word 1; in two shifts, so that none reaches 64 bits
-    lead = row * 2
+    lead = row  # row's place, as the tables read 2 row + negative
+    lead *= 2
     lead += np.signbit(x)
     bits = _LEAD_BITS[lead]
     b <<= bits
+    b |= _EXP_WORD[lead]
     spill = _U(63) - bits
     np.right_shift(a, spill, out=spill)
     spill >>= _U(1)
     b |= spill
     del spill
-    b |= _EXP_WORD[row]
-    del row
     a <<= bits
     a |= _LEAD_WORD[lead]
     return a, b, slow

@@ -60,11 +60,10 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
     if not 0.0 < abs(delta) < math.inf:
         raise ValueError("delta must be finite and nonzero")
     hold = log.period
+    # the last row not after the command; a NaN sorts past the last row
     base_i = log.search_time(command_time, "right") - 1
-    # a NaN sorts past the last row, and fails the compare with it
-    if base_i < 0 or not command_time >= log.time_at(base_i):
+    if base_i < 0 or math.isnan(command_time):
         raise ValueError("command_time must be a number not before the log")
-    end = log.time_at(-1)
     psi = log.psi_unwrapped[base_i:]
     # (v - psi[0]) / delta rounds monotonically in v, so a row from j on
     # reaches the threshold exactly when the extreme from j on does
@@ -81,7 +80,7 @@ def rise_time(log: TelemetryLog, command_time: float, delta: float) -> float:
             continue
         j += int(ahead[0])
         t_j = log.time_at(base_i + j)
-        if t_j + hold > end + 1e-9:
+        if t_j + hold > log.time_at(-1) + 1e-9:
             break  # cannot verify the hold inside the log
         # the hold's end among the rows from base_i on
         k = max(log.search_time(t_j + hold, "right") - base_i, 0)
@@ -129,13 +128,16 @@ def settled_step_changes(log: TelemetryLog, step_schedule) -> list[float]:
     if any(math.isnan(ts) or math.isnan(delta) for ts, delta in step_schedule):
         raise ValueError("step_schedule times and changes must be numbers")
     psi = log.psi_unwrapped
-    bounds = [0.0] + [ts for ts, _ in step_schedule] + [log.time_at(-1)]
+    bounds = np.array([0.0] + [ts for ts, _ in step_schedule] + [log.time_at(-1)])
+    starts, steps, ends = bounds[:-2], bounds[1:-1], bounds[2:]
+    # each window's first and end rows, for all the steps in one search each
+    b0s = log.search_time(starts + 0.75 * (steps - starts), "left").tolist()
+    b1s = log.search_time(steps, "left").tolist()
+    a0s = log.search_time(steps + 0.75 * (ends - steps), "left").tolist()
+    a1s = log.search_time(ends, "right").tolist()
     changes = []
-    for start, ts, end in zip(bounds, bounds[1:], bounds[2:]):
-        b0 = log.search_time(start + 0.75 * (ts - start), "left")
-        b1 = log.search_time(ts, "left")
-        a0 = log.search_time(ts + 0.75 * (end - ts), "left")
-        a1 = log.search_time(end, "right")
+    for start, ts, end, b0, b1, a0, a1 in zip(starts.tolist(), steps.tolist(), ends.tolist(),
+                                              b0s, b1s, a0s, a1s):
         if min(ts - start, end - ts) >= log.period and b0 < b1 and a0 < a1:
             changes.append(float(np.mean(psi[a0:a1]) - np.mean(psi[b0:b1])))
         else:

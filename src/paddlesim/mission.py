@@ -132,6 +132,10 @@ STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
                        if name not in DERIVED_COLUMNS and name not in HELD_COLUMNS)
 _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
+# bytes a log keeps per outer tick, a held row and its int64 first row, and
+# per waypoint step, an int64 (first row, index) pair
+_OUTER_BYTES = _HELD_ROW.size + 8
+_STEP_BYTES = 16
 # the derived and held columns' places among the floats, and the stored
 # columns' places among the stored ones; the stored columns fill the other
 # places among the floats in order: theta_dot, x to vy, then tau last
@@ -158,8 +162,9 @@ def _valid_starts(starts: np.ndarray, n: int) -> bool:
 def _tick_times(t: float, n: int) -> np.ndarray:
     """The time t and the n ticks after it, each summed from the one before
     as run_mission sums t: an accumulated sum adds in order."""
-    times = np.full(n + 1, INNER_DT)
+    times = np.empty(n + 1)
     times[0] = t
+    times[1:] = INNER_DT
     return np.add.accumulate(times, out=times)
 
 
@@ -186,8 +191,13 @@ def log_bytes(spec: MissionSpec) -> int:
     cycles, rest = divmod(rows, sum(_OUTER_GAPS))
     # counted without the schedule-sized array, which may not fit either
     outer = cycles * len(_OUTER_GAPS) + len(_outer_rows(rest))
-    return (rows * _ROW.size + outer * (_HELD_ROW.size + 8)
-            + max(len(spec.waypoints), 1) * 16)
+    return rows * _ROW.size + outer * _OUTER_BYTES + max(len(spec.waypoints), 1) * _STEP_BYTES
+
+
+def log_bytes_text(spec: MissionSpec) -> str:
+    """log_bytes(spec) and what it counts, for a message."""
+    return (f"{log_bytes(spec):,} bytes ({_ROW.size} a tick, {_OUTER_BYTES} an "
+            f"outer tick, {_STEP_BYTES} a waypoint)")
 
 
 @dataclass(frozen=True)
@@ -352,18 +362,29 @@ class TelemetryLog:
         chunk, offset = divmod(row % n, _DERIVE_ROWS)
         return float(_tick_times(self._time_marks[chunk], offset)[-1])
 
-    def search_time(self, value: float, side: str = "left") -> int:
+    def search_time(self, value, side: str = "left"):
         """The row before which value goes among the times, as np.searchsorted
         of the t column answers with the same side, NaN and infinities
-        included: the kept times find the chunk, and the search runs on
-        that chunk's times alone."""
-        marks = self._time_marks
-        chunk = int(np.searchsorted(marks, value, side))
-        if chunk == 0:  # row 0 already goes after value
-            return 0
-        first = (chunk - 1) * _DERIVE_ROWS
-        times = _tick_times(marks[chunk - 1], min(_DERIVE_ROWS, len(self) - first) - 1)
-        return first + int(np.searchsorted(times, value, side))
+        included: an int for a float, an int64 array for an array of them.
+        The kept times find each value's chunk, and each chunk's times are
+        summed once for all the values in it."""
+        values = np.asarray(value, dtype=float)
+        # the chunk after the one holding each value; 0: row 0 goes after it
+        after = self._time_marks.searchsorted(values, side)
+        if values.ndim == 0:
+            return 0 if after == 0 else int(self._search_chunk(int(after) - 1, value, side))
+        rows = np.zeros(values.shape, np.int64)
+        for chunk in set(after[after > 0].tolist()):
+            here = after == chunk
+            rows[here] = self._search_chunk(chunk - 1, values[here], side)
+        return rows
+
+    def _search_chunk(self, chunk: int, values, side: str):
+        """np.searchsorted of the t column for values within a chunk's
+        times, on that chunk's times alone."""
+        first = chunk * _DERIVE_ROWS
+        times = _tick_times(self._time_marks[chunk], min(_DERIVE_ROWS, len(self) - first) - 1)
+        return first + times.searchsorted(values, side)
 
     @cached_property
     def psi_unwrapped(self) -> np.ndarray:

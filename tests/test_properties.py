@@ -699,6 +699,17 @@ def test_time_search_is_searchsorted_on_the_column(probe, side):
     assert _TIMED[n].search_time(value, side) == int(np.searchsorted(_TIMES[n], value, side))
 
 
+@settings(max_examples=300)
+@given(probes=st.lists(_time_probes(), max_size=12), n=st.sampled_from(sorted(_TIMED)),
+       side=st.sampled_from(["left", "right"]))
+def test_time_search_of_an_array_is_searchsorted_on_the_column(probes, n, side):
+    # values from probes of any log, searched together, spread over chunks
+    values = np.array([value for _, value in probes])
+    rows = _TIMED[n].search_time(values, side)
+    assert rows.dtype == np.int64
+    assert rows.tolist() == np.searchsorted(_TIMES[n], values, side).tolist()
+
+
 def test_time_at_is_the_column_row():
     for n, log in _TIMED.items():
         assert [log.time_at(row) for row in range(-n, n)] == _TIMES[n][list(range(-n, n))].tolist()
