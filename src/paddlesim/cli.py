@@ -23,8 +23,8 @@ import numpy as np
 
 from .control import ControllerConfig, wrap_to_pi
 from .dynamics import INNER_RATE, BoatParams
-from .metrics import (NotSettled, measure_turn, orbit_radius, quartiles,
-                      rms_perpendicular_error, settled_step_changes)
+from .metrics import (NotSettled, _segment_error, measure_turn, orbit_radius, quartiles,
+                      settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
                       TelemetryLog, log_bytes_text, run_mission)
 
@@ -269,9 +269,8 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         # waypoint k is the target from the row of its step to the next step
         rms, peak = [], []
         for (first, k), (end, _) in zip(steps, steps[1:]):
-            t0, t1 = log.time_at(first), log.time_at(end - 1)
             p0 = spec.waypoints[k - 1] if k > 0 else (float(log.x[0]), float(log.y[0]))
-            seg = rms_perpendicular_error(log, (p0, spec.waypoints[k]), (t0, t1))
+            seg = _segment_error(log, (p0, spec.waypoints[k]), slice(first, end))
             rms.append(seg.rms_perp)
             peak.append(seg.max_perp)
         if rms:

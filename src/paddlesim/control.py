@@ -99,9 +99,9 @@ def desaturated_torque(cfg: ControllerConfig, t: float, theta: float,
     diff = theta_r - theta
     # wrap_to_pi returns an error in (-3, 3) unchanged, so no unwind drives it
     if -3.0 < diff < 3.0 or abs(wrap_to_pi(diff) - diff) < _WRAP_EPS:
-        xi = 0
+        xi = 0.0
     else:
-        xi = 1 if diff > 0.0 else -1
+        xi = 1.0 if diff > 0.0 else -1.0
     return -cfg.K * sin(cfg.omega * t) - cfg.beta * (sin(diff) + xi)
 
 

@@ -91,13 +91,14 @@ class BoatParams:
     def __post_init__(self):
         check_fields(self, positive=("I_b", "I_t", "mass", "body_length"),
                      non_negative=("C_f", "C_r", "C_v", "k_thrust"))
-        # what rk4_step reads on every call, built once, the total inertia
-        # negated; not a field, so it is no config key and equality and
-        # hashing ignore it.  replace() rebuilds it, and copies and pickles
-        # carry it with the fields.
+        # what rk4_step reads on every call, built once: the total inertia
+        # negated, then the step and its half and sixth; not a field, so it
+        # is no config key and equality and hashing ignore it.  replace()
+        # rebuilds it, and copies and pickles carry it with the fields.
         object.__setattr__(self, "_step_constants",
                            (self.C_f, self.C_r, self.C_v, self.mass, self.I_t,
-                            -(self.I_b + self.I_t)))
+                            -(self.I_b + self.I_t), INNER_DT, 0.5 * INNER_DT,
+                            INNER_DT / 6.0))
 
 
 def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> float:
@@ -110,15 +111,15 @@ def orientation_accel(params: BoatParams, theta_dot: float, phi_ddot: float) -> 
     return -(drag + params.I_t * phi_ddot) / (params.I_b + params.I_t)
 
 
-def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
-             phi_dot: float, x: float, y: float, vx: float, vy: float,
-             control_torque: float, thrust_x: float, thrust_y: float,
-             dt: float) -> tuple[float, ...]:
-    """Advance the hull angle and rate (theta unwrapped), the motor angle and
-    rate, the position and the velocity by one classical fourth-order step,
-    returning the eight new values in that order.  The motor acceleration
-    and the thrust vector (thrust_x, thrust_y), in N, are held over the step;
-    the caller advances time by dt.
+def rk4_step(params: BoatParams, theta: float, theta_dot: float, x: float,
+             y: float, vx: float, vy: float, control_torque: float, thrust_x: float,
+             thrust_y: float) -> tuple[float, ...]:
+    """Advance the hull angle and rate (theta unwrapped), the position and
+    the velocity by one classical fourth-order step of INNER_DT, returning
+    the six new values in that order.  The motor acceleration and the thrust
+    vector (thrust_x, thrust_y), in N, are held over the step; the caller
+    advances time and the motor rate.  The motor angle is the log's to
+    integrate (motor_rates, motor_angles).
 
     The stages are written out over local constants, unpacked from the
     tuple BoatParams builds once, because this runs on every tick: a point
@@ -130,14 +131,9 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
     that follows is then +0.0 and restores the sign.  With >= instead, the
     sum at s = -0.0 would be +0.0 where abs gives -0.0.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    a = control_torque  # motor acceleration, constant over the step
-    C_f, C_r, C_v, mass, I_t, neg_inertia = params._step_constants
-    motor = I_t * a
+    C_f, C_r, C_v, mass, I_t, neg_inertia, dt, half, sixth = params._step_constants
+    motor = I_t * control_torque  # the motor acceleration, constant over the step
     w = theta_dot
-    half = 0.5 * dt
-    sixth = dt / 6.0
 
     # rotational stages: theta's stage derivative is the stage value of theta_dot
     k1 = (C_f * w * (w if w > 0.0 else -w) + C_r * w + motor) / neg_inertia
@@ -162,10 +158,8 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
     cd = C_v * hypot(ux4, uy4)
     ax4, ay4 = (tx - cd * ux4) / mass, (ty - cd * uy4) / mass
 
-    # the motor's constant acceleration integrates exactly
     return (theta + sixth * (w + 2.0 * s2 + 2.0 * s3 + s4),
             w + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-            phi + phi_dot * dt + 0.5 * a * dt * dt, phi_dot + a * dt,
             x + sixth * (vx + 2.0 * ux2 + 2.0 * ux3 + ux4),
             y + sixth * (vy + 2.0 * uy2 + 2.0 * uy3 + uy4),
             vx + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
@@ -173,19 +167,19 @@ def rk4_step(params: BoatParams, theta: float, theta_dot: float, phi: float,
 
 
 # The plant's step order over arrays, for a log that keeps the hull rate and
-# the motor command and derives the angles from them.  Each repeats
-# rk4_step's update op for op, and an accumulated sum adds in order, so they
-# give its Python floats bit for bit.  Python floats overflow to inf and give
-# NaN without a warning, so their callers turn numpy's overflow and invalid
-# warnings off.
+# the motor command and derives the angles from them.  hull_angles repeats
+# rk4_step's theta update op for op, and an accumulated sum adds in order, so
+# it gives its Python floats bit for bit; the motor is integrated here alone,
+# its rate summed as run_mission sums it.  Python floats overflow to inf and
+# give NaN without a warning, so their callers turn numpy's overflow and
+# invalid warnings off.
 
 def hull_angles(params: BoatParams, theta_dot: np.ndarray, tau: np.ndarray,
                 theta: float) -> np.ndarray:
     """The hull angle from theta on under the hull rates theta_dot and the
     motor accelerations tau, at each row of tau and one past it: rk4_step's
     theta update, k4 unused."""
-    C_f, C_r, _, _, I_t, neg_inertia = params._step_constants
-    dt = INNER_DT
+    C_f, C_r, _, _, I_t, neg_inertia, dt, half, sixth = params._step_constants
     w = theta_dot
     motor = I_t * tau
     # each stage's rate s and acceleration k, written in place with
@@ -206,21 +200,21 @@ def hull_angles(params: BoatParams, theta_dot: np.ndarray, tau: np.ndarray,
         np.divide(k, neg_inertia, out=k)
 
     accel(w)
-    np.add(w, np.multiply(0.5 * dt, k, out=k), out=s)     # s2
+    np.add(w, np.multiply(half, k, out=k), out=s)          # s2
     np.add(w, np.multiply(2.0, s, out=inc), out=inc)      # w + 2.0 * s2
     accel(s)
-    np.add(w, np.multiply(0.5 * dt, k, out=k), out=s)     # s3
+    np.add(w, np.multiply(half, k, out=k), out=s)          # s3
     inc += np.multiply(2.0, s, out=k)
     accel(s)
     np.add(w, np.multiply(dt, k, out=k), out=s)           # s4
     inc += s
-    np.multiply(dt / 6.0, inc, out=inc)
+    np.multiply(sixth, inc, out=inc)
     return np.add.accumulate(angles, out=angles)
 
 
 def motor_rates(tau: np.ndarray, phi_dot: float) -> np.ndarray:
     """The motor rate from phi_dot on, at each row of tau and one past it:
-    phi_dot + tau * dt, tau held over each step."""
+    phi_dot + tau * dt, tau held over each step, as run_mission sums it."""
     rates = np.empty(len(tau) + 1)
     rates[0] = phi_dot
     np.multiply(tau, INNER_DT, out=rates[1:])
@@ -230,8 +224,8 @@ def motor_rates(tau: np.ndarray, phi_dot: float) -> np.ndarray:
 def motor_angles(tau: np.ndarray, rates: np.ndarray, phi: float) -> np.ndarray:
     """The motor angle from phi on under tau and its rates (motor_rates), at
     each row of tau and one past it, as a strided view: phi + phi_dot * dt +
-    0.5 * tau * dt * dt."""
-    # phi, then each step's two terms in the order rk4_step adds them
+    0.5 * tau * dt * dt, exact for tau held over the step."""
+    # phi, then each step's two terms in that order
     terms = np.empty(2 * len(tau) + 1)
     terms[0] = phi
     np.multiply(rates[:-1], INNER_DT, out=terms[1::2])

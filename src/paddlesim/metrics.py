@@ -151,6 +151,14 @@ def rms_perpendicular_error(log: TelemetryLog,
     """RMS and max perpendicular distance to the infinite line through the
     segment endpoints, over the samples inside the time window (its edges
     widened by 1e-12 s; the log's times increase)."""
+    rows = slice(None) if time_window is None else _rows_within(log, *time_window)
+    return _segment_error(log, segment, rows)
+
+
+def _segment_error(log: TelemetryLog,
+                   segment: tuple[tuple[float, float], tuple[float, float]],
+                   rows: slice) -> SegmentError:
+    """rms_perpendicular_error over the log's rows `rows`."""
     (x0, y0), (x1, y1) = segment
     if coincident(*segment):
         raise DegenerateSegment("segment endpoints coincide")
@@ -158,7 +166,6 @@ def rms_perpendicular_error(log: TelemetryLog,
     length = math.hypot(dx, dy)
     if not length < math.inf:  # NaN too
         raise ValueError("segment endpoints and their distance must be finite")
-    rows = slice(None) if time_window is None else _rows_within(log, *time_window)
     x, y = log.x[rows], log.y[rows]
     if not len(x):
         raise ValueError("time window contains no samples")

@@ -40,6 +40,10 @@ MAX_TICKS = 10**7
 # floor.  A run whose hull or reference angle passes twice this has diverged:
 # an ulp there (4.7e-10) is still under wrap_to_pi's error bound.
 MAX_ANGLE = 1e6
+# Largest motor rate a run may reach, rad/s.  The log integrates the motor
+# angle from the rates: |phi| <= 2 * rows * INNER_DT * MAX_MOTOR_RATE, 8e307
+# at MAX_TICKS, so a log whose rates all stay within it holds a finite angle.
+MAX_MOTOR_RATE = 1e303
 # Largest waypoint or start coordinate accepted, m.  Distances to points near
 # 1e308 overflow to inf, and the report's quartiles of them to NaN.
 MAX_POSITION = 1e6
@@ -126,6 +130,8 @@ _INTEGRATIONS = {"t": ("t",), "theta": ("theta",), "phi": ("phi_dot", "phi"),
                  "phi_dot": ("phi_dot",), "theta_t_dot": ("phi_dot",)}
 # rows of a derived column computed at a time by a whole-column read
 _DERIVE_ROWS = 512
+# kept times whose rows a log's time lookup sums at once, 16,384 rows
+_MARK_BLOCK = 32
 # the columns a log stores per row, in row order: the floats but the held
 # and derived ones
 STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
@@ -345,12 +351,15 @@ class TelemetryLog:
     @cached_property
     def _time_marks(self) -> np.ndarray:
         """The time of every _DERIVE_ROWS-th row from row 0, computed on
-        first use and kept: 1/_DERIVE_ROWS of the column."""
+        first use and kept: 1/_DERIVE_ROWS of the column.  The times are
+        summed _MARK_BLOCK marks' rows at a time."""
         marks = np.empty(-(-len(self) // _DERIVE_ROWS))
         t = 0.0
-        for k in range(len(marks)):
-            marks[k] = t
-            t = _tick_times(t, _DERIVE_ROWS)[-1]
+        for k in range(0, len(marks), _MARK_BLOCK):
+            count = min(_MARK_BLOCK, len(marks) - k)
+            times = _tick_times(t, count * _DERIVE_ROWS)
+            marks[k:k + count] = times[:-1:_DERIVE_ROWS]
+            t = times[-1]
         return _read_only(marks)
 
     def time_at(self, row: int) -> float:
@@ -459,6 +468,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     cos, sin, isfinite = math.cos, math.sin, math.isfinite
     angle_cap = 2 * MAX_ANGLE
     neg_angle_cap = -angle_cap
+    rate_cap, neg_rate_cap = MAX_MOTOR_RATE, -MAX_MOTOR_RATE
     pack_row, row_size = _ROW.pack_into, _ROW.size
     pack_held, held_size = _HELD_ROW.pack_into, _HELD_ROW.size
     # resolved per run from this module, so wrappers installed on it apply;
@@ -475,11 +485,11 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     outer_gaps = cycle(_OUTER_GAPS)
 
     theta_des = _initial_desired_heading(spec)
-    # the plant state, as plain floats; the log derives theta from theta0
-    # and sums t as the loop does
+    # the plant state, as plain floats; the log derives theta from theta0,
+    # the motor angle from tau, and sums t and phi_dot as the loop does
     t = 0.0
     theta = theta0 = spec.initial_theta if spec.initial_theta is not None else theta_des
-    theta_dot = phi = phi_dot = vx = vy = 0.0
+    theta_dot = phi_dot = vx = vy = 0.0
     x, y = spec.start
     theta_r = theta_des
     # updated in place each outer tick; an unwind returns a new one
@@ -510,8 +520,8 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
             next_dist_t, kick = next(impulses)
         rate = theta_dot + phi_dot
         # a runaway plant fails here before any law reads it (NaN fails the compare)
-        if not (neg_angle_cap <= theta <= angle_cap
-                and isfinite(rate + phi + x + y + vx + vy)):
+        if not (neg_angle_cap <= theta <= angle_cap and neg_rate_cap <= phi_dot <= rate_cap
+                and isfinite(rate + x + y + vx + vy)):
             raise ConfigError(f"the simulated state diverged at t = {t:g} s")
         if desaturated:
             window.append(rate)
@@ -565,9 +575,9 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
         if i == n_steps:
             break
-        theta, theta_dot, phi, phi_dot, x, y, vx, vy = rk4_step(
-            params, theta, theta_dot, phi, phi_dot, x, y, vx, vy, tau, thrust_x,
-            thrust_y, dt)
+        theta, theta_dot, x, y, vx, vy = rk4_step(
+            params, theta, theta_dot, x, y, vx, vy, tau, thrust_x, thrust_y)
+        phi_dot += tau * dt
         t += dt
 
     if not isfinite(tau):  # the last row's torque, which no later state shows

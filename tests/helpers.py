@@ -14,7 +14,7 @@ from paddlesim.dynamics import (INNER_DT, INNER_RATE, BoatParams, ConfigError,
                                 orientation_accel)
 from paddlesim.estimation import _SPEED_FLOOR, _TIME_SLACK
 from paddlesim.metrics import RISE_FRACTION, NotSettled, settled_step_changes
-from paddlesim.mission import (HELD_COLUMNS, MAX_ANGLE, STORED_COLUMNS,
+from paddlesim.mission import (HELD_COLUMNS, MAX_ANGLE, MAX_MOTOR_RATE, STORED_COLUMNS,
                                TELEMETRY_COLUMNS, MissionKind, MissionSpec, TelemetryLog,
                                run_mission, waypoint_heading)
 
@@ -114,8 +114,6 @@ class Plant(NamedTuple):
 
     theta: float = 0.0
     theta_dot: float = 0.0
-    phi: float = 0.0
-    phi_dot: float = 0.0
     x: float = 0.0
     y: float = 0.0
     vx: float = 0.0
@@ -173,7 +171,8 @@ def rk4_step_reference(params, theta, w, phi, phi_dot, x, y, vx, vy,
                        control_torque, thrust_x, thrust_y, dt):
     """rk4_step written stage by stage through orientation_accel and a
     point-mass helper, in the same operation order, so the two must agree
-    bit for bit."""
+    bit for bit at dt = INNER_DT, with the motor angle and rate advanced
+    exactly as the log and run_mission advance them."""
     a = control_torque
     half = 0.5 * dt
     k1 = orientation_accel(params, w, a)
@@ -313,7 +312,8 @@ def run_mission_reference(params, cfg, spec):
             vy += impulses[0][1][1]
             del impulses[0]
         rate = theta_dot + phi_dot
-        if not (abs(theta) <= 2 * MAX_ANGLE and math.isfinite(rate + phi + x + y + vx + vy)):
+        if not (abs(theta) <= 2 * MAX_ANGLE and abs(phi_dot) <= MAX_MOTOR_RATE
+                and math.isfinite(rate + phi + x + y + vx + vy)):
             raise diverged()
         rate_sum += rate
         while lo < i and floats[lo, 0] <= t - cfg.period:

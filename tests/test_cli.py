@@ -22,7 +22,7 @@ from paddlesim.cli import (_CSV_CHUNK_ROWS, CSV_HEADER, MAX_NAME_BYTES, MAX_POIN
                            render_report_text, write_telemetry_csv)
 from paddlesim.control import ControlMode, wrap_to_pi
 from paddlesim.csvtext import csv_rows
-from paddlesim.metrics import NotSettled
+from paddlesim.metrics import NotSettled, _rows_within
 from paddlesim.mission import (HELD_COLUMNS, MAX_TICKS, STORED_COLUMNS,
                                TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
                                log_bytes, run_mission)
@@ -855,6 +855,27 @@ def test_waypoint_report_builds_no_time_column():
     report, peak = traced_peak(lambda: report_metrics([log], spec))
     assert report["rms_perp_m"]["n"] >= 20
     assert peak < 0.25 * 8 * len(log)
+
+
+def test_waypoint_legs_are_the_rows_within_their_times():
+    # the report measures each leg on its step's rows first..end - 1, which
+    # it holds; searching the times of those rows found the same rows.  Every
+    # waypoint preset and a 600 s circuit of 48 legs.
+    runs = [point[1:] for name in preset_names()
+            for point in parse_scenario(load_preset(name)).points
+            if point[3].kind is MissionKind.WAYPOINTS]
+    runs.append((BoatParams(), ControllerConfig(mode=ControlMode.DESATURATED_THRUST_DIRECTION),
+                 MissionSpec(kind=MissionKind.WAYPOINTS, duration=600.0, waypoints=(
+                     (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)) * 12)))
+    legs = 0
+    for boat, control, mission in runs:
+        log = run_mission(boat, control, mission)
+        steps = log.waypoint_steps[:, 0].tolist()
+        for first, end in zip(steps, steps[1:]):
+            rows = _rows_within(log, log.time_at(first), log.time_at(end - 1))
+            assert (rows.start, rows.stop) == (first, end)
+            legs += 1
+    assert len(runs) >= 2 and legs >= 20
 
 
 def test_a_run_that_does_not_fit_in_memory_exits_2(tmp_path):

@@ -131,16 +131,18 @@ def _mean_top_rate_change(jump_sign):
     """Closed-loop transient: full-turn reference jump, sign of rate change."""
     params = BoatParams()
     cfg = ControllerConfig()
-    dt = 1.0 / 250.0
+    dt = INNER_DT
     t = 0.0
-    state = Plant(phi_dot=5.0)  # reaction mass already spinning
+    state = Plant()
+    phi_dot = 5.0  # reaction mass already spinning
     theta_r = jump_sign * math.tau
     rates = []
     for i in range(round(8.0 / dt)):
         tau = desaturated_torque(cfg, t, state.theta, theta_r)
-        state = Plant(*rk4_step(params, *state, tau, 0.0, 0.0, dt))
+        state = Plant(*rk4_step(params, *state, tau, 0.0, 0.0))
+        phi_dot += tau * dt  # as run_mission sums it
         t += dt
-        rates.append(state.theta_dot + state.phi_dot)
+        rates.append(state.theta_dot + phi_dot)
     settled = np.mean(rates[-250:])
     return settled - 5.0
 

@@ -6,7 +6,8 @@ from scipy.integrate import solve_ivp
 
 from helpers import Plant, pendulum_reference, rk4_step_controlled
 from paddlesim.control import ControlMode, ControllerConfig, limit_cycle_torque
-from paddlesim.dynamics import BoatParams, orientation_accel, rk4_step
+from paddlesim.dynamics import (INNER_DT, BoatParams, motor_angles, motor_rates,
+                                orientation_accel, rk4_step)
 from paddlesim.mission import MissionKind, MissionSpec, run_mission
 
 BENCH = dict(I_b=5.2e-6, I_t=1.0e-3, C_f=1.0e-4, C_r=0.0)
@@ -50,11 +51,10 @@ def test_heading_step_travel_lags_command():
     thrust = p.k_thrust * 15.0
     v_ss = math.sqrt(thrust / p.C_v)
     state = Plant(vx=v_ss)
-    dt = 1e-4  # fine-step reference on the point-mass ODE
     heading = math.pi / 2
-    for _ in range(20000):  # 2 s
+    for _ in range(500):  # 2 s
         state = Plant(*rk4_step(p, *state, 0.0, thrust * math.cos(heading),
-                                thrust * math.sin(heading), dt))
+                                thrust * math.sin(heading)))
         travel = math.atan2(state.vy, state.vx)
         assert travel - heading < 0.0
     # and it converges toward the command eventually
@@ -64,44 +64,60 @@ def test_heading_step_travel_lags_command():
 def test_rk4_step_rest_is_fixed_point():
     p = BoatParams()
     s0 = Plant(theta=0.3, x=2.0, y=-1.0)
-    assert rk4_step(p, *s0, 0.0, 0.0, 0.0, 0.004) == s0
+    phi_dot = 0.0
+    assert rk4_step(p, *s0, 0.0, 0.0, 0.0) == s0
+    phi_dot += 0.0 * INNER_DT  # the motor rate, summed as run_mission sums it
+    assert phi_dot == 0.0
 
 
 def test_rk4_step_constant_motor_accel_is_exact():
-    p = BoatParams(C_f=0.0, C_r=0.0)
+    # the log integrates the motor: a constant acceleration gives the exact
+    # quadratic from rest
     c = 3.7
-    state = Plant()
-    dt = 0.01
-    for _ in range(100):
-        state = Plant(*rk4_step(p, *state, c, 0.0, 0.0, dt))
-    t = 100 * dt
-    assert state.phi_dot == pytest.approx(c * t, rel=1e-12)
-    assert state.phi == pytest.approx(0.5 * c * t * t, rel=1e-12)
+    tau = np.full(100, c)
+    rates = motor_rates(tau, 0.0)
+    angles = motor_angles(tau, rates, 0.0)
+    t = np.arange(101) * INNER_DT
+    assert rates[0] == angles[0] == 0.0
+    assert rates[1:] == pytest.approx(c * t[1:], rel=1e-12)
+    assert angles[1:] == pytest.approx(0.5 * c * t[1:] * t[1:], rel=1e-12)
 
 
-def test_rk4_step_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        rk4_step(BoatParams(), *Plant(), 0.0, 0.0, 0.0, 0.0)
+def test_rk4_step_steps_inner_dt():
+    # a free hull turning at 1 rad/s and a free point mass moving at 1 m/s
+    # cover one step's length a step, whatever the caller's time
+    p = BoatParams(C_f=0.0, C_r=0.0, C_v=0.0)
+    state = Plant(theta_dot=1.0, vx=1.0)
+    for k in range(1, 251):
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0))
+        assert state.theta == pytest.approx(k * INNER_DT, rel=1e-13)
+        assert state.x == pytest.approx(k * INNER_DT, rel=1e-13)
+    assert state.theta_dot == state.vx == 1.0 and state.y == state.vy == 0.0
+    assert INNER_DT == 0.004
 
 
 def test_free_spin_momentum_conserved_without_drag():
     # zero drag, zero torque: total angular momentum is constant
     p = BoatParams(C_f=0.0, C_r=0.0)
-    state = Plant(theta_dot=2.5, phi_dot=-1.0)
-    h0 = (p.I_b + p.I_t) * state.theta_dot
+    state = Plant(theta_dot=2.5)
+    phi_dot = -1.0
+    h0 = (p.I_b + p.I_t) * state.theta_dot + p.I_t * phi_dot
     for _ in range(2500):
-        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0, 1.0 / 250.0))
-    assert (p.I_b + p.I_t) * state.theta_dot == pytest.approx(h0, abs=1e-12)
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0))
+        phi_dot += 0.0 * INNER_DT  # as run_mission sums it
+    assert (p.I_b + p.I_t) * state.theta_dot + p.I_t * phi_dot == pytest.approx(h0, abs=1e-12)
 
 
 def test_hull_rate_decays_with_drag_and_no_torque():
     p = BoatParams()
     state = Plant(theta_dot=3.0)
+    phi_dot = 0.0
     prev = abs(state.theta_dot)
     for _ in range(1000):
-        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0, 1.0 / 250.0))
+        state = Plant(*rk4_step(p, *state, 0.0, 0.0, 0.0))
+        phi_dot += 0.0 * INNER_DT  # as run_mission sums it
         cur = abs(state.theta_dot)
-        assert cur < prev
+        assert cur < prev and phi_dot == 0.0
         prev = cur
 
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import SLOW_WATER
-from helpers import (refused, run_step_test, stored_bytes, telemetry_log, tick_times,
-                     traced_peak)
+from helpers import (refused, rk4_step_reference, run_mission_reference, run_step_test,
+                     stored_bytes, telemetry_log, tick_times, traced_peak)
 from paddlesim.cli import load_preset, parse_scenario, preset_names
 from paddlesim.control import ControlMode, ControllerConfig
-from paddlesim.dynamics import INNER_DT, BoatParams, rk4_step
-from paddlesim.mission import (DERIVED_COLUMNS, HELD_COLUMNS, MAX_POSITION,
+from paddlesim.dynamics import INNER_DT, BoatParams, motor_angles, motor_rates, rk4_step
+from paddlesim.mission import (DERIVED_COLUMNS, HELD_COLUMNS, MAX_MOTOR_RATE, MAX_POSITION,
+                               MAX_TICKS,
                                TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
                                TelemetryLog, _OUTER_GAPS, log_bytes, run_mission,
                                waypoint_heading)
@@ -362,16 +364,17 @@ def test_telemetry_log_decodes_its_held_columns_from_the_runs():
 
 def _plant_loop(theta, theta_dot, tau):
     """theta, phi and phi_dot at each row under each row's hull rate and
-    motor acceleration, from theta and the motor at rest, advanced by
-    rk4_step in Python floats."""
+    motor acceleration, from theta and the motor at rest, in Python floats:
+    the hull advanced by rk4_step, the motor by rk4_step_reference."""
     phi = phi_dot = 0.0
     hull, angles, rates = [], [], []
     for w, a in zip(theta_dot.tolist(), tau.tolist()):
         hull.append(theta)
         angles.append(phi)
         rates.append(phi_dot)
-        theta, _, phi, phi_dot, *_ = rk4_step(BoatParams(), theta, w, phi, phi_dot, 0.0,
-                                              0.0, 0.0, 0.0, a, 0.0, 0.0, INNER_DT)
+        theta = rk4_step(BoatParams(), theta, w, 0.0, 0.0, 0.0, 0.0, a, 0.0, 0.0)[0]
+        phi, phi_dot = rk4_step_reference(BoatParams(), 0.0, 0.0, phi, phi_dot, 0.0, 0.0,
+                                          0.0, 0.0, a, 0.0, 0.0, INNER_DT)[2:4]
     return (np.array(hull, dtype=float), np.array(angles, dtype=float),
             np.array(rates, dtype=float))
 
@@ -413,6 +416,47 @@ def test_motor_columns_are_integrated_from_tau(tau):
             out = np.empty((size, len(TELEMETRY_COLUMNS) - 1))
             chunks = [chunk.copy() for chunk in log.float_chunks(out)]
             assert np.concatenate(chunks).tobytes() == floats.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 16_384, 16_385, 16_897, 150_001])
+def test_kept_times_are_every_512th_row_of_the_column(n):
+    # the lookup sums its kept times 16,384 rows at a time; each must be the
+    # column's row, which is summed 512 rows at a time
+    log = TelemetryLog(np.zeros((n, 6)), _ONE_STEP[:n], *(run[:n] for run in _ONE_RUN))
+    assert log._time_marks.tobytes() == log.t[::512].tobytes()
+
+
+def test_motor_rate_cap_bounds_the_motor_angle():
+    # a step adds phi_dot * dt + 0.5 * tau * dt * dt, dt times the mean of
+    # its two rates, to the motor angle, so rates within a cap C keep it
+    # within 2 * rows * dt * C (rounding far inside the factor 2): finite at
+    # the longest run under the loop's cap
+    assert 2 * (MAX_TICKS + 1) * INNER_DT * MAX_MOTOR_RATE < sys.float_info.max
+    rng = np.random.default_rng(3)
+    wanted = np.concatenate([[0.0], MAX_MOTOR_RATE * rng.choice([-1.0, 1.0, 0.5], 5000)])
+    tau = np.diff(wanted) / INNER_DT
+    rates = motor_rates(tau, 0.0)
+    angles = motor_angles(tau, rates, 0.0)
+    cap = np.max(np.abs(rates))
+    assert cap == pytest.approx(MAX_MOTOR_RATE, rel=1e-9)
+    assert np.all(np.abs(angles) <= 2 * np.arange(len(angles)) * INNER_DT * cap)
+
+
+def test_a_motor_rate_past_the_cap_diverges():
+    # a heavy hull barely turns while the forcing spins the motor: at
+    # K = 1e306 its rate reaches -4e303 rad/s at row 2, past MAX_MOTOR_RATE,
+    # though every angle would stay finite; at 2e305 it swings within the
+    # cap and the run keeps a finite log
+    params = BoatParams(I_b=1e300, k_thrust=0.0)
+    cfg = ControllerConfig(mode=ControlMode.LIMIT_CYCLE_ONLY, K=1e306,
+                           omega=math.pi / (2 * INNER_DT))
+    spec = MissionSpec(kind=MissionKind.CONVERGE, duration=1.0)
+    for run in (run_mission, run_mission_reference):
+        with pytest.raises(ConfigError, match=r"diverged at t = 0\.008 s"):
+            run(params, cfg, spec)
+    log = run_mission(params, replace(cfg, K=2e305), spec)
+    assert np.max(np.abs(log.phi_dot)) == pytest.approx(8e302)
+    assert all(np.isfinite(log.column(name)).all() for name in TELEMETRY_COLUMNS)
 
 
 def test_motor_columns_of_empty_and_one_row_logs():
