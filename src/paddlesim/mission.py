@@ -130,8 +130,9 @@ _INTEGRATIONS = {"t": ("t",), "theta": ("theta",), "phi": ("phi_dot", "phi"),
                  "phi_dot": ("phi_dot",), "theta_t_dot": ("phi_dot",)}
 # rows of a derived column computed at a time by a whole-column read
 _DERIVE_ROWS = 512
-# kept times whose rows a log's time lookup sums at once, 16,384 rows
-_MARK_BLOCK = 32
+# kept times whose rows a log's time lookup sums at once, 4,096 rows: more
+# would hold a temporary that shows in a run's peak memory
+_MARK_BLOCK = 8
 # the columns a log stores per row, in row order: the floats but the held
 # and derived ones
 STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]

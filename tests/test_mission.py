@@ -418,9 +418,9 @@ def test_motor_columns_are_integrated_from_tau(tau):
             assert np.concatenate(chunks).tobytes() == floats.tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 16_384, 16_385, 16_897, 150_001])
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 4_096, 4_097, 16_897, 150_001])
 def test_kept_times_are_every_512th_row_of_the_column(n):
-    # the lookup sums its kept times 16,384 rows at a time; each must be the
+    # the lookup sums its kept times 4,096 rows at a time; each must be the
     # column's row, which is summed 512 rows at a time
     log = TelemetryLog(np.zeros((n, 6)), _ONE_STEP[:n], *(run[:n] for run in _ONE_RUN))
     assert log._time_marks.tobytes() == log.t[::512].tobytes()

@@ -99,8 +99,8 @@ def test_rk4_step_equals_stagewise_reference_on_seeded_states():
         params = BoatParams(I_b=u(1e-6, 1e-4), I_t=u(1e-4, 1e-2), C_f=u(0.0, 1e-3),
                             C_r=u(0.0, 1e-3), mass=u(0.1, 5.0), C_v=u(0.0, 10.0))
         params = remakes[k % len(remakes)](params)
-        # the motor's angle and rate are drawn as before, so the states are
-        # the same, though only the reference reads them
+        # only the reference reads the motor's angle and rate, drawn between
+        # the hull's state and the position
         theta, theta_dot, phi, phi_dot = (u(-10.0, 10.0), u(-20.0, 20.0), u(-100.0, 100.0),
                                           u(-50.0, 50.0))
         state = (theta, theta_dot, u(-5.0, 5.0), u(-5.0, 5.0), u(-0.5, 0.5), u(-0.5, 0.5))
