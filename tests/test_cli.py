@@ -935,8 +935,9 @@ def test_a_point_out_of_memory_after_its_run_leaves_no_files(tmp_path, monkeypat
 
 def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     # each point's log is freed before the next point simulates, so the
-    # peak is one log plus the report and CSV-chunk temporaries, about 1.48
-    # logs; with the first log still alive it was about 2.3
+    # peak is one log plus the report and CSV-chunk temporaries, about
+    # 0.46 MB that do not shrink with the log; with the first log still
+    # alive it was about 2.3 logs
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text("control.mode = desaturated\nmission.kind = converge\n"
                         "mission.duration = 60.0\nsweep.control.K = 10, 15\n")
@@ -950,7 +951,7 @@ def test_sweep_holds_one_point_log_at_a_time(tmp_path):
     one_log = stored_bytes(run_mission(BoatParams(), ControllerConfig(
         mode=ControlMode.DESATURATED_THRUST_DIRECTION, K=10.0),
         MissionSpec(kind=MissionKind.CONVERGE, duration=60.0)))
-    assert peak < 1.5 * one_log
+    assert peak < one_log + 470_000
 
 
 @pytest.mark.parametrize("argv", [
