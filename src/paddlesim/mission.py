@@ -10,6 +10,7 @@ identical inputs produce bit-identical telemetry.
 
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,8 +31,8 @@ from .estimation import TravelEstimator
 # and one of 3
 _OUTER_GAPS = (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3)
 # Longest run accepted: 40,000 s at the inner rate.  Telemetry is
-# preallocated at 48 B per tick and 32 B per outer tick, about 63 B a tick,
-# so this caps a run's log near 0.63 GB (the row block alone is 458 MiB); a
+# preallocated at 48 B per tick and 24 B per outer tick, about 59.5 B a tick,
+# so this caps a run's log near 0.6 GB (the row block alone is 458 MiB); a
 # sweep holds one such run at a time.
 MAX_TICKS = 10**7
 # Largest unwrapped angle accepted (heading, also after each step,
@@ -139,9 +140,7 @@ STORED_COLUMNS = tuple(name for name in TELEMETRY_COLUMNS[:-1]
                        if name not in DERIVED_COLUMNS and name not in HELD_COLUMNS)
 _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
-# bytes a log keeps per outer tick, a held row and its int64 first row, and
-# per waypoint step, an int64 (first row, index) pair
-_OUTER_BYTES = _HELD_ROW.size + 8
+# bytes a log keeps per waypoint step, an int64 (first row, index) pair
 _STEP_BYTES = 16
 # the derived and held columns' places among the floats, and the stored
 # columns' places among the stored ones; the stored columns fill the other
@@ -159,13 +158,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _valid_starts(starts: np.ndarray, n: int) -> bool:
-    """True when starts, the first rows of runs in a log of n rows, begin at
-    row 0 and increase within the log; a log without rows has none."""
-    return (starts[:1].tolist() == ([0] if n else [])
-            and not np.any(starts[1:] <= starts[:-1]) and not np.any(starts >= n))
-
-
 def _tick_times(t: float, n: int) -> np.ndarray:
     """The time t and the n ticks after it, each summed from the one before
     as run_mission sums t: an accumulated sum adds in order."""
@@ -175,35 +167,25 @@ def _tick_times(t: float, n: int) -> np.ndarray:
     return np.add.accumulate(times, out=times)
 
 
-def _outer_rows(n: int) -> np.ndarray:
-    """The rows of the outer ticks among n rows from row 0, int64."""
-    offsets = np.cumsum((0, *_OUTER_GAPS[:-1]))  # of each tick in a cycle
-    cycle_rows, cycle_ticks = sum(_OUTER_GAPS), len(offsets)
-    cycles, rest = divmod(n, cycle_rows)
-    tail = offsets[offsets < rest]
-    rows = np.empty(cycles * cycle_ticks + len(tail), dtype=np.int64)
-    # a whole cycle's ticks a row, written in place: a temporary the size of
-    # the schedule would stay resident in the allocator beside the log
-    np.add.outer(np.arange(cycles) * cycle_rows, offsets,
-                 out=rows[:cycles * cycle_ticks].reshape(cycles, cycle_ticks))
-    rows[cycles * cycle_ticks:] = cycles * cycle_rows + tail
-    return rows
+def _run_count(rows: int, gaps: tuple[int, ...]) -> int:
+    """The number of runs among rows rows from row 0 whose lengths repeat gaps."""
+    cycles, rest = divmod(rows, sum(gaps))
+    # the runs of the last, partial cycle start before its rest rows end
+    return cycles * len(gaps) + bisect_left(tuple(accumulate(gaps, initial=0)), rest)
 
 
 def log_bytes(spec: MissionSpec) -> int:
     """The most bytes the log of a run of spec stores: a row a tick, a held
-    row and its start an outer tick, and a (first row, index) pair for each
-    waypoint at most, since the index only advances."""
+    row an outer tick, and a (first row, index) pair for each waypoint at
+    most, since the index only advances."""
     rows = round(spec.duration * INNER_RATE) + 1
-    cycles, rest = divmod(rows, sum(_OUTER_GAPS))
-    # counted without the schedule-sized array, which may not fit either
-    outer = cycles * len(_OUTER_GAPS) + len(_outer_rows(rest))
-    return rows * _ROW.size + outer * _OUTER_BYTES + max(len(spec.waypoints), 1) * _STEP_BYTES
+    return (rows * _ROW.size + _run_count(rows, _OUTER_GAPS) * _HELD_ROW.size
+            + max(len(spec.waypoints), 1) * _STEP_BYTES)
 
 
 def log_bytes_text(spec: MissionSpec) -> str:
     """log_bytes(spec) and what it counts, for a message."""
-    return (f"{log_bytes(spec):,} bytes ({_ROW.size} a tick, {_OUTER_BYTES} an "
+    return (f"{log_bytes(spec):,} bytes ({_ROW.size} a tick, {_HELD_ROW.size} an "
             f"outer tick, {_STEP_BYTES} a waypoint)")
 
 
@@ -215,7 +197,8 @@ class TelemetryLog:
     property giving a view of it (`log.x` is `log.rows[:, 1]`).
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index, and `held` one row of the HELD_COLUMNS per run
-    of rows starting at `held_starts`.  The time `t` is summed tick by tick
+    of rows, the runs' lengths repeating `held_gaps` from row 0 (the outer
+    ticks' schedule by default).  The time `t` is summed tick by tick
     from 0, the hull angle `theta` is integrated from `theta0` under
     `theta_dot` and `tau` by `params`, and the motor angle and rate `phi` and
     `phi_dot` from `tau` with the motor at rest, as the loop sums and
@@ -229,7 +212,8 @@ class TelemetryLog:
     rows: np.ndarray            # (n, 6) float64, columns in STORED_COLUMNS order
     waypoint_steps: np.ndarray  # (k, 2) int64, (first row, index) pairs
     held: np.ndarray            # (m, 3) float64, columns in HELD_COLUMNS order
-    held_starts: np.ndarray     # (m,) int64, the first row of each run of held
+    # the rows in each run of held, repeated from row 0 to the end of the log
+    held_gaps: tuple[int, ...] = _OUTER_GAPS
     period: float = 1.0         # controller oscillation period, s
     theta0: float = 0.0         # the hull angle at row 0, rad
     params: BoatParams = BoatParams()  # the plant that ran; body_length for BL metrics
@@ -244,26 +228,30 @@ class TelemetryLog:
                 and steps.ndim == 2 and steps.shape[1] == 2):
             raise ValueError("waypoint_steps must be an int64 array of shape (k, 2)")
         n = len(self.rows)
-        # each later step starts where the index changes
-        if not _valid_starts(steps[:, 0], n) or np.any(steps[1:, 1] == steps[:-1, 1]):
+        # each later step starts where the index changes; a log without rows has none
+        starts = steps[:, 0]
+        if (starts[:1].tolist() != ([0] if n else []) or np.any(starts[1:] <= starts[:-1])
+                or np.any(starts >= n) or np.any(steps[1:, 1] == steps[:-1, 1])):
             raise ValueError("waypoint_steps must start at row 0 and change the "
                              "index at increasing rows within the log")
-        held, starts = self.held, self.held_starts
+        held, gaps = self.held, self.held_gaps
         width = len(HELD_COLUMNS)
         if not (isinstance(held, np.ndarray) and held.dtype == np.float64
                 and held.ndim == 2 and held.shape[1] == width):
             raise ValueError(f"held must be a float64 array of shape (m, {width})")
-        if not (isinstance(starts, np.ndarray) and starts.dtype == np.int64
-                and starts.shape == held.shape[:1]):
-            raise ValueError("held_starts must be an int64 array of shape (m,), "
-                             "one start per row of held")
+        # bools are ints too; the sum must fit the int64 offsets
+        if not (isinstance(gaps, tuple) and gaps
+                and all(type(gap) is int and gap > 0 for gap in gaps) and sum(gaps) < 2**63):
+            raise ValueError("held_gaps must be a non-empty tuple of positive ints "
+                             "summing below 2**63")
         # a run need not change a value
-        if not _valid_starts(starts, n):
-            raise ValueError("held_starts must start at row 0 and increase "
-                             "within the log")
+        runs = _run_count(n, gaps)
+        if len(held) != runs:
+            raise ValueError(f"held must have a row for each of the {runs} runs "
+                             f"held_gaps lays on the log's {n} rows, not {len(held)}")
         if not isinstance(self.params, BoatParams):
             raise ValueError("params must be a BoatParams")
-        for array in (self.rows, steps, held, starts):
+        for array in (self.rows, steps, held):
             _read_only(array)
 
     def __len__(self) -> int:
@@ -342,12 +330,52 @@ class TelemetryLog:
             for place, name in zip(_DERIVED_AT, DERIVED_COLUMNS):
                 floats[:, place] = derived[name]
             floats[:, _HELD_END:] = stored[:, _TAU:]
-            # each row's run is the last one starting at or before it
-            runs = np.searchsorted(self.held_starts, np.arange(start, start + len(stored)),
-                                   side="right") - 1
-            floats[:, _HELD_AT:_HELD_END] = self.held.take(runs, axis=0)
+            floats[:, _HELD_AT:_HELD_END] = self._held_rows(start, start + len(stored))
             del derived  # freed before the next chunk is computed
             yield floats
+
+    @cached_property
+    def _run_offsets(self) -> np.ndarray:
+        """The first row of each run in a cycle of held_gaps, then the
+        cycle's rows: len(held_gaps) + 1 int64s, computed on first use and
+        kept."""
+        return _read_only(np.array((0, *accumulate(self.held_gaps)), dtype=np.int64))
+
+    def _held_rows(self, start: int, stop: int) -> np.ndarray:
+        """The held rows of rows start..stop - 1, start < stop, a new
+        array: the rows of held those rows' runs hold, each repeated over
+        its rows, with a length computed for those runs alone."""
+        offsets = self._run_offsets
+        places = offsets.data  # the offsets as Python ints
+        cycle_rows, cycle_runs = places[-1], len(places) - 1
+        # the cycle and the place in it of the first and the last row, and
+        # of the runs holding them
+        cycle, row = divmod(start, cycle_rows)
+        end_cycle, end_row = divmod(stop - 1, cycle_rows)
+        place, end_place = bisect_right(places, row) - 1, bisect_right(places, end_row) - 1
+        first, last = cycle * cycle_runs + place, end_cycle * cycle_runs + end_place
+        runs = np.arange(first, last + 1)
+        runs %= cycle_runs
+        lengths = offsets[1:].take(runs)
+        lengths -= offsets[:-1].take(runs)
+        del runs
+        # the first and last runs cut to the rows asked for
+        lengths[0] -= row - places[place]
+        lengths[-1] -= places[end_place + 1] - end_row - 1
+        return self.held[first:last + 1].repeat(lengths, axis=0)
+
+    def _run_lengths(self) -> np.ndarray:
+        """The rows in each run of held, int64: held_gaps repeated, the last
+        cut at the log's end: one int a run, and one cycle's gaps beside it
+        while it is built."""
+        runs, offsets = len(self.held), self._run_offsets
+        places = offsets.data  # the offsets as Python ints
+        gaps = np.diff(offsets[:runs + 1])
+        lengths = gaps if len(gaps) == runs else np.tile(gaps, -(-runs // len(gaps)))[:runs]
+        if runs:
+            cycles, place = divmod(runs - 1, len(places) - 1)
+            lengths[-1] = len(self) - cycles * places[-1] - places[place]
+        return lengths
 
     @cached_property
     def _time_marks(self) -> np.ndarray:
@@ -419,7 +447,7 @@ for _k, _name in enumerate(STORED_COLUMNS):
 # refusing writes
 for _k, _name in enumerate(HELD_COLUMNS):
     setattr(TelemetryLog, _name, property(lambda log, k=_k: _read_only(
-        np.repeat(log.held[:, k], np.diff(log.held_starts, append=len(log))))))
+        np.repeat(log.held[:, k], log._run_lengths()))))
 # and each derived column: a new array integrated chunk by chunk, refusing writes
 for _name in DERIVED_COLUMNS:
     setattr(TelemetryLog, _name, property(lambda log, name=_name: _read_only(
@@ -499,8 +527,7 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
 
     # the outer loop's outputs, a packed row per outer tick, each held from
     # its outer tick's row to the next one's
-    held_starts = _outer_rows(n_steps + 1)
-    held = np.empty((len(held_starts), len(HELD_COLUMNS)))
+    held = np.empty((_run_count(n_steps + 1, _OUTER_GAPS), len(HELD_COLUMNS)))
     # the stored columns as one preallocated block, a packed row per tick;
     # the waypoint index is kept as its steps: the first row of each new index
     block = np.empty((n_steps + 1, len(STORED_COLUMNS)))
@@ -584,4 +611,4 @@ def run_mission(params: BoatParams, cfg: ControllerConfig,
     if not isfinite(tau):  # the last row's torque, which no later state shows
         raise ConfigError(f"the simulated state diverged at t = {t:g} s")
     return TelemetryLog(block, np.array(waypoint_steps, dtype=np.int64), held,
-                        held_starts, period=period, theta0=theta0, params=params)
+                        period=period, theta0=theta0, params=params)

@@ -46,7 +46,8 @@ def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     and the rest from tau and theta_dot under
     BoatParams(body_length=body_length), with the motor at rest in row 0.
     A run of the held columns starts wherever one of them changes its bits,
-    so -0.0 and every NaN payload come back as given."""
+    so -0.0 and every NaN payload come back as given: the runs' lengths are
+    one cycle of held_gaps."""
     floats = np.asarray(floats, dtype=float)
     index = np.asarray(index, dtype=np.int64)
     if floats[:, 0].tobytes() != tick_times(len(floats)).tobytes():
@@ -55,8 +56,10 @@ def telemetry_log(floats, index, *, period=1.0, body_length=0.15):
     held = floats[:, [TELEMETRY_COLUMNS.index(name) for name in HELD_COLUMNS]]
     steps, runs = run_starts(index), run_starts(held.view(np.int64))
     theta0 = float(floats[0, TELEMETRY_COLUMNS.index("theta")]) if len(floats) else 0.0
+    # a log without rows has no runs, whatever its gaps
+    gaps = tuple(np.diff(runs, append=len(floats)).tolist()) or (1,)
     return TelemetryLog(np.ascontiguousarray(floats[:, stored]),
-                        np.stack([steps, index[steps]], axis=1), held[runs], runs,
+                        np.stack([steps, index[steps]], axis=1), held[runs], gaps,
                         period=period, theta0=theta0,
                         params=BoatParams(body_length=body_length))
 
@@ -80,10 +83,9 @@ def refused(name):
 
 
 def stored_bytes(log):
-    """The bytes of the four arrays a TelemetryLog stores: 48 a tick, 32 an
+    """The bytes of the three arrays a TelemetryLog stores: 48 a tick, 24 an
     outer tick and 16 a waypoint step."""
-    return sum(array.nbytes for array in (log.rows, log.waypoint_steps, log.held,
-                                          log.held_starts))
+    return sum(array.nbytes for array in (log.rows, log.waypoint_steps, log.held))
 
 
 def traced_peak(fn):

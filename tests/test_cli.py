@@ -879,11 +879,12 @@ def test_waypoint_legs_are_the_rows_within_their_times():
 
 
 def test_a_run_that_does_not_fit_in_memory_exits_2(tmp_path):
-    # under a 600 MB address-space cap, set in the child alone, numpy still
-    # imports but a 40,000 s log (about 0.63 GB) cannot be allocated
+    # under a 500 MB address-space cap, set in the child alone, numpy still
+    # imports (about 0.1 GB) but a 40,000 s log (about 0.6 GB) cannot be
+    # allocated
     cfg_path = tmp_path / "huge.cfg"
     cfg_path.write_text("mission.kind = converge\nmission.duration = 40000\n")
-    cap = 600 * 10**6
+    cap = 500 * 10**6
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -896,7 +897,7 @@ def test_a_run_that_does_not_fit_in_memory_exits_2(tmp_path):
     needed = log_bytes(parse_scenario(cfg_path.read_text()).points[0][3])
     assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr == (f"config error: run: out of memory: the run's log needs up to "
-                           f"{needed:,} bytes (48 a tick, 32 an outer tick, 16 a waypoint)\n")
+                           f"{needed:,} bytes (48 a tick, 24 an outer tick, 16 a waypoint)\n")
     assert needed > cap
 
 

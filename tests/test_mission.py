@@ -267,23 +267,25 @@ _BAD_BLOCK = r"rows must be a float64 array of shape \(n, 6\)"
 _BAD_STEPS = r"waypoint_steps must be an int64 array of shape \(k, 2\)"
 _BAD_STARTS = "waypoint_steps must start at row 0 and change the index at increasing rows"
 _BAD_HELD = r"held must be a float64 array of shape \(m, 3\)"
-_BAD_HELD_STARTS = r"held_starts must be an int64 array of shape \(m,\)"
-_BAD_RUNS = "held_starts must start at row 0 and increase within the log"
+_BAD_GAPS = "held_gaps must be a non-empty tuple of positive ints summing below 2\\*\\*63"
+_BAD_RUNS = r"held must have a row for each of the \d+ runs held_gaps lays on the log's"
 _ONE_STEP = np.zeros((1, 2), dtype=np.int64)
-_ONE_RUN = (np.zeros((1, 3)), np.zeros(1, dtype=np.int64))
+# one run over all the rows of any log built here
+_ONE_RUN = (np.zeros((1, 3)), (2**40,))
+_NO_RUN = np.zeros((0, 3))
 
 
 def _steps(*pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _runs(*starts):
-    """held rows 0, 1, ... for runs starting at the given rows."""
-    return (np.arange(3.0 * len(starts)).reshape(-1, 3), np.array(starts, dtype=np.int64))
+def _runs(*gaps):
+    """held rows 0, 1, ... for one cycle of runs of the given lengths."""
+    return (np.arange(3.0 * len(gaps)).reshape(-1, 3), gaps)
 
 
 # a bad index would otherwise fail only later, inside the CSV writer
-@pytest.mark.parametrize("rows, steps, held, held_starts, message", [
+@pytest.mark.parametrize("rows, steps, held, held_gaps, message", [
     (np.zeros((3, 7)), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),                 # the time stored
     (np.zeros((2, 6)), _steps((0, 0), (2, 1)), *_ONE_RUN, _BAD_STARTS),   # a step past the end
     (np.zeros((3, 6), dtype=np.int64), _ONE_STEP, *_ONE_RUN, _BAD_BLOCK),
@@ -296,33 +298,38 @@ def _runs(*starts):
     (np.zeros((3, 6)), _steps((1, 0)), *_ONE_RUN, _BAD_STARTS),
     (np.zeros((3, 6)), _steps((0, 0), (2, 1), (2, 2)), *_ONE_RUN, _BAD_STARTS),
     (np.zeros((3, 6)), _steps((0, 0), (2, 1), (1, 2)), *_ONE_RUN, _BAD_STARTS),
-    (np.zeros((0, 6)), _ONE_STEP, *_runs(), _BAD_STARTS),
+    (np.zeros((0, 6)), _ONE_STEP, _NO_RUN, (1,), _BAD_STARTS),
     (np.zeros((3, 6)), _steps((0, 4), (2, 4)), *_ONE_RUN, _BAD_STARTS),   # index unchanged
     (np.zeros((3, 6)), _ONE_STEP, np.zeros((1, 3), dtype=np.int64), _ONE_RUN[1], _BAD_HELD),
     (np.zeros((3, 6)), _ONE_STEP, np.zeros((1, 4)), _ONE_RUN[1], _BAD_HELD),
     (np.zeros((3, 6)), _ONE_STEP, np.zeros(3), _ONE_RUN[1], _BAD_HELD),
     (np.zeros((3, 6)), _ONE_STEP, [[0.0, 0.0, 0.0]], _ONE_RUN[1], _BAD_HELD),
-    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], np.zeros(1), _BAD_HELD_STARTS),
-    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], [0], _BAD_HELD_STARTS),
-    (np.zeros((3, 6)), _ONE_STEP, _runs(0, 1)[0], _ONE_RUN[1], _BAD_HELD_STARTS),
-    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], np.zeros((1, 1), dtype=np.int64),
-     _BAD_HELD_STARTS),
-    (np.zeros((3, 6)), _ONE_STEP, *_runs(), _BAD_RUNS),
-    (np.zeros((3, 6)), _ONE_STEP, *_runs(1), _BAD_RUNS),
-    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 2, 2), _BAD_RUNS),
-    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 2, 1), _BAD_RUNS),
-    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 3), _BAD_RUNS),
+    # the runs start where the gaps put them, at rows 0, 3, 6, ... for (3,)
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], (3.0,), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], [3], _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, _runs(1, 2)[0], (3,), _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], ((3,),), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], (), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(0, 3), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(2, 0, 1), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, *_runs(2, -1, 2), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, np.zeros((3, 3)), (2,), _BAD_RUNS),
     (np.zeros((0, 6)), _steps(), *_ONE_RUN, _BAD_RUNS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], (True,), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], (np.int64(3),), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, _ONE_RUN[0], (2**62, 2**62), _BAD_GAPS),
+    (np.zeros((3, 6)), _ONE_STEP, np.zeros((2, 3)), (1,), _BAD_RUNS),
 ], ids=["width", "length", "int-block", "1-d-block", "float-index", "list-index",
         "column-index", "1-d-steps", "no-steps", "first-not-0", "repeated-row",
         "decreasing-row", "step-in-empty-log", "unchanged-index", "int-held",
         "held-width", "1-d-held", "list-held", "float-starts", "list-starts",
         "starts-shorter-than-held", "2-d-starts", "no-runs", "first-run-not-0",
-        "repeated-start", "decreasing-start", "start-past-the-end", "run-in-empty-log"])
-def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_starts,
+        "repeated-start", "decreasing-start", "start-past-the-end", "run-in-empty-log",
+        "bool-gap", "numpy-gap", "gaps-past-int64", "held-shorter-than-starts"])
+def test_telemetry_log_rejects_a_misshapen_row_block(rows, steps, held, held_gaps,
                                                      message):
     with pytest.raises(ValueError, match=message):
-        TelemetryLog(rows, steps, held, held_starts)
+        TelemetryLog(rows, steps, held, held_gaps)
 
 
 def test_telemetry_log_decodes_its_index_from_the_steps():
@@ -333,7 +340,7 @@ def test_telemetry_log_decodes_its_index_from_the_steps():
         for stop in range(start, 7):
             assert np.array_equal(log.index_rows(start, stop),
                                   log.waypoint_index[start:stop])
-    empty = TelemetryLog(np.zeros((0, 6)), _steps(), *_runs())
+    empty = TelemetryLog(np.zeros((0, 6)), _steps(), _NO_RUN)
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
     assert empty.psi_hat.shape == (0,)
 
@@ -346,7 +353,7 @@ def test_telemetry_log_decodes_its_held_columns_from_the_runs():
     # a run need not change a value; -0.0 and a NaN payload keep their bits
     held = np.array([[1.0, -0.0, _TINY_NAN], [1.0, -0.0, _TINY_NAN], [2.0, 0.0, -3.5]])
     rows = np.arange(42.0).reshape(7, 6)
-    log = TelemetryLog(rows, _ONE_STEP, held, np.array([0, 1, 5], dtype=np.int64))
+    log = TelemetryLog(rows, _ONE_STEP, held, (1, 4, 2))
     expected = held[[0, 1, 1, 1, 1, 2, 2]]
     for k, name in enumerate(HELD_COLUMNS):
         column = log.column(name)
@@ -422,7 +429,7 @@ def test_motor_columns_are_integrated_from_tau(tau):
 def test_kept_times_are_every_512th_row_of_the_column(n):
     # the lookup sums its kept times 4,096 rows at a time; each must be the
     # column's row, which is summed 512 rows at a time
-    log = TelemetryLog(np.zeros((n, 6)), _ONE_STEP[:n], *(run[:n] for run in _ONE_RUN))
+    log = TelemetryLog(np.zeros((n, 6)), _ONE_STEP[:n], _ONE_RUN[0][:n], _ONE_RUN[1])
     assert log._time_marks.tobytes() == log.t[::512].tobytes()
 
 
@@ -460,7 +467,7 @@ def test_a_motor_rate_past_the_cap_diverges():
 
 
 def test_motor_columns_of_empty_and_one_row_logs():
-    empty = TelemetryLog(np.zeros((0, 6)), _steps(), *_runs(), theta0=0.25)
+    empty = TelemetryLog(np.zeros((0, 6)), _steps(), _NO_RUN, theta0=0.25)
     assert empty.theta.shape == empty.phi.shape == empty.phi_dot.shape == (0,)
     assert list(empty.float_chunks(np.empty((4, len(TELEMETRY_COLUMNS) - 1)))) == []
     one = TelemetryLog(np.full((1, 6), 7.0), _ONE_STEP, *_ONE_RUN, theta0=-0.0)
@@ -527,7 +534,7 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
                                   waypoints=((0.0, 0.0), (0.0, 1.0))))
     psi = log.psi_unwrapped
     for name, value in (("rows", np.zeros((3, 6))), ("waypoint_steps", np.zeros(3)),
-                        ("held", np.zeros((1, 3))), ("held_starts", np.zeros(1)),
+                        ("held", np.zeros((1, 3))), ("held_gaps", (1,)),
                         ("period", 2.0), ("theta0", 1.0), ("params", BoatParams())):
         with pytest.raises(FrozenInstanceError):
             setattr(log, name, value)
@@ -540,7 +547,7 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     with pytest.raises(ValueError, match="read-only"):
         log.held[0, 2] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        log.held_starts[-1] = len(log)
+        log._run_offsets[-1] = len(log)
     with pytest.raises(ValueError, match="read-only"):
         log.psi_hat[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -557,26 +564,27 @@ def test_telemetry_log_is_frozen_and_refuses_writes():
     # replace builds a new log on the same block, with its own kept unwrap
     other = replace(log, period=2.0)
     assert other.rows is log.rows and other.waypoint_steps is log.waypoint_steps
-    assert other.held is log.held and other.held_starts is log.held_starts
+    assert other.held is log.held and other.held_gaps is log.held_gaps
     assert other.period == 2.0 and log.period == ControllerConfig().period
     assert "psi_unwrapped" not in vars(other)
     assert other.psi_unwrapped is not psi and np.array_equal(other.psi_unwrapped, psi)
 
 
-def test_telemetry_log_stores_48_bytes_a_tick_32_an_outer_tick_and_16_a_step():
+def test_telemetry_log_stores_48_bytes_a_tick_24_an_outer_tick_and_16_a_step():
     # 6 float64 columns a tick; the time, the hull angle, the motor state and
     # the reaction-mass rate are computed on access, from the run's theta0
-    # and params, the outer loop's 3 outputs are one row and one
-    # start per outer tick, and the waypoint index is one (first row, index)
-    # pair per change
+    # and params, the outer loop's 3 outputs are one row per outer tick, its
+    # runs laid by the outer gaps, and the waypoint index is one (first row,
+    # index) pair per change
     (_, boat, control, mission), = parse_scenario(load_preset("waypoint-square")).points
     log = run_mission(boat, control, replace(mission, duration=40.0))
     ticks, steps = len(log), len(log.waypoint_steps)
     outer = outer_tick_indices(ticks)
     assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
-    assert np.array_equal(log.held_starts, outer)
+    assert log.held_gaps == _OUTER_GAPS and len(log.held) == len(outer)
+    assert np.array_equal(log._run_lengths(), np.diff(outer, append=ticks))
     assert log.rows.shape == (ticks, 6)
-    assert stored_bytes(log) == 48 * ticks + 32 * len(outer) + 16 * steps
+    assert stored_bytes(log) == 48 * ticks + 24 * len(outer) + 16 * steps
     assert log.params is boat and log.theta0 == log.theta[0] == math.atan2(0.0, 1.0)
     assert log.waypoint_steps[:, 1].tolist() == list(range(steps))
 

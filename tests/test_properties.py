@@ -1,6 +1,6 @@
 """Property tests: the plant step, the estimator's trimmed history, angle
 wrapping, float parsing, the settings' shape and finite check, whole configs,
-the log's time lookup and the CSV number text."""
+the log's time lookup and held runs, and the CSV number text."""
 
 import contextlib
 import copy
@@ -27,8 +27,9 @@ from paddlesim.control import (_WRAP_EPS, ControllerConfig, ControlMode,
 from paddlesim.csvtext import csv_rows
 from paddlesim.dynamics import INNER_DT, BoatParams, ConfigError, rk4_step
 from paddlesim.estimation import _COMPACT_EVERY, TravelEstimator
-from paddlesim.mission import (STORED_COLUMNS, TELEMETRY_COLUMNS, MissionKind, MissionSpec,
-                               TelemetryLog, coincident, run_mission)
+from paddlesim.mission import (_HELD_AT, _HELD_END, _OUTER_GAPS, HELD_COLUMNS,
+                               STORED_COLUMNS, TELEMETRY_COLUMNS, MissionKind, MissionSpec,
+                               TelemetryLog, _run_count, coincident, run_mission)
 
 # bounded; the conftest profile makes every run draw the same examples
 FAST = settings(max_examples=60)
@@ -683,7 +684,7 @@ def test_csv_text_is_printf_g9_and_d(values):
 # lookup, and a few thousand rows, with each one's time column
 _TIMED = {n: TelemetryLog(np.zeros((n, len(STORED_COLUMNS))),
                           np.zeros((min(n, 1), 2), dtype=np.int64),
-                          np.zeros((min(n, 1), 3)), np.zeros(min(n, 1), dtype=np.int64))
+                          np.zeros((min(n, 1), 3)), (max(n, 1),))
           for n in (0, 1, 511, 512, 513, 3001)}
 _TIMES = {n: log.t for n, log in _TIMED.items()}
 
@@ -728,3 +729,86 @@ def test_time_at_is_the_column_row():
         for row in (-n - 1, n):
             with pytest.raises(IndexError):
                 log.time_at(row)
+
+
+@st.composite
+def _held_layouts(draw):
+    """A row count, a gap pattern and a held block with a row per run: the
+    outer gaps, runs of one row, short patterns (some of runs longer than
+    the log) and one irregular cycle over the whole log, the change-point
+    runs a caller builds.  Each run's values differ from the others', and
+    some are -0.0 or a NaN with a payload."""
+    n = draw(st.integers(0, 2_000))
+    kind = draw(st.sampled_from(["outer", "one", "pattern", "cycle"]))
+    if kind == "outer":
+        gaps = _OUTER_GAPS
+    elif kind == "one":
+        gaps = (1,)
+    elif kind == "pattern":
+        gaps = tuple(draw(st.lists(st.integers(1, 40) | st.integers(41, 3_000),
+                                   min_size=1, max_size=6)))
+    else:
+        changes = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=40))
+        starts = [0, *sorted(row for row in changes if row < n)]
+        gaps = tuple(np.diff(starts, append=n).tolist()) if n else (1,)
+    runs = _run_count(n, gaps)
+    held = np.arange(3.0 * runs).reshape(runs, 3)
+    held[::3, 1] = -0.0
+    held[::4, 2] = np.array([0x7FF8_0000_0000_0123], dtype=np.int64).view(np.float64)[0]
+    return n, gaps, held
+
+
+def _held_reference(held, gaps, n):
+    """Each row's held values, (n, 3), the rows walked one by one in Python:
+    a run ends once it has held its gap's rows, and the gaps repeat."""
+    rows, run, left = [], 0, gaps[0]
+    for _ in range(n):
+        if not left:
+            run += 1
+            left = gaps[run % len(gaps)]
+        rows.append(held[run])
+        left -= 1
+    return np.array(rows, dtype=float).reshape(n, 3)
+
+
+def _log_of(n, held, gaps):
+    return TelemetryLog(np.zeros((n, len(STORED_COLUMNS))),
+                        np.zeros((min(n, 1), 2), dtype=np.int64), held, gaps)
+
+
+@FAST
+@given(layout=_held_layouts())
+def test_held_columns_and_chunks_are_the_runs_row_by_row(layout):
+    # the log maps rows to runs from the gaps' offsets, for whole columns and
+    # for each chunk; it must hold each row's run's values, bit for bit
+    n, gaps, held = layout
+    log = _log_of(n, held, gaps)
+    expected = _held_reference(held.tolist(), gaps, n)
+    for k, name in enumerate(HELD_COLUMNS):
+        assert log.column(name).tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
+    for size in (1, 7, 512):
+        out = np.empty((size, len(TELEMETRY_COLUMNS) - 1))
+        chunks = [chunk[:, _HELD_AT:_HELD_END].copy() for chunk in log.float_chunks(out)]
+        assert np.concatenate([np.empty((0, 3)), *chunks]).tobytes() == expected.tobytes()
+    # a held block a row short or a row long is refused
+    for rows in (len(held) - 1, len(held) + 1):
+        if rows >= 0:
+            with pytest.raises(ValueError, match="held must have a row for each"):
+                _log_of(n, np.zeros((rows, 3)), gaps)
+
+
+# a gap spoilt each way: True is an int equal to 1, 2.0 a float equal to 2
+_SPOILT_GAPS = {"zero": st.just(0), "negative": st.integers(max_value=-1),
+                "bool": st.just(True), "float": st.floats(min_value=1.0, max_value=40.0)}
+
+
+@pytest.mark.parametrize("how", ["empty", "list", *_SPOILT_GAPS])
+@settings(max_examples=15)
+@given(n=st.integers(0, 2_000), data=st.data())
+def test_a_bad_gap_pattern_is_refused(how, n, data):
+    gaps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    if how in _SPOILT_GAPS:
+        gaps[data.draw(st.integers(0, len(gaps) - 1))] = data.draw(_SPOILT_GAPS[how])
+    gaps = {"empty": (), "list": gaps}.get(how, tuple(gaps))
+    with pytest.raises(ValueError, match="held_gaps must be a non-empty tuple of positive"):
+        _log_of(n, np.zeros((1, 3)), gaps)
