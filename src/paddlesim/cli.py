@@ -26,7 +26,7 @@ from .dynamics import INNER_RATE, BoatParams
 from .metrics import (NotSettled, _segment_error, measure_turn, orbit_radius, quartiles,
                       settled_step_changes)
 from .mission import (TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                      TelemetryLog, log_bytes_text, run_mission)
+                      TelemetryLog, log_bytes, log_bytes_text, run_mission)
 
 CSV_HEADER = ",".join(TELEMETRY_COLUMNS)
 # rows formatted at a time: a larger chunk's temporaries make the allocator
@@ -268,9 +268,9 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
         steps = log.waypoint_steps.tolist()
         # waypoint k is the target from the row of its step to the next step
         rms, peak = [], []
-        for (first, k), (end, _) in zip(steps, steps[1:]):
+        for (start, k), (end, _) in zip(steps, steps[1:]):
             p0 = spec.waypoints[k - 1] if k > 0 else (float(log.x[0]), float(log.y[0]))
-            seg = _segment_error(log, (p0, spec.waypoints[k]), slice(first, end))
+            seg = _segment_error(log, (p0, spec.waypoints[k]), slice(start, end))
             rms.append(seg.rms_perp)
             peak.append(seg.max_perp)
         if rms:
@@ -397,13 +397,17 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     path = Path(args.config)
     if path.is_file():
-        parse_scenario(_read_config(path), name=str(path))
+        cfg = parse_scenario(_read_config(path), name=str(path))
     elif args.config in preset_names():  # also a preset, for dry-run validation
-        parse_scenario(load_preset(args.config), name=f"preset:{args.config}")
+        cfg = parse_scenario(load_preset(args.config), name=f"preset:{args.config}")
     else:
         raise ConfigError(f"no config file or preset named {args.config!r}; "
                           f"see 'presets list'")
-    print(f"{args.config}: ok")
+    missions = [mission for *_, mission in cfg.points]
+    # a row a tick and the tick at 0, in each copy a repeat writes
+    rows = cfg.repeats * sum(round(mission.duration * INNER_RATE) + 1 for mission in missions)
+    print(f"{args.config}: ok: the largest point's log needs up to "
+          f"{log_bytes_text(max(missions, key=log_bytes))}; {rows:,} CSV rows in all")
     return 0
 
 
