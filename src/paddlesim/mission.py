@@ -354,11 +354,11 @@ class TelemetryLog:
         end_cycle, end_row = divmod(stop - 1, cycle_rows)
         place, end_place = bisect_right(places, row) - 1, bisect_right(places, end_row) - 1
         first, last = cycle * cycle_runs + place, end_cycle * cycle_runs + end_place
-        runs = np.arange(first, last + 1)
-        runs %= cycle_runs
-        lengths = offsets[1:].take(runs)
-        lengths -= offsets[:-1].take(runs)
-        del runs
+        places_of_runs = np.arange(first, last + 1)
+        places_of_runs %= cycle_runs
+        lengths = offsets[1:].take(places_of_runs)
+        lengths -= offsets[:-1].take(places_of_runs)
+        del places_of_runs
         # the first and last runs cut to the rows asked for
         lengths[0] -= row - places[place]
         lengths[-1] -= places[end_place + 1] - end_row - 1
