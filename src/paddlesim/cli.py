@@ -213,11 +213,10 @@ def write_telemetry_csv(log: TelemetryLog, path) -> None:
     from .csvtext import csv_rows
     # one chunk of the float columns, refilled for every chunk
     chunk = np.empty((_CSV_CHUNK_ROWS, len(TELEMETRY_COLUMNS) - 1))
-    starts = range(0, len(log), _CSV_CHUNK_ROWS)
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
-        for start, floats in zip(starts, log.float_chunks(chunk)):
-            fh.write(csv_rows(floats, log.index_rows(start, start + len(floats))))
+        for floats, index in log.float_chunks(chunk):
+            fh.write(csv_rows(floats, index))
 
 
 # -------------------------------------------------------------------- metrics
@@ -236,7 +235,7 @@ def _collect_metrics(log: TelemetryLog, spec: MissionSpec,
     if spec.kind is MissionKind.CONVERGE:
         # only the tail's hull angles; theta_r of the last run, which holds
         # the last row
-        theta = log.derived_rows("theta", first, len(log))
+        theta = log.column("theta", first)
         err = wrap_to_pi(float(np.mean(theta)) - float(log.held[-1, 0]))
         vals["heading_error_rad"] = [abs(err)]
 

@@ -129,7 +129,7 @@ DERIVED_COLUMNS = ("t", "theta", "phi", "phi_dot", "theta_t_dot")
 # integrates the rates phi_dot first, and theta_t_dot adds them to theta_dot
 _INTEGRATIONS = {"t": ("t",), "theta": ("theta",), "phi": ("phi_dot", "phi"),
                  "phi_dot": ("phi_dot",), "theta_t_dot": ("phi_dot",)}
-# rows of a derived column computed at a time by a whole-column read
+# rows of a computed column that `column` computes at a time
 _DERIVE_ROWS = 512
 # kept times whose rows a log's time lookup sums at once, 4,096 rows: more
 # would hold a temporary that shows in a run's peak memory
@@ -142,10 +142,9 @@ _ROW = struct.Struct(f"{len(STORED_COLUMNS)}d")
 _HELD_ROW = struct.Struct(f"{len(HELD_COLUMNS)}d")
 # bytes a log keeps per waypoint step, an int64 (first row, index) pair
 _STEP_BYTES = 16
-# the derived and held columns' places among the floats, and the stored
-# columns' places among the stored ones; the stored columns fill the other
-# places among the floats in order: theta_dot, x to vy, then tau last
-_DERIVED_AT = tuple(TELEMETRY_COLUMNS.index(name) for name in DERIVED_COLUMNS)
+# the held columns' places among the floats, and the stored columns' places
+# among the stored ones; the stored columns fill the places among the floats
+# that no computed column takes, in order: theta_dot, x to vy, then tau last
 _HELD_AT = TELEMETRY_COLUMNS.index(HELD_COLUMNS[0])
 _HELD_END = _HELD_AT + len(HELD_COLUMNS)
 _THETA_DOT, _X, _TAU = (STORED_COLUMNS.index(name) for name in ("theta_dot", "x", "tau"))
@@ -193,8 +192,7 @@ def log_bytes_text(spec: MissionSpec) -> str:
 class TelemetryLog:
     """Per-tick records, uniformly sampled at the inner rate.
 
-    `rows` holds the stored float columns, one row per tick; each is a
-    property giving a view of it (`log.x` is `log.rows[:, 1]`).
+    `rows` holds the stored float columns, one row per tick.
     `waypoint_steps` holds one (first row, index) pair per run of rows with
     the same waypoint index, and `held` one row of the HELD_COLUMNS per run
     of rows, the runs' lengths repeating `held_gaps` from row 0 (the outer
@@ -203,10 +201,12 @@ class TelemetryLog:
     `theta_dot` and `tau` by `params`, and the motor angle and rate `phi` and
     `phi_dot` from `tau` with the motor at rest, as the loop sums and
     integrates them; `time_at` and `search_time` read the time of a row and
-    search the times without computing the column.  They (DERIVED_COLUMNS),
-    `waypoint_index` and the held columns are computed on each access.  The
-    log is frozen, and every array it holds or keeps refuses writes; a view
-    of an array taken before the log was built can still write into it.
+    search the times without computing the column.  `column` reads a row
+    range of any column, and each column is a property reading all its rows
+    (`log.x` is `log.column("x")`, a view of `log.rows[:, 1]`); every column
+    but a stored one is computed on each access.  The log is frozen, and
+    every array it holds or keeps refuses writes; a view of an array taken
+    before the log was built can still write into it.
     """
 
     rows: np.ndarray            # (n, 6) float64, columns in STORED_COLUMNS order
@@ -257,48 +257,41 @@ class TelemetryLog:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start..stop - 1 (stop None: to the end) of a TELEMETRY_COLUMNS
+        column: a view of rows for a stored one, else a new array refusing
+        writes, computed _DERIVE_ROWS rows at a time."""
         if name not in TELEMETRY_COLUMNS:
             raise KeyError(name)
-        return getattr(self, name)
-
-    @property
-    def waypoint_index(self) -> np.ndarray:
-        """The active waypoint index at every row, int64."""
-        return _read_only(self.index_rows(0, len(self)))
-
-    def index_rows(self, start: int, stop: int) -> np.ndarray:
-        """The waypoint index of rows start..stop - 1, int64."""
-        # each row's step is the last one starting at or before it
-        starts, index = self.waypoint_steps.T
-        return index[np.searchsorted(starts, np.arange(start, stop), side="right") - 1]
-
-    def derived_rows(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop - 1 of a DERIVED_COLUMNS column, a new array.
-        Each is integrated on from row 0, so the rows before start are
-        computed too, a few hundred at a time, and not kept; only the
-        integrations the column needs run."""
+        stop = len(self) if stop is None else stop
         if not 0 <= start <= stop <= len(self):
             raise IndexError(f"rows {start}..{stop} are not within the log's {len(self)}")
-        out = np.empty(stop - start)
-        for first, columns in self._derived_chunks((name,), _DERIVE_ROWS, stop):
-            column = columns[name]
-            end = first + len(column)
+        if name in STORED_COLUMNS:
+            return self.rows[start:stop, STORED_COLUMNS.index(name)]
+        out = np.empty(stop - start, np.int64 if name == "waypoint_index" else np.float64)
+        for first, columns in self._computed_chunks((name,), _DERIVE_ROWS, start, stop):
+            values = columns[name]
+            end = first + len(values)
             if end > start:  # the chunk's rows from start on
-                out[max(first - start, 0):end - start] = column[max(start - first, 0):]
-            del columns, column  # freed before the next chunk is computed
-        return out
+                out[max(first - start, 0):end - start] = values[max(start - first, 0):]
+            del columns, values  # freed before the next chunk is computed
+        return _read_only(out)
 
-    def _derived_chunks(self, names, rows: int,
-                        stop: int) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-        """The derived columns `names` of rows 0..stop - 1, `rows` rows at a
-        time: each chunk's first row and its columns by name, integrated on
-        from the chunk before, running only the integrations they need."""
-        needed = {step for name in names for step in _INTEGRATIONS[name]}
+    def _computed_chunks(self, names, rows: int, start: int,
+                         stop: int) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+        """The columns `names` that a log computes, of rows start..stop - 1,
+        `rows` rows at a time: each chunk's first row and its columns by
+        name.  A derived column is integrated on from the chunk before, so
+        with one the chunks start at row 0, before start; only the
+        integrations the names need run."""
+        needed = {step for name in names for step in _INTEGRATIONS.get(name, ())}
+        held = any(name in names for name in HELD_COLUMNS)
+        starts, index = self.waypoint_steps.T
         # the state at the chunk's first row
         state = {"t": 0.0, "theta": self.theta0, "phi_dot": 0.0, "phi": 0.0}
-        for start in range(0, stop, rows):
-            stored = self.rows[start:min(start + rows, stop)]
+        for first in range(0 if needed else start, stop, rows):
+            end = min(first + rows, stop)
+            stored = self.rows[first:end]
             theta_dot, tau = stored[:, _THETA_DOT], stored[:, _TAU]
             # each at the chunk's rows and one past them
             ahead = {}
@@ -315,24 +308,35 @@ class TelemetryLog:
                 if "theta_t_dot" in names:
                     columns["theta_t_dot"] = theta_dot + columns["phi_dot"]
             state.update((name, values[-1]) for name, values in ahead.items())
-            yield start, columns
+            del ahead  # its arrays live on only in columns
+            if held:
+                columns.update((name, values) for name, values in
+                               zip(HELD_COLUMNS, self._held_rows(first, end).T) if name in names)
+            if "waypoint_index" in names:
+                # each row's step is the last one starting at or before it
+                columns["waypoint_index"] = index[np.searchsorted(
+                    starts, np.arange(first, end), side="right") - 1]
+            yield first, columns
             del columns  # freed before the next chunk is computed
 
-    def float_chunks(self, out: np.ndarray) -> Iterator[np.ndarray]:
-        """The 14 float columns in TELEMETRY_COLUMNS order, len(out) rows at
-        a time from row 0: each chunk is written into the first rows of
-        `out` and yielded before the next is written."""
-        for start, derived in self._derived_chunks(DERIVED_COLUMNS, len(out), len(self)):
+    def float_chunks(self, out: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The 14 float columns in TELEMETRY_COLUMNS order and the waypoint
+        index, len(out) rows at a time from row 0: each chunk's floats are
+        written into the first rows of `out` and yielded with its index
+        before the next chunk is written."""
+        for start, computed in self._computed_chunks(TELEMETRY_COLUMNS, len(out), 0, len(self)):
             stored = self.rows[start:start + len(out)]
             floats = out[:len(stored)]
             floats[:, _THETA_DOT_AT] = stored[:, _THETA_DOT]
             floats[:, _X_AT:_HELD_AT] = stored[:, _X:_TAU]
-            for place, name in zip(_DERIVED_AT, DERIVED_COLUMNS):
-                floats[:, place] = derived[name]
             floats[:, _HELD_END:] = stored[:, _TAU:]
-            floats[:, _HELD_AT:_HELD_END] = self._held_rows(start, start + len(stored))
-            del derived  # freed before the next chunk is computed
-            yield floats
+            index = computed.pop("waypoint_index")
+            for name, values in computed.items():
+                floats[:, TELEMETRY_COLUMNS.index(name)] = values
+            # emptied, not only dropped, as the chunk routine holds it too:
+            # its arrays are freed before the next chunk is computed
+            computed.clear()
+            yield floats, index
 
     @cached_property
     def _run_offsets(self) -> np.ndarray:
@@ -363,19 +367,6 @@ class TelemetryLog:
         lengths[0] -= row - places[place]
         lengths[-1] -= places[end_place + 1] - end_row - 1
         return self.held[first:last + 1].repeat(lengths, axis=0)
-
-    def _run_lengths(self) -> np.ndarray:
-        """The rows in each run of held, int64: held_gaps repeated, the last
-        cut at the log's end: one int a run, and one cycle's gaps beside it
-        while it is built."""
-        runs, offsets = len(self.held), self._run_offsets
-        places = offsets.data  # the offsets as Python ints
-        gaps = np.diff(offsets[:runs + 1])
-        lengths = gaps if len(gaps) == runs else np.tile(gaps, -(-runs // len(gaps)))[:runs]
-        if runs:
-            cycles, place = divmod(runs - 1, len(places) - 1)
-            lengths[-1] = len(self) - cycles * places[-1] - places[place]
-        return lengths
 
     @cached_property
     def _time_marks(self) -> np.ndarray:
@@ -440,18 +431,9 @@ class TelemetryLog:
         return _read_only(np.fmin.accumulate(self.psi_unwrapped[::-1])[::-1])
 
 
-# each stored column as a property without a setter: a read-only view of rows
-for _k, _name in enumerate(STORED_COLUMNS):
-    setattr(TelemetryLog, _name, property(lambda log, k=_k: log.rows[:, k]))
-# each held column as one: a new array of its runs repeated over their rows,
-# refusing writes
-for _k, _name in enumerate(HELD_COLUMNS):
-    setattr(TelemetryLog, _name, property(lambda log, k=_k: _read_only(
-        np.repeat(log.held[:, k], log._run_lengths()))))
-# and each derived column: a new array integrated chunk by chunk, refusing writes
-for _name in DERIVED_COLUMNS:
-    setattr(TelemetryLog, _name, property(lambda log, name=_name: _read_only(
-        log.derived_rows(name, 0, len(log)))))
+# each column as a property without a setter: log.x is log.column("x")
+for _name in TELEMETRY_COLUMNS:
+    setattr(TelemetryLog, _name, property(lambda log, name=_name: log.column(name)))
 
 
 def waypoint_heading(px: float, py: float, spec: MissionSpec,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from paddlesim.csvtext import csv_rows
 from paddlesim.metrics import NotSettled, _rows_within
 from paddlesim.mission import (HELD_COLUMNS, MAX_TICKS, STORED_COLUMNS,
                                TELEMETRY_COLUMNS, ConfigError, MissionKind, MissionSpec,
-                               log_bytes, run_mission)
+                               TelemetryLog, log_bytes, run_mission)
 from paddlesim.dynamics import BoatParams
 from paddlesim.control import ControllerConfig
 
@@ -791,6 +792,21 @@ def test_every_export_is_documented():
     assert sorted(name for name in exported if f"`{name}`" not in readme) == []
 
 
+def test_every_log_attribute_is_documented():
+    # each public field, method and property of a log is named in a code
+    # span or block of the README, so a second way to read its rows cannot
+    # creep in undocumented
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    parts = re.split(r"^```.*$", readme, flags=re.M)  # prose, then a code block, ...
+    code = [*parts[1::2], *(span for prose in parts[0::2]
+                            for span in re.findall(r"`([^`]+)`", prose))]
+    named = {word for text in code for word in re.findall(r"\w+", text)}
+    public = {field.name for field in dataclasses.fields(TelemetryLog)} | {
+        name for name in dir(TelemetryLog) if not name.startswith("_")}
+    assert "column" in public and "float_chunks" in public
+    assert sorted(public - named) == []
+
+
 def test_csv_tables_are_built_on_the_first_write(tmp_path):
     # importing the CLI does not build the formatter's tables, so a library
     # run that only reports metrics never pays for them
@@ -858,7 +874,7 @@ def test_converge_report_runs_no_motor_integration(monkeypatch):
     for name in ("motor_rates", "motor_angles"):
         monkeypatch.setattr(mission, name, refused(name))
     assert report_metrics([dataclasses.replace(log)], spec) == report
-    assert log.theta.tobytes() == log.derived_rows("theta", 0, len(log)).tobytes()
+    assert log.theta.tobytes() == log.column("theta", 0, len(log)).tobytes()
 
 
 def test_waypoint_report_builds_no_time_column():

@@ -338,7 +338,7 @@ def test_telemetry_log_decodes_its_index_from_the_steps():
     assert log.waypoint_index.dtype == np.int64
     for start in range(7):
         for stop in range(start, 7):
-            assert np.array_equal(log.index_rows(start, stop),
+            assert np.array_equal(log.column("waypoint_index", start, stop),
                                   log.waypoint_index[start:stop])
     empty = TelemetryLog(np.zeros((0, 6)), _steps(), _NO_RUN)
     assert empty.waypoint_index.shape == (0,) and empty.theta_t_dot.shape == (0,)
@@ -363,10 +363,11 @@ def test_telemetry_log_decodes_its_held_columns_from_the_runs():
     floats = np.stack([log.column(name) for name in TELEMETRY_COLUMNS[:-1]], axis=1)
     for size in range(1, 9):
         out = np.full((size, len(TELEMETRY_COLUMNS) - 1), 9.0)
-        chunks = [chunk.copy() for chunk in log.float_chunks(out)]
-        assert [len(chunk) for chunk in chunks] == [min(size, 7 - start)
-                                                    for start in range(0, 7, size)]
-        assert np.concatenate(chunks).tobytes() == floats.tobytes()
+        chunks = [(chunk.copy(), index) for chunk, index in log.float_chunks(out)]
+        assert [len(chunk) for chunk, _ in chunks] == [min(size, 7 - start)
+                                                       for start in range(0, 7, size)]
+        assert np.concatenate([chunk for chunk, _ in chunks]).tobytes() == floats.tobytes()
+        assert np.concatenate([index for _, index in chunks]).tolist() == [0] * 7
 
 
 def _plant_loop(theta, theta_dot, tau):
@@ -421,7 +422,7 @@ def test_motor_columns_are_integrated_from_tau(tau):
         floats = np.stack([log.column(name) for name in TELEMETRY_COLUMNS[:-1]], axis=1)
         for size in (1, 7, 512):
             out = np.empty((size, len(TELEMETRY_COLUMNS) - 1))
-            chunks = [chunk.copy() for chunk in log.float_chunks(out)]
+            chunks = [chunk.copy() for chunk, _ in log.float_chunks(out)]
             assert np.concatenate(chunks).tobytes() == floats.tobytes()
 
 
@@ -481,28 +482,43 @@ def test_motor_columns_of_empty_and_one_row_logs():
             one.column(name)[0] = 1.0
 
 
+def _varied_log(n, seed):
+    """A log of n rows of random floats, its held rows random on the outer
+    ticks' runs and its waypoint index stepping every 301 rows."""
+    rng = np.random.default_rng(seed)
+    held = rng.standard_normal((len(outer_tick_indices(n)), 3))
+    steps = _steps(*((row, k) for k, row in enumerate(range(0, n, 301))))
+    return TelemetryLog(rng.standard_normal((n, 6)), steps, held, theta0=0.7)
+
+
 def test_derived_rows_are_the_column_rows():
-    # a read of some rows integrates from row 0 across chunk edges and keeps
-    # only the rows asked for
-    rng = np.random.default_rng(11)
-    log = TelemetryLog(rng.standard_normal((1100, 6)), _ONE_STEP, *_ONE_RUN, theta0=0.7)
-    for name in DERIVED_COLUMNS:
+    # a read of some rows of any column keeps only the rows asked for: a
+    # derived one integrates from row 0 across chunk edges, a held one maps
+    # its rows to runs from the first, and a stored one is a view of rows
+    log = _varied_log(1100, 11)
+    for name in TELEMETRY_COLUMNS:
         column = log.column(name)
         for start, stop in ((0, 0), (0, 1100), (1, 511), (511, 513), (512, 1024),
                             (513, 1100), (1099, 1100), (1100, 1100)):
-            rows = log.derived_rows(name, start, stop)
-            assert rows.tobytes() == column[start:stop].tobytes()
+            rows = log.column(name, start, stop)
+            assert rows.dtype == column.dtype and rows.tobytes() == column[start:stop].tobytes()
+            assert (rows.base is log.rows) == (name not in DERIVED_COLUMNS + HELD_COLUMNS
+                                               + ("waypoint_index",))
+            assert not rows.flags.writeable
     for start, stop in ((-1, 3), (3, 2), (0, 1101)):
         with pytest.raises(IndexError):
-            log.derived_rows("theta", start, stop)
+            log.column("theta", start, stop)
+    with pytest.raises(KeyError):
+        log.column("rows", 0, 3)
 
 
 @pytest.mark.parametrize("name, integrations", [
     ("t", ()), ("theta", ("hull_angles",)), ("phi_dot", ("motor_rates",)),
-    ("phi", ("motor_rates", "motor_angles")), ("theta_t_dot", ("motor_rates",))])
+    ("phi", ("motor_rates", "motor_angles")), ("theta_t_dot", ("motor_rates",)),
+    ("theta_r", ()), ("waypoint_index", ())])
 def test_derived_column_runs_only_its_integrations(monkeypatch, name, integrations):
     # computing every derived column for one made a read of phi_dot cost
-    # the hull integration too
+    # the hull integration too; a held column and the index need none
     from paddlesim import mission
     log = run_mission(BoatParams(), ControllerConfig(
         mode=ControlMode.DESATURATED_THRUST_DIRECTION),
@@ -511,17 +527,17 @@ def test_derived_column_runs_only_its_integrations(monkeypatch, name, integratio
     for other in {"hull_angles", "motor_rates", "motor_angles"} - set(integrations):
         monkeypatch.setattr(mission, other, refused(other))
     assert log.column(name).tobytes() == column.tobytes()
-    assert log.derived_rows(name, 600, 700).tobytes() == column[600:700].tobytes()
+    assert log.column(name, 600, 700).tobytes() == column[600:700].tobytes()
 
 
-@pytest.mark.parametrize("name", DERIVED_COLUMNS)
+@pytest.mark.parametrize("name", (*DERIVED_COLUMNS, *HELD_COLUMNS, "waypoint_index"))
 def test_derived_column_read_peaks_at_its_column(name):
     # the column is filled a chunk of a few hundred rows at a time, each
     # chunk's temporaries freed before the next; integrating the whole log
-    # at once peaked at 3 columns for phi
+    # at once peaked at 3 columns for phi, and repeating the held runs or
+    # decoding the index at once at 1.96 and 2.00 columns
     n = 150_001  # long-mission's rows
-    rng = np.random.default_rng(5)
-    log = TelemetryLog(rng.standard_normal((n, 6)), _ONE_STEP, *_ONE_RUN)
+    log = _varied_log(n, 5)
     column, peak = traced_peak(lambda: log.column(name))
     assert len(column) == n and peak <= 1.1 * 8 * n
 
@@ -582,7 +598,8 @@ def test_telemetry_log_stores_48_bytes_a_tick_24_an_outer_tick_and_16_a_step():
     outer = outer_tick_indices(ticks)
     assert ticks == round(40.0 * 250) + 1 and steps == 4 and len(outer) == 4801
     assert log.held_gaps == _OUTER_GAPS and len(log.held) == len(outer)
-    assert np.array_equal(log._run_lengths(), np.diff(outer, append=ticks))
+    assert log.theta_r.tobytes() == np.repeat(log.held[:, 0],
+                                              np.diff(outer, append=ticks)).tobytes()
     assert log.rows.shape == (ticks, 6)
     assert stored_bytes(log) == 48 * ticks + 24 * len(outer) + 16 * steps
     assert log.params is boat and log.theta0 == log.theta[0] == math.atan2(0.0, 1.0)

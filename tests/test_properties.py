@@ -771,25 +771,53 @@ def _held_reference(held, gaps, n):
     return np.array(rows, dtype=float).reshape(n, 3)
 
 
-def _log_of(n, held, gaps):
-    return TelemetryLog(np.zeros((n, len(STORED_COLUMNS))),
-                        np.zeros((min(n, 1), 2), dtype=np.int64), held, gaps)
+def _index_reference(steps, n):
+    """Each row's waypoint index, the rows walked one by one in Python: a
+    step's index holds from its first row until the next step starts."""
+    index, step = [], 0
+    for row in range(n):
+        if step + 1 < len(steps) and steps[step + 1][0] == row:
+            step += 1
+        index.append(steps[step][1])
+    return np.array(index, dtype=np.int64)
+
+
+def _log_of(n, held, gaps, steps=None):
+    steps = np.zeros((min(n, 1), 2), dtype=np.int64) if steps is None else steps
+    return TelemetryLog(np.zeros((n, len(STORED_COLUMNS))), steps, held, gaps)
 
 
 @FAST
-@given(layout=_held_layouts())
-def test_held_columns_and_chunks_are_the_runs_row_by_row(layout):
-    # the log maps rows to runs from the gaps' offsets, for whole columns and
-    # for each chunk; it must hold each row's run's values, bit for bit
+@given(layout=_held_layouts(), data=st.data())
+def test_held_columns_and_chunks_are_the_runs_row_by_row(layout, data):
+    # the log maps rows to runs from the gaps' offsets and rows to steps,
+    # for whole columns, for any rows of one and for each chunk; it must
+    # hold each row's run's values and step's index, bit for bit
     n, gaps, held = layout
-    log = _log_of(n, held, gaps)
+    changes = data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=20))
+    firsts = [0, *sorted(row for row in changes if row < n)][:n]
+    steps = np.array([(row, 3 * k - 1) for k, row in enumerate(firsts)], np.int64).reshape(-1, 2)
+    log = _log_of(n, held, gaps, steps)
     expected = _held_reference(held.tolist(), gaps, n)
+    index = _index_reference(steps.tolist(), n)
     for k, name in enumerate(HELD_COLUMNS):
         assert log.column(name).tobytes() == np.ascontiguousarray(expected[:, k]).tobytes()
+    assert log.waypoint_index.tobytes() == index.tobytes()
+    name = data.draw(st.sampled_from([*HELD_COLUMNS, "waypoint_index"]))
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    walked = (index if name == "waypoint_index"
+              else np.ascontiguousarray(expected[:, HELD_COLUMNS.index(name)]))
     for size in (1, 7, 512):
+        with patch("paddlesim.mission._DERIVE_ROWS", size):
+            assert log.column(name, start, stop).tobytes() == walked[start:stop].tobytes()
         out = np.empty((size, len(TELEMETRY_COLUMNS) - 1))
-        chunks = [chunk[:, _HELD_AT:_HELD_END].copy() for chunk in log.float_chunks(out)]
-        assert np.concatenate([np.empty((0, 3)), *chunks]).tobytes() == expected.tobytes()
+        chunks = [(chunk[:, _HELD_AT:_HELD_END].copy(), chunk_index)
+                  for chunk, chunk_index in log.float_chunks(out)]
+        assert np.concatenate([np.empty((0, 3)), *(chunk for chunk, _ in chunks)]
+                              ).tobytes() == expected.tobytes()
+        assert np.concatenate([np.empty(0, np.int64), *(i for _, i in chunks)]
+                              ).tobytes() == index.tobytes()
     # a held block a row short or a row long is refused
     for rows in (len(held) - 1, len(held) + 1):
         if rows >= 0:
